@@ -78,7 +78,7 @@ func main() {
 			{"PRA", "7", experiment.PRACombos()},
 			{"PWA", "8", experiment.PWACombos()},
 		} {
-			// One flattened pool per approach, like the batch sweep.
+			// One shared replication limiter per approach, like the batch sweep.
 			results, err := experiment.RunSetStream(context.Background(), ap.name, ap.combos, base)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "figures:", err)

@@ -1,15 +1,16 @@
-// Package backend is the execution substrate behind the experiment
-// drivers and koalad: a Backend turns one experiment point (a config's
-// full set of seeded replications) into its streaming result. The
-// drivers in internal/experiment (RunStream*, RunSetStream*) and the
-// koalad dispatcher are policy — what to run, in what order, what to
-// do with the result; a Backend is mechanism — where the simulations
-// actually execute.
+// Package backend is the execution substrate behind the streaming
+// sweep driver and koalad: a Backend turns one experiment point (a
+// config's full set of seeded replications) into its streaming result.
+// experiment.RunSetStreamVia and the koalad dispatcher are policy —
+// what to run, in what order, what to do with the result; a Backend is
+// mechanism — where the simulations actually execute.
 //
 // Two backends ship:
 //
-//   - Local runs points in this process on the bounded replication
-//     pool (the PR-1 parallel sweep engine).
+//   - Local runs points in this process through experiment's one
+//     point driver with its streaming sink (experiment.RunStreamContext):
+//     one Prepare per point, the seeded replications on a pool of
+//     cfg.Parallelism, each folded into an aggregate as it finishes.
 //   - Remote shards points across worker koalad daemons by the
 //     config's content fingerprint, streams their NDJSON progress
 //     back, and fails over to a fallback backend (normally Local)
@@ -20,9 +21,9 @@
 // whose Summary() encoding is byte-identical to Local's for the same
 // config — regardless of shard assignment, failover, or whether a
 // worker answered from its content-addressed store instead of
-// simulating. The batch drivers (experiment.Run/RunSet) stay local
-// only: they retain per-job records, which deliberately never cross
-// the wire.
+// simulating. The same point driver's batch sink (experiment.Run and
+// RunSet) stays local only: it retains per-job records, which
+// deliberately never cross the wire.
 package backend
 
 import (

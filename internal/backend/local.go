@@ -6,10 +6,11 @@ import (
 	"repro/internal/experiment"
 )
 
-// Local executes points in this process on the bounded replication
-// pool (experiment's in-process PointRunner; cfg.Parallelism sizes the
-// pool per point). It is the default backend of every driver, and the
-// failover target of Remote. The zero value is ready to use.
+// Local executes points in this process: experiment.RunStreamContext,
+// the point driver with its streaming sink, on a pool of
+// cfg.Parallelism per point. It is the default backend of every
+// driver, and the failover target of Remote. The zero value is ready
+// to use.
 type Local struct{}
 
 // Name implements Backend.

@@ -8,6 +8,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/cluster"
 	"repro/internal/gram"
@@ -33,11 +34,12 @@ type Config struct {
 	// Runs is the number of independent runs to pool (default 4).
 	Runs int
 	// Parallelism bounds the number of concurrently executing simulations:
-	// Run pools the independent seeded runs, and RunSet flattens all its
-	// (combo, replication) pairs into one pool of this size. 0 means one
-	// worker per CPU; 1 runs serially. Results are identical to serial
-	// execution for any value: each run owns its seed and its engine, and
-	// the pool writes into order-preserving slots.
+	// Run runs the point's seeded replications on a pool of this size,
+	// and a sweep (RunSet, RunSetStream) runs all its points at once,
+	// drawing their replications from one shared budget of this size. 0
+	// means one worker per CPU; 1 runs serially. Results are identical to
+	// serial execution for any value: each run owns its seed and its
+	// engine, and every replication writes into its own ordered slot.
 	Parallelism int
 	// Seed is the base seed; run i uses Seed+i.
 	Seed uint64
@@ -51,9 +53,10 @@ type Config struct {
 	// plus a generous drain window).
 	Horizon float64
 	// Grid overrides the testbed (default DAS-3); used by small tests.
-	// The closure runs once per replication, possibly from concurrent
-	// worker goroutines, so it must build a fresh Multicluster on every
-	// call — returning a shared cached instance would race.
+	// The closure runs once per Prepare (a topology probe) and once per
+	// replication, possibly from concurrent worker goroutines, so it must
+	// build a fresh Multicluster on every call — returning a shared
+	// cached instance would race.
 	Grid func() *cluster.Multicluster
 	// GramOverride replaces the default GRAM latency model (ablations).
 	GramOverride *gram.Config
@@ -174,45 +177,79 @@ func lastEnd(recs []metrics.JobRecord) float64 {
 
 // Run executes cfg.Runs seeded runs and pools their records. The runs are
 // independent (run i is seeded Seed+i and builds its own engine), so they
-// execute on a bounded worker pool of cfg.Parallelism goroutines; the
-// pooled records are in the same order as a serial loop.
+// execute on a bounded pool of cfg.Parallelism workers; the pooled
+// records are in the same order as a serial loop.
 func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
+	return runBatch(context.Background(), cfg, parallel.NewLimiter(cfg.Parallelism))
 }
 
-// RunContext is Run with cancellation: a canceled ctx (or the first failing
-// run) stops the pool from dispatching further runs. The point's setup is
-// prepared once (Prepare) and shared read-only by every replication.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	p, err := Prepare(cfg)
+// runBatch is runPoint with the batch sink: it keeps every replication's
+// RunResult, records and all, for the CDF figures.
+func runBatch(ctx context.Context, cfg Config, lim parallel.Limiter) (*Result, error) {
+	cfg, runs, err := runPoint(ctx, cfg, lim, nil, func(_ int, r *RunResult) *RunResult { return r })
 	if err != nil {
 		return nil, err
 	}
-	cfg = p.Config()
-	runs := make([]*RunResult, cfg.Runs)
-	err = parallel.ForEach(ctx, cfg.Runs, cfg.Parallelism, func(_ context.Context, i int) error {
-		r, err := p.RunOnce(cfg.Seed + uint64(i))
-		if err != nil {
-			return err
-		}
-		runs[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newResult(cfg, runs), nil
-}
-
-// newResult assembles a Result from completed runs, concatenating their
-// records into Pooled in run order (the paper's CDFs are computed over all
-// jobs of all runs of a combination).
-func newResult(cfg Config, runs []*RunResult) *Result {
 	out := &Result{Config: cfg, Runs: runs}
 	for _, r := range runs {
 		out.Pooled = append(out.Pooled, r.Records...)
 	}
-	return out
+	return out, nil
+}
+
+// runPoint is the one replication loop behind every driver, batch and
+// streaming. It prepares cfg once — the replications share the immutable
+// setup and differ only in their seeds — then runs the point's seeded
+// replications on lim and hands replication i's result to sink, whose
+// return value fills slot i of the output. The output is therefore in
+// replication order for any parallelism. Sink calls for distinct
+// replications may run concurrently.
+//
+// A panicking replication (or sink, or hook) becomes an error naming the
+// replication instead of unwinding its worker goroutine: koalad runs
+// this loop, and one bad run may fail but never take the daemon down.
+func runPoint[T any](ctx context.Context, cfg Config, lim parallel.Limiter,
+	onStart func(rep int, seed uint64), sink func(i int, r *RunResult) T) (Config, []T, error) {
+	prep, err := Prepare(cfg)
+	if err != nil {
+		return cfg, nil, err
+	}
+	cfg = prep.Config()
+	out := make([]T, cfg.Runs)
+	err = parallel.ForEachShared(ctx, cfg.Runs, lim, func(_ context.Context, i int) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("experiment %s: replication %d panicked: %v\n%s", cfg.Name, i, p, debug.Stack())
+			}
+		}()
+		seed := cfg.Seed + uint64(i)
+		if onStart != nil {
+			onStart(i, seed)
+		}
+		r, err := prep.RunOnce(seed)
+		if err != nil {
+			return err
+		}
+		out[i] = sink(i, r)
+		return nil
+	})
+	return cfg, out, err
+}
+
+// sweep runs every point of a sweep at once and returns run's results
+// in point order. Bounding the actual concurrency is run's job: a
+// replication limiter shared by the points, or the worker daemons of a
+// remote backend.
+func sweep[T any](ctx context.Context, cfgs []Config, run func(context.Context, Config) (T, error)) ([]T, error) {
+	out := make([]T, len(cfgs))
+	err := parallel.ForEach(ctx, len(cfgs), len(cfgs), func(ctx context.Context, c int) (err error) {
+		out[c], err = run(ctx, cfgs[c])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // MalleableRecords returns the pooled records restricted to malleable jobs

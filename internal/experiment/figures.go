@@ -139,16 +139,31 @@ type Set struct {
 	Labels   []string
 }
 
-// RunSet executes the four combos of an approach. Opts tweak the base
-// config (runs, seed, grid, parallelism) for every combo.
+// RunSet executes the combos of an approach; base tweaks the config
+// (runs, seed, grid, parallelism) of every combo. The combo points run
+// at once, one Prepare each, drawing their replications from one limiter
+// of base.Parallelism, so that bound covers the whole sweep. The Labels
+// order (and therefore every figure's series order) and each combo's
+// pooled record order match a serial loop exactly.
 func RunSet(approach string, combos []Combo, base Config) (*Set, error) {
-	return RunSetContext(context.Background(), approach, combos, base)
+	lim := parallel.NewLimiter(base.Parallelism)
+	results, err := sweep(context.Background(), ComboConfigs(approach, combos, base),
+		func(ctx context.Context, cfg Config) (*Result, error) { return runBatch(ctx, cfg, lim) })
+	if err != nil {
+		return nil, err
+	}
+	set := &Set{Approach: approach, Results: make(map[string]*Result)}
+	for c, combo := range combos {
+		set.Results[combo.Label] = results[c]
+		set.Labels = append(set.Labels, combo.Label)
+	}
+	return set, nil
 }
 
 // ComboConfigs expands an approach's combos into per-combo configs the
 // way RunSet does (PWA background preset, approach/policy/workload and
 // name filled in, defaults resolved). It is the shared front half of
-// RunSetContext and the streaming sweep of cmd/figures -stream.
+// RunSet and the streaming sweeps (RunSetStream, RunSetStreamVia).
 func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 	if base.Background == nil && !base.NoBackground && approach == "PWA" {
 		// The PWA experiments ran under much heavier shared-testbed
@@ -166,46 +181,6 @@ func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 		cfgs[i] = cfg.withDefaults()
 	}
 	return cfgs
-}
-
-// RunSetContext is RunSet with cancellation. Every (combo, replication)
-// pair is an independent simulation, so the whole sweep flattens into one
-// task space executed on a single bounded pool — base.Parallelism bounds
-// the *total* number of concurrent simulations, not workers per level.
-// The Labels order (and therefore every figure's series order) and each
-// combo's pooled record order match the serial loops exactly.
-func RunSetContext(ctx context.Context, approach string, combos []Combo, base Config) (*Set, error) {
-	cfgs := ComboConfigs(approach, combos, base)
-
-	type task struct{ combo, run int }
-	var tasks []task
-	runs := make([][]*RunResult, len(combos))
-	for c, cfg := range cfgs {
-		runs[c] = make([]*RunResult, cfg.Runs)
-		for r := 0; r < cfg.Runs; r++ {
-			tasks = append(tasks, task{combo: c, run: r})
-		}
-	}
-	err := parallel.ForEach(ctx, len(tasks), base.Parallelism, func(_ context.Context, i int) error {
-		t := tasks[i]
-		cfg := cfgs[t.combo]
-		r, err := RunOnce(cfg, cfg.Seed+uint64(t.run))
-		if err != nil {
-			return err
-		}
-		runs[t.combo][t.run] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	set := &Set{Approach: approach, Results: make(map[string]*Result)}
-	for c, combo := range combos {
-		set.Results[combo.Label] = newResult(cfgs[c], runs[c])
-		set.Labels = append(set.Labels, combo.Label)
-	}
-	return set, nil
 }
 
 // cdfFigure builds a four-series CDF figure over a record field.

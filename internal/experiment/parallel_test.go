@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -130,5 +131,71 @@ func TestRunStopsPoolOnFirstFailure(t *testing.T) {
 	// may have started.
 	if got := started.Load(); got > 16 {
 		t.Fatalf("%d of 64 replications started after the first failure", got)
+	}
+}
+
+// countingGrid returns a Config.Grid that counts its calls and, when
+// panicAt > 0, panics on call number panicAt instead of building.
+func countingGrid(calls *atomic.Int64, panicAt int64) func() *cluster.Multicluster {
+	return func() *cluster.Multicluster {
+		if n := calls.Add(1); n == panicAt {
+			panic(fmt.Sprintf("grid call %d", n))
+		}
+		return smallGrid()
+	}
+}
+
+// TestRunSetPreparesOncePerCombo pins the point driver's sharing: each
+// combo point is prepared once (one Grid probe) and its replications
+// reuse that setup (one Grid build each), so a sweep of C combos × R
+// runs builds C×(1+R) grids, not a Prepare per replication.
+func TestRunSetPreparesOncePerCombo(t *testing.T) {
+	combos := []Combo{
+		{Policy: "FPSMA", Workload: smallWorkload("Wm", 6, 40, 1), Label: "FPSMA/Wm"},
+		{Policy: "EGS", Workload: smallWorkload("Wm", 6, 40, 1), Label: "EGS/Wm"},
+		{Policy: "EQUI", Workload: smallWorkload("Wm", 6, 40, 1), Label: "EQUI/Wm"},
+	}
+	const runs = 3
+	var calls atomic.Int64
+	base := Config{Grid: countingGrid(&calls, 0), Runs: runs, Seed: 7, Parallelism: 2}
+	if _, err := RunSet("PRA", combos, base); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := calls.Load(), int64(len(combos)*(1+runs)); got != want {
+		t.Fatalf("Grid called %d times, want %d (one probe per combo + one per replication)", got, want)
+	}
+}
+
+// TestReplicationPanicIsAnError pins the driver's recovery on the batch
+// path: a replication that panics fails Run and RunSet with an error
+// naming it, instead of unwinding a pool goroutine and killing the
+// process. Every probe precedes its own point's replications, so the
+// last Grid call of a sweep is always a replication's.
+func TestReplicationPanicIsAnError(t *testing.T) {
+	const runs = 3
+	var calls atomic.Int64
+	cfg := Config{
+		Workload:    smallWorkload("small", 5, 60, 1)(1),
+		Grid:        countingGrid(&calls, 1+runs),
+		Runs:        runs,
+		Seed:        3,
+		Parallelism: 1,
+	}
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "replication 2 panicked: grid call 4") {
+		t.Fatalf("Run err = %v, want replication 2's panic", err)
+	}
+
+	combos := []Combo{
+		{Policy: "FPSMA", Workload: smallWorkload("Wm", 5, 40, 1), Label: "FPSMA/Wm"},
+		{Policy: "EGS", Workload: smallWorkload("Wm", 5, 40, 1), Label: "EGS/Wm"},
+	}
+	last := int64(len(combos) * (1 + runs))
+	calls.Store(0)
+	base := Config{Grid: countingGrid(&calls, last), Runs: runs, Seed: 3, Parallelism: 2}
+	_, err = RunSet("PRA", combos, base)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("panicked: grid call %d", last)) ||
+		!strings.Contains(err.Error(), "replication") {
+		t.Fatalf("RunSet err = %v, want a replication's panic", err)
 	}
 }

@@ -2,23 +2,21 @@ package experiment
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/stats"
 )
 
-// This file is the streaming twin of Run/RunContext: the same seeded
-// replications on the same worker pool, but each replication's job
+// This file is the streaming sink of runPoint: the same seeded
+// replications on the same pool as Run, but each replication's job
 // records are folded into a constant-memory metrics.Aggregate and
-// dropped before the next replication of that worker starts. Nothing
-// proportional to the job count survives a replication, which is what
-// lets koalad hold many concurrent sweeps, and what the -stream flag
-// of the batch CLIs exposes for very large runs. Aggregates are merged
-// in replication order, so the output is deterministic for a given
-// config and seed regardless of parallelism.
+// dropped as soon as the replication ends. Nothing proportional to the
+// job count survives a replication, which is what lets koalad hold many
+// concurrent sweeps, and what the -stream flag of the batch CLIs
+// exposes for very large runs. Aggregates are merged in replication
+// order, so the output is deterministic for a given config and seed
+// regardless of parallelism.
 
 // Replication is the compact summary of one completed replication —
 // what koalad streams as a progress event, and all that RunStream
@@ -45,19 +43,15 @@ type Replication struct {
 
 // StreamResult pools the replications of one experiment point without
 // retaining per-job records: exact counts and moments plus
-// sketch-backed quantiles (see metrics.Aggregate).
+// sketch-backed quantiles (see metrics.Aggregate), held in the point's
+// wire summary.
 type StreamResult struct {
 	Config       Config
 	Replications []Replication
-	// Agg holds the merged aggregate for points executed in this
-	// process. It is nil for results received from a remote backend —
-	// only the wire summary crosses the process boundary — in which
-	// case the accessors read the precomputed summary instead.
-	Agg *metrics.Aggregate
 
-	// summary, when non-nil, is the precomputed wire summary of a
-	// remotely executed point (see StreamResultFromSummary).
-	summary *StreamSummary
+	// sum is built once when the replication aggregates merge, or
+	// received verbatim from a remote backend.
+	sum StreamSummary
 }
 
 // StreamResultFromSummary rebuilds a StreamResult from its wire
@@ -65,11 +59,7 @@ type StreamResult struct {
 // Summary() returns sum unchanged, so EncodeSummary over the rebuilt
 // result is byte-identical to the bytes the worker produced.
 func StreamResultFromSummary(cfg Config, sum StreamSummary) *StreamResult {
-	return &StreamResult{
-		Config:       cfg,
-		Replications: append([]Replication(nil), sum.Replications...),
-		summary:      &sum,
-	}
+	return &StreamResult{Config: cfg, Replications: sum.Replications, sum: sum}
 }
 
 // summarizeReplication reduces a full RunResult to its compact form
@@ -113,200 +103,117 @@ func RunStream(cfg Config) (*StreamResult, error) {
 
 // PointRunner executes one experiment point — a config's full set of
 // seeded replications — and returns its streaming result. It is the
-// seam between the experiment drivers (RunStream*, RunSetStream*) and
-// the execution substrate: internal/backend implements it in-process
-// (backend.Local, the bounded pool below) and over HTTP to worker
-// daemons (backend.Remote). Every implementation must be
-// deterministic: the result's Summary() encoding depends only on the
-// config, never on which substrate ran it.
+// seam between the sweep driver (RunSetStreamVia) and the execution
+// substrate: internal/backend implements it in-process (backend.Local,
+// i.e. RunStreamContext) and over HTTP to worker daemons
+// (backend.Remote). Every implementation must be deterministic: the
+// result's Summary() encoding depends only on the config, never on
+// which substrate ran it.
 type PointRunner interface {
 	RunPoint(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error)
 }
 
-// localPoint is the in-process PointRunner: the PR-1 bounded worker
-// pool over the point's independent seeded replications, merged in
-// replication order (deterministic for any parallelism).
-type localPoint struct {
-	// lim, when non-nil, replaces the per-point cfg.Parallelism pool
-	// with a shared budget: concurrent RunPoint calls draw replication
-	// slots from the same limiter, so a whole sweep is bounded
-	// globally no matter how its points interleave.
-	lim parallel.Limiter
-}
-
-func (p localPoint) RunPoint(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error) {
-	// One Prepare per point: the replications share the immutable setup
-	// (resolved lookups, prepared workload spec, site index) and differ
-	// only in their seeds.
-	prep, err := Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = prep.Config()
-	reps := make([]Replication, cfg.Runs)
-	aggs := make([]*metrics.Aggregate, cfg.Runs)
-	body := func(_ context.Context, i int) error {
-		rep, agg, err := streamOne(prep, i, hooks)
-		if err != nil {
-			return err
-		}
-		reps[i], aggs[i] = rep, agg
-		return nil
-	}
-	if p.lim != nil {
-		err = parallel.ForEachShared(ctx, cfg.Runs, p.lim, body)
-	} else {
-		err = parallel.ForEach(ctx, cfg.Runs, cfg.Parallelism, body)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newStreamResult(cfg, reps, aggs), nil
-}
-
-// streamOne executes replication i against the point's prepared setup
-// and reduces it to its compact form. A panicking replication must not
-// unwind the worker goroutine: the streaming path serves long-running
-// daemons (koalad), where one bad run may fail but never take the
-// process down.
-func streamOne(prep *Prepared, i int, hooks StreamHooks) (rep Replication, agg *metrics.Aggregate, err error) {
-	cfg := prep.Config()
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("experiment %s: replication %d panicked: %v\n%s", cfg.Name, i, p, debug.Stack())
-		}
-	}()
-	seed := cfg.Seed + uint64(i)
-	if hooks.OnStart != nil {
-		hooks.OnStart(i, seed)
-	}
-	r, err := prep.RunOnce(seed)
-	if err != nil {
-		return Replication{}, nil, err
-	}
-	rep, agg = summarizeReplication(i, r)
-	if hooks.OnDone != nil {
-		hooks.OnDone(rep)
-	}
-	return rep, agg, nil
-}
-
-// newStreamResult merges per-replication aggregates in replication
-// order into a StreamResult (deterministic for any parallelism).
-func newStreamResult(cfg Config, reps []Replication, aggs []*metrics.Aggregate) *StreamResult {
-	out := &StreamResult{Config: cfg, Replications: reps, Agg: metrics.NewAggregate()}
-	for _, agg := range aggs {
-		out.Agg.Merge(agg)
-	}
-	return out
-}
-
-// RunStreamContext is RunStream with cancellation and progress hooks —
-// a thin driver over the in-process point runner. The returned result
-// merges the replication aggregates in replication order, so it is
-// identical for any parallelism.
+// RunStreamContext is RunStream with cancellation and progress hooks,
+// on a pool of cfg.Parallelism workers. The returned result merges the
+// replication aggregates in replication order, so it is identical for
+// any parallelism.
 func RunStreamContext(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error) {
-	return localPoint{}.RunPoint(ctx, cfg, hooks)
+	return runStream(ctx, cfg, parallel.NewLimiter(cfg.Parallelism), hooks)
+}
+
+// runStream is runPoint with the streaming sink: each replication is
+// reduced to its Replication plus an aggregate of its records, reported
+// through hooks.OnDone, and the aggregates merge in replication order.
+func runStream(ctx context.Context, cfg Config, lim parallel.Limiter, hooks StreamHooks) (*StreamResult, error) {
+	type streamed struct {
+		rep Replication
+		agg *metrics.Aggregate
+	}
+	cfg, reps, err := runPoint(ctx, cfg, lim, hooks.OnStart, func(i int, r *RunResult) streamed {
+		rep, agg := summarizeReplication(i, r)
+		if hooks.OnDone != nil {
+			hooks.OnDone(rep)
+		}
+		return streamed{rep, agg}
+	})
+	if err != nil {
+		return nil, err
+	}
+	agg := metrics.NewAggregate()
+	out := &StreamResult{Config: cfg, Replications: make([]Replication, len(reps))}
+	util, ops, rejected := 0.0, 0.0, 0
+	for i, s := range reps {
+		out.Replications[i] = s.rep
+		agg.Merge(s.agg)
+		util += s.rep.MeanUtilization
+		ops += s.rep.Ops
+		rejected += s.rep.Rejected
+	}
+	// Per-replication means, as the batch Result.MeanUtilization and
+	// Result.TotalOps compute them (cfg.Runs >= 1 after Prepare).
+	n := float64(len(reps))
+	out.sum = StreamSummary{
+		Name:            cfg.Name,
+		Runs:            len(reps),
+		Jobs:            agg.Jobs,
+		Malleable:       agg.Malleable,
+		Rejected:        rejected,
+		MeanUtilization: util / n,
+		OpsPerRun:       ops / n,
+		Exec:            agg.Exec.Summary(),
+		Response:        agg.Response.Summary(),
+		AvgProcs:        agg.AvgProcs.Summary(),
+		MaxProcs:        agg.MaxProcs.Summary(),
+		Replications:    out.Replications,
+	}
+	return out, nil
 }
 
 // RunSetStreamVia runs every combo point of an approach through
 // runner, returning one StreamResult per combo in combo order. All
 // points are in flight at once — bounding actual concurrency is the
-// runner's job (backend.Local shares one replication budget across
-// points; backend.Remote shards whole points across worker daemons).
+// runner's job (backend.Local runs each point on a pool of its
+// cfg.Parallelism; backend.Remote shards whole points across worker
+// daemons). RunSetStream is the in-process sweep with one budget.
 func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
-	cfgs := ComboConfigs(approach, combos, base)
-	out := make([]*StreamResult, len(cfgs))
-	err := parallel.ForEach(ctx, len(cfgs), len(cfgs), func(ctx context.Context, c int) error {
-		res, err := runner.RunPoint(ctx, cfgs[c], StreamHooks{})
-		if err != nil {
-			return err
-		}
-		out[c] = res
-		return nil
+	return sweep(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*StreamResult, error) {
+		return runner.RunPoint(ctx, cfg, StreamHooks{})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// RunSetStream is the streaming counterpart of RunSet: every (combo,
-// replication) pair of the sweep draws from one shared pool —
-// base.Parallelism bounds the total number of concurrent simulations,
-// exactly like the batch sweep — returning one StreamResult per combo,
-// in combo order.
+// RunSetStream is the streaming counterpart of RunSet: the combo points
+// run at once and draw their replications from one limiter of
+// base.Parallelism, exactly like the batch sweep, returning one
+// StreamResult per combo, in combo order.
 func RunSetStream(ctx context.Context, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
 	lim := parallel.NewLimiter(base.Parallelism)
-	return RunSetStreamVia(ctx, localPoint{lim: lim}, approach, combos, base)
+	return sweep(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*StreamResult, error) {
+		return runStream(ctx, cfg, lim, StreamHooks{})
+	})
 }
 
 // Jobs returns the number of finished jobs over all replications.
-func (r *StreamResult) Jobs() int {
-	if r.Agg == nil {
-		return r.summary.Jobs
-	}
-	return r.Agg.Jobs
-}
+func (r *StreamResult) Jobs() int { return r.sum.Jobs }
 
 // Malleable returns the number of malleable jobs over all replications.
-func (r *StreamResult) Malleable() int {
-	if r.Agg == nil {
-		return r.summary.Malleable
-	}
-	return r.Agg.Malleable
-}
+func (r *StreamResult) Malleable() int { return r.sum.Malleable }
 
 // Rejected returns the number of rejected jobs over all replications.
-func (r *StreamResult) Rejected() int {
-	n := 0
-	for _, rep := range r.Replications {
-		n += rep.Rejected
-	}
-	return n
-}
+func (r *StreamResult) Rejected() int { return r.sum.Rejected }
 
 // MeanUtilization averages the per-replication utilisation, exactly as
 // the batch Result.MeanUtilization does.
-func (r *StreamResult) MeanUtilization() float64 {
-	if len(r.Replications) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, rep := range r.Replications {
-		sum += rep.MeanUtilization
-	}
-	return sum / float64(len(r.Replications))
-}
+func (r *StreamResult) MeanUtilization() float64 { return r.sum.MeanUtilization }
 
 // TotalOps averages the malleability operations per replication,
 // exactly as the batch Result.TotalOps does.
-func (r *StreamResult) TotalOps() float64 {
-	if len(r.Replications) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, rep := range r.Replications {
-		sum += rep.Ops
-	}
-	return sum / float64(len(r.Replications))
-}
+func (r *StreamResult) TotalOps() float64 { return r.sum.OpsPerRun }
 
 // MeanExecution returns the mean execution time over all jobs.
-func (r *StreamResult) MeanExecution() float64 {
-	if r.Agg == nil {
-		return r.summary.Exec.Mean
-	}
-	return r.Agg.MeanExecution()
-}
+func (r *StreamResult) MeanExecution() float64 { return r.sum.Exec.Mean }
 
 // MeanResponse returns the mean response time over all jobs.
-func (r *StreamResult) MeanResponse() float64 {
-	if r.Agg == nil {
-		return r.summary.Response.Mean
-	}
-	return r.Agg.MeanResponse()
-}
+func (r *StreamResult) MeanResponse() float64 { return r.sum.Response.Mean }
 
 // StreamSummary is the JSON form of a finished streaming experiment:
 // koalad's terminal event, its GET /v1/experiments/{id} body, and the
@@ -332,25 +239,7 @@ type StreamSummary struct {
 	Replications []Replication `json:"replications"`
 }
 
-// Summary renders the result in its wire form. For a remotely
-// executed point the worker's summary is returned verbatim, so its
-// EncodeSummary bytes are exactly what the worker persisted.
-func (r *StreamResult) Summary() StreamSummary {
-	if r.summary != nil {
-		return *r.summary
-	}
-	return StreamSummary{
-		Name:            r.Config.Name,
-		Runs:            len(r.Replications),
-		Jobs:            r.Jobs(),
-		Malleable:       r.Agg.Malleable,
-		Rejected:        r.Rejected(),
-		MeanUtilization: r.MeanUtilization(),
-		OpsPerRun:       r.TotalOps(),
-		Exec:            r.Agg.Exec.Summary(),
-		Response:        r.Agg.Response.Summary(),
-		AvgProcs:        r.Agg.AvgProcs.Summary(),
-		MaxProcs:        r.Agg.MaxProcs.Summary(),
-		Replications:    r.Replications,
-	}
-}
+// Summary returns the result in its wire form. For a remotely executed
+// point it is the worker's summary verbatim, so its EncodeSummary bytes
+// are exactly what the worker persisted.
+func (r *StreamResult) Summary() StreamSummary { return r.sum }

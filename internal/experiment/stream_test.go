@@ -42,8 +42,8 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	if stream.Jobs() != len(batch.Pooled) {
 		t.Fatalf("stream jobs = %d, batch %d", stream.Jobs(), len(batch.Pooled))
 	}
-	if stream.Agg.Malleable != len(batch.MalleableRecords()) {
-		t.Fatalf("stream malleable = %d, batch %d", stream.Agg.Malleable, len(batch.MalleableRecords()))
+	if stream.Summary().Malleable != len(batch.MalleableRecords()) {
+		t.Fatalf("stream malleable = %d, batch %d", stream.Summary().Malleable, len(batch.MalleableRecords()))
 	}
 	// Per-replication scalars follow the exact same float operations in
 	// the same order, so they are bit-identical.
@@ -64,7 +64,7 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	// Sketch quantiles stay within the sketch's relative error of the
 	// batch nearest-rank values.
 	execs := metrics.ExecTimesOf(batch.Pooled)
-	med := stream.Agg.Exec.Sketch.Quantile(0.5)
+	med := stream.Summary().Exec.Median
 	if d := relDiff(med, stats.Percentile(execs, 50)); d > 3*stats.DefaultSketchAccuracy {
 		t.Errorf("exec median: stream %v, batch %v (rel %g)", med, stats.Percentile(execs, 50), d)
 	}
@@ -108,7 +108,7 @@ func TestRunStreamDeterministicAcrossParallelism(t *testing.T) {
 		t.Errorf("means differ across parallelism: %v/%v vs %v/%v",
 			a.MeanExecution(), a.MeanResponse(), b.MeanExecution(), b.MeanResponse())
 	}
-	if a.Agg.Exec.Sketch.Quantile(0.9) != b.Agg.Exec.Sketch.Quantile(0.9) {
+	if a.Summary().Exec.P90 != b.Summary().Exec.P90 {
 		t.Error("sketch quantiles differ across parallelism")
 	}
 	if a.MeanUtilization() != b.MeanUtilization() {
@@ -164,8 +164,8 @@ func TestRunStreamRetainsNoRecords(t *testing.T) {
 	}
 	// The compile-time shape already guarantees it (StreamResult has no
 	// record field); assert the aggregate counted without storing.
-	if res.Agg.Jobs != 16 || res.Agg.Exec.N() != 16 {
-		t.Fatalf("aggregate miscounted: %d/%d", res.Agg.Jobs, res.Agg.Exec.N())
+	if res.Summary().Jobs != 16 || res.Summary().Exec.N != 16 {
+		t.Fatalf("aggregate miscounted: %d/%d", res.Summary().Jobs, res.Summary().Exec.N)
 	}
 	sum := res.Summary()
 	if sum.Jobs != 16 || sum.Runs != 2 || len(sum.Replications) != 2 {

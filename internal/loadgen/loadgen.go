@@ -236,9 +236,9 @@ func newFleetHTTPClient() *http.Client {
 // against a long-lived daemon, and re-running with the same seed is
 // intentionally cache-warm.
 const (
-	hotSeedSpan  = 0          // hot pool: fleetBase + [0, HotConfigs)
-	waveSeedSpan = 1 << 28    // follower/disconnector rounds: fleetBase + span + round
-	coldSeedSpan = 1 << 29    // cold sweeps: fleetBase + span + client*Requests + op
+	hotSeedSpan  = 0       // hot pool: fleetBase + [0, HotConfigs)
+	waveSeedSpan = 1 << 28 // follower/disconnector rounds: fleetBase + span + round
+	coldSeedSpan = 1 << 29 // cold sweeps: fleetBase + span + client*Requests + op
 	fleetStride  = uint64(1) << 32
 )
 

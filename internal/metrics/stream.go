@@ -15,11 +15,10 @@ type Aggregate struct {
 	Jobs      int
 	Malleable int
 
-	// Exec, Response and Wait summarize all jobs (the populations of
-	// Figs. 7c/d and 8c/d).
+	// Exec and Response summarize all jobs (the populations of Figs.
+	// 7c/d and 8c/d).
 	Exec     *stats.Stream
 	Response *stats.Stream
-	Wait     *stats.Stream
 
 	// AvgProcs and MaxProcs summarize malleable jobs only (the
 	// populations of Figs. 7a/b and 8a/b).
@@ -32,7 +31,6 @@ func NewAggregate() *Aggregate {
 	return &Aggregate{
 		Exec:     stats.NewStream(),
 		Response: stats.NewStream(),
-		Wait:     stats.NewStream(),
 		AvgProcs: stats.NewStream(),
 		MaxProcs: stats.NewStream(),
 	}
@@ -43,7 +41,6 @@ func (a *Aggregate) Observe(r JobRecord) {
 	a.Jobs++
 	a.Exec.Add(r.ExecutionTime)
 	a.Response.Add(r.ResponseTime)
-	a.Wait.Add(r.WaitTime)
 	if r.Malleable {
 		a.Malleable++
 		a.AvgProcs.Add(r.AvgProcs)
@@ -68,7 +65,6 @@ func (a *Aggregate) Merge(b *Aggregate) {
 	a.Malleable += b.Malleable
 	a.Exec.Merge(b.Exec)
 	a.Response.Merge(b.Response)
-	a.Wait.Merge(b.Wait)
 	a.AvgProcs.Merge(b.AvgProcs)
 	a.MaxProcs.Merge(b.MaxProcs)
 }

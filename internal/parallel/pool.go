@@ -8,6 +8,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -18,76 +19,23 @@ import (
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on a bounded pool of
-// workers goroutines (workers <= 0 means DefaultWorkers, workers == 1 runs
-// serially on the calling goroutine). fn must write its result into a slot
-// owned by index i (e.g. out[i] = ...); fn calls for distinct indices may
-// run concurrently, so they must not share mutable state.
+// workers goroutines: ForEachShared over a private limiter of that size
+// (workers <= 0 means DefaultWorkers). With workers == 1 the indices run
+// one at a time, in order, on a single pool goroutine — not on the
+// calling one. fn must write its result into a slot owned by index i
+// (e.g. out[i] = ...); fn calls for distinct indices may run
+// concurrently, so they must not share mutable state.
 //
 // The first error cancels the shared context and stops the pool from
 // dispatching further indices; calls already in flight run to completion.
 // ForEach returns the error of the lowest failing index among those that
-// ran. If no task failed, it returns nil when all n completed, and the
-// parent context's error when a parent cancellation cut the pool short.
+// ran. A call that returns the pool context's own error after that
+// cancellation only echoes it (say, a nested pool cut short) and does not
+// count as failing, so it never masks the cause. If no task failed,
+// ForEach returns nil when all n completed, and the parent context's
+// error when a parent cancellation cut the pool short.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	parent := ctx
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	errs := make([]error, n)
-	var next, done atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				if err := fn(ctx, i); err != nil {
-					errs[i] = err
-					cancel()
-				} else {
-					done.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if int(done.Load()) == n {
-		// Every task completed: like the serial path, a parent cancellation
-		// that raced the finish does not discard the finished work.
-		return nil
-	}
-	return parent.Err()
+	return ForEachShared(ctx, n, NewLimiter(workers), fn)
 }
 
 // Limiter is a shared concurrency budget: a counting semaphore that
@@ -109,9 +57,7 @@ func NewLimiter(n int) Limiter {
 // runs only while holding one of lim's slots, so concurrent
 // ForEachShared calls over the same limiter never execute more than
 // cap(lim) tasks at once between them. Error and cancellation semantics
-// match ForEach: the first failing task cancels the pool and its error
-// (lowest index) is returned; a parent cancellation that cut the pool
-// short returns the parent's error.
+// are ForEach's.
 func ForEachShared(ctx context.Context, n int, lim Limiter, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -146,11 +92,16 @@ func ForEachShared(ctx context.Context, n int, lim Limiter, fn func(ctx context.
 				}
 				err := fn(ctx, i)
 				<-lim
-				if err != nil {
+				switch {
+				case err == nil:
+					done.Add(1)
+				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+					// Only an echo of the cancellation (say, a nested
+					// pool cut short): it must not mask the error
+					// that canceled.
+				default:
 					errs[i] = err
 					cancel()
-				} else {
-					done.Add(1)
 				}
 			}
 		}()

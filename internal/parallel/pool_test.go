@@ -196,3 +196,36 @@ func TestForEachSharedPropagatesErrors(t *testing.T) {
 		t.Fatalf("ran %d tasks under a canceled context", calls)
 	}
 }
+
+// TestForEachCancellationEchoDoesNotMaskCause: a task cut short by the
+// pool's cancellation (a nested pool, say) returns the context's error.
+// That echo must not win over the failure that canceled, even from a
+// lower index; with no failure, the parent's cancellation is returned.
+func TestForEachCancellationEchoDoesNotMaskCause(t *testing.T) {
+	boom := errors.New("boom")
+	echo := func(ctx context.Context) error {
+		<-ctx.Done()
+		return fmt.Errorf("cut short: %w", ctx.Err())
+	}
+	err := ForEach(context.Background(), 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return boom
+		}
+		return echo(ctx)
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err = ForEach(ctx, 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			cancel()
+		}
+		return echo(ctx)
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the parent's context.Canceled", err)
+	}
+}

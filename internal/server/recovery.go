@@ -211,23 +211,24 @@ func (s *Server) adoptEntry(e *store.Entry) *Run {
 }
 
 // persistResult writes a completed summary through to the store and
-// journals the completion — in that order, so a crash between the two
-// re-runs the experiment rather than losing its result. Persistence
-// failures are logged, never fatal: the in-memory result still serves.
-func (s *Server) persistResult(run *Run, sum experiment.StreamSummary) {
+// reports whether it landed; only then may the journal record the run
+// completed, so a crash between the two re-runs the experiment rather
+// than losing its result. Persistence failures are logged, never fatal:
+// the in-memory result still serves.
+func (s *Server) persistResult(run *Run, sum experiment.StreamSummary) bool {
 	if s.store == nil {
-		return
+		return false
 	}
 	b, err := experiment.EncodeSummary(sum)
 	if err != nil {
 		s.log.Warn("koalad: summary not encodable, result stays memory-only", "run", run.ID, "err", err)
-		return
+		return false
 	}
 	if err := s.store.Put(store.Entry{Hash: run.Hash, ID: run.ID, Name: run.Name, Summary: b}); err != nil {
 		s.log.Warn("koalad: result not persisted", "run", run.ID, "err", err)
-		return
+		return false
 	}
-	s.journalAppend(store.Record{Op: store.OpCompleted, ID: run.ID, Hash: run.Hash})
+	return true
 }
 
 // journalAppend stamps and appends a record; journal trouble is logged

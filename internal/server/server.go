@@ -489,9 +489,11 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 	s.streamRun(w, r, run)
 }
 
-// retire records a terminal run and enforces the retention bound:
-// beyond MaxRetained terminal runs, the oldest leave the registry and
-// the cache (their configs re-simulate on a future POST).
+// retire records a terminal run — a finishing one just before its
+// terminal event, so retention order is completion order — and enforces
+// the retention bound: beyond MaxRetained terminal runs, the oldest
+// leave the registry and the cache (their configs re-simulate on a
+// future POST).
 func (s *Server) retire(run *Run) {
 	s.retireMu.Lock()
 	s.retired = append(s.retired, run.ID)
@@ -511,20 +513,15 @@ func (s *Server) retire(run *Run) {
 }
 
 // execute owns a run's lifecycle after admission: slot wait, streaming
-// execution, terminal event, cache upkeep.
+// execution, then completeRun or failRun on every path out.
 func (s *Server) execute(run *Run) {
 	defer s.wg.Done()
-	// Every path out of execute leaves the run terminal; account for it
-	// in the retention bound exactly once.
-	defer s.retire(run)
+	var runStart time.Time // when the run took its slot; zero before, and after endRun
 	defer func() {
 		if p := recover(); p != nil {
-			s.cache.Evict(run)
-			s.runsFailed.Add(1)
-			run.fail(fmt.Sprintf("run panicked: %v", p))
-			run.endTrace()
-			s.journalAppend(store.Record{Op: store.OpFailed, ID: run.ID, Hash: run.Hash, Error: fmt.Sprintf("run panicked: %v", p)})
+			msg := fmt.Sprintf("run panicked: %v", p)
 			s.log.Error("koalad: run panicked", "run", run.ID, "panic", p, "stack", string(debug.Stack()))
+			s.failRun(run, &runStart, msg, true)
 		}
 	}()
 
@@ -533,23 +530,16 @@ func (s *Server) execute(run *Run) {
 		s.queued.Add(-1)
 	case <-s.ctx.Done():
 		s.queued.Add(-1)
-		s.cache.Evict(run)
-		s.runsFailed.Add(1)
-		run.fail("server shut down before the run started")
-		run.endTrace()
 		// Deliberately NOT journaled as failed: a run aborted by shutdown
 		// is exactly what recovery should re-enqueue on the next start.
+		s.failRun(run, &runStart, "server shut down before the run started", false)
 		return
 	}
-	defer func() { <-s.sem }()
-	run.trace.EndSpan(run.queueSpan)
-	s.queueWait.Observe(time.Since(run.submittedAt).Seconds())
-
+	runStart = time.Now()
 	s.activeRuns.Add(1)
-	defer s.activeRuns.Add(-1)
+	run.trace.EndSpan(run.queueSpan)
+	s.queueWait.Observe(runStart.Sub(run.submittedAt).Seconds())
 	run.setStatus(StatusRunning)
-	runStart := time.Now()
-	defer func() { s.runDuration.Observe(time.Since(runStart).Seconds()) }()
 	s.journalAppend(store.Record{Op: store.OpStarted, ID: run.ID, Hash: run.Hash})
 	if s.blockRuns != nil {
 		<-s.blockRuns
@@ -601,36 +591,70 @@ func (s *Server) execute(run *Run) {
 	// gauge contribution.
 	s.activeSims.Add(finished.Load() - started.Load())
 	if err != nil {
-		s.cache.Evict(run)
-		s.runsFailed.Add(1)
-		run.fail(err.Error())
-		run.endTrace()
-		if s.ctx.Err() == nil {
-			// A real failure is journaled terminal; a shutdown abort is
-			// left in-flight so the next start re-runs it.
-			s.journalAppend(store.Record{Op: store.OpFailed, ID: run.ID, Hash: run.Hash, Error: err.Error()})
-		}
 		s.log.Warn("koalad: run failed", "run", run.ID, "err", err)
+		// A real failure is journaled terminal; a shutdown abort is left
+		// in-flight so the next start re-runs it.
+		s.failRun(run, &runStart, err.Error(), s.ctx.Err() == nil)
 		return
 	}
-	sum := res.Summary()
-	s.runsDone.Add(1)
-	// Close the trace and append it to the event log before the terminal
-	// summary: a coordinator following this run over the execute endpoint
-	// imports these spans into its own trace, and its stream reader stops
-	// at the summary event. Public followers see the same trace event and
-	// may ignore it. On a deduped re-execute the logged event replays
-	// with the original run's spans — a documented artifact.
-	run.endTrace()
-	run.append(traceEvent{Type: "trace", ID: run.ID, Spans: run.trace.Snapshot().Spans}, "")
-	// Terminal in memory first: when the OpCompleted append triggers a
-	// journal compaction, the run must already read as done, or the
-	// compaction would keep its submitted record and erase the
-	// completed one (a crash would then needlessly re-run it).
-	run.finish(sum)
-	s.persistResult(run, sum)
+	s.completeRun(run, &runStart, res.Summary())
 	s.log.Info("koalad: run done",
 		"run", run.ID, "jobs", res.Jobs(), "replications", len(res.Replications), "trace", run.trace.ID)
+}
+
+// completeRun and failRun make a run terminal. Every completion side
+// effect lands before the terminal event is published — the duration
+// observation, the released slot, the closed trace, the done/failed
+// counter, the store write, the retention slot and any eviction it
+// causes — so that event is the run's single linearization point: a
+// follower that sees it finds all of them in place. The journal's
+// terminal record follows the event, because compaction keeps the
+// records of runs that still read as in flight and would otherwise
+// erase this one's.
+func (s *Server) completeRun(run *Run, started *time.Time, sum experiment.StreamSummary) {
+	s.endRun(run, started)
+	s.runsDone.Add(1)
+	// The trace event precedes the terminal summary: a coordinator
+	// following this run over the execute endpoint imports these spans
+	// into its own trace, and its stream reader stops at the summary.
+	// Public followers see the same trace event and may ignore it. On a
+	// deduped re-execute the logged event replays with the original
+	// run's spans — a documented artifact.
+	run.append(traceEvent{Type: "trace", ID: run.ID, Spans: run.trace.Snapshot().Spans}, "")
+	stored := s.persistResult(run, sum)
+	s.retire(run)
+	run.finish(sum)
+	if stored {
+		s.journalAppend(store.Record{Op: store.OpCompleted, ID: run.ID, Hash: run.Hash})
+	}
+}
+
+// failRun is completeRun's failure twin; journal says whether the
+// failure is journaled terminal.
+func (s *Server) failRun(run *Run, started *time.Time, msg string, journal bool) {
+	s.endRun(run, started)
+	s.cache.Evict(run)
+	s.runsFailed.Add(1)
+	s.retire(run)
+	run.fail(msg)
+	if journal {
+		s.journalAppend(store.Record{Op: store.OpFailed, ID: run.ID, Hash: run.Hash, Error: msg})
+	}
+}
+
+// endRun closes the run's trace and, if it holds a slot (*started is
+// when it took it, zero if it never did), observes its duration and
+// gives the slot back. It zeroes *started, so a panic recovered later
+// in execute cannot give the slot back twice.
+func (s *Server) endRun(run *Run, started *time.Time) {
+	run.endTrace()
+	if started.IsZero() {
+		return
+	}
+	s.runDuration.Observe(time.Since(*started).Seconds())
+	*started = time.Time{}
+	s.activeRuns.Add(-1)
+	<-s.sem
 }
 
 // listItem is one row of GET /v1/experiments: enough to find a run and

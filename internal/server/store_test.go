@@ -211,7 +211,10 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 		t.Fatalf("POST after replay = %+v (%d)", sr, code)
 	}
 	// Recovery compacted the journal down to the one in-flight run
-	// before its execution appended started+completed.
+	// before its execution appended started+completed. The completed
+	// record follows the terminal event, so wait for the run's
+	// goroutine to return (nothing else is admitted here).
+	s.wg.Wait()
 	recs, err := st2.Journal().Replay()
 	if err != nil {
 		t.Fatal(err)
@@ -400,11 +403,8 @@ func TestStoreFallbackAfterRetentionEviction(t *testing.T) {
 	sr2, _ := postConfig(t, ts, mk(2))
 	readEvents(t, ts, sr2.ID)
 
-	// Wait for the retention bound to evict run 1 from memory.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && s.registry.Get(sr1.ID) != nil {
-		time.Sleep(time.Millisecond)
-	}
+	// Retention is settled before the terminal event goes out: once run
+	// 2's stream has ended, the bound of 1 has already evicted run 1.
 	if s.registry.Get(sr1.ID) != nil {
 		t.Fatal("run 1 not evicted")
 	}
@@ -433,6 +433,7 @@ func TestJournalCompactionBounded(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, st := newStoreServer(t, dir, Options{JournalCompactEvery: 4})
 	defer closeStoreServer(t, s, ts, st)
+	recovered := s.compactions.Load() // Recover compacts once at start
 
 	for seed := 1; seed <= 3; seed++ {
 		body := strings.Replace(tinyConfig, `"seed": 1`, `"seed": `+string(rune('0'+seed)), 1)
@@ -442,7 +443,10 @@ func TestJournalCompactionBounded(t *testing.T) {
 		}
 		readEvents(t, ts, sr.ID)
 	}
-	if s.compactions.Load() == 0 {
+	// The terminal journal record, and the compaction it may trigger,
+	// follow the terminal event: wait for the runs' goroutines.
+	s.wg.Wait()
+	if s.compactions.Load() == recovered {
 		t.Fatal("journal never compacted")
 	}
 	// 3 completed runs ~ 9 records without compaction; the bound holds
@@ -459,6 +463,7 @@ func TestJournalCompactionOnFailures(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, st := newStoreServer(t, dir, Options{JournalCompactEvery: 4})
 	defer closeStoreServer(t, s, ts, st)
+	recovered := s.compactions.Load() // Recover compacts once at start
 
 	// Decodes fine, fails at run time (grid too small for the initial
 	// size); each attempt is a fresh run since failures leave the cache.
@@ -475,10 +480,11 @@ func TestJournalCompactionOnFailures(t *testing.T) {
 		}
 		readEvents(t, ts, sr.ID)
 	}
+	s.wg.Wait() // the failed records follow the terminal events
 	if s.runsFailed.Load() != 3 {
 		t.Fatalf("failed runs = %d, want 3", s.runsFailed.Load())
 	}
-	if s.compactions.Load() == 0 {
+	if s.compactions.Load() == recovered {
 		t.Fatal("journal never compacted under an all-failure workload")
 	}
 	if got := st.Journal().Records(); got > 6 {
