@@ -55,12 +55,14 @@ vuln:
 # Full benchmark run; writes $(BENCH_OUT) (name -> ns/op, allocs/op and
 # custom metrics) so the perf trajectory accrues one file per PR — bump
 # the default each PR, or override: make bench BENCH_OUT=BENCH_PRn.json.
+# Each benchmark runs six times; benchjson records the median of every
+# metric with its sample count and quartile spread.
 # Two steps so a failing benchmark run fails the target instead of being
 # masked by the pipe's exit status.
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH_PR13.json
 
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem -count=1 . ./internal/sim ./internal/koala > bench.raw.tmp
+	$(GO) test -run=NONE -bench=. -benchmem -count=6 . ./internal/sim ./internal/koala > bench.raw.tmp
 	$(GO) run ./tools/benchjson -o $(BENCH_OUT) < bench.raw.tmp
 	@rm -f bench.raw.tmp
 

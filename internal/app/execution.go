@@ -60,6 +60,14 @@ type Execution struct {
 // NewExecution starts an application of the given profile at procs
 // processors. onFinish fires exactly when accumulated progress reaches 1.
 func NewExecution(engine *sim.Engine, profile *Profile, procs int, onFinish func()) *Execution {
+	x := &Execution{}
+	x.Start(engine, profile, procs, onFinish)
+	return x
+}
+
+// Start starts a zero Execution in place — the allocation-free form of
+// NewExecution for owners that embed the execution by value.
+func (x *Execution) Start(engine *sim.Engine, profile *Profile, procs int, onFinish func()) {
 	if err := profile.Validate(); err != nil {
 		panic(err)
 	}
@@ -67,19 +75,16 @@ func NewExecution(engine *sim.Engine, profile *Profile, procs int, onFinish func
 		panic(fmt.Sprintf("app: %s started with %d procs outside [%d,%d]",
 			profile.Name, procs, profile.Min, profile.Max))
 	}
-	x := &Execution{
-		engine:    engine,
-		profile:   profile,
-		procs:     procs,
-		onFinish:  onFinish,
-		startTime: engine.Now(),
-	}
+	x.engine = engine
+	x.profile = profile
+	x.procs = procs
+	x.onFinish = onFinish
+	x.startTime = engine.Now()
 	x.lastUpdate = engine.Now()
 	x.histTimes = x.histTimesBuf[:0]
 	x.histProcs = x.histProcsBuf[:0]
 	x.record(procs)
 	x.reschedule()
-	return x
 }
 
 // Event op codes for the Execution's sim.Handler implementation: the

@@ -9,6 +9,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/slab"
 )
 
 // ErrInsufficientNodes is returned when an allocation or grow request asks
@@ -25,19 +27,27 @@ type Cluster struct {
 	used       int // nodes held by Allocations (grid jobs)
 	background int // nodes seized directly by local users
 
-	// arena batch-allocates Allocation handles (the malleable runners
-	// churn through one per size-1 GRAM stub); handles are never reused,
-	// batching only cuts the per-allocation count.
-	arena []Allocation
+	// allocs hands out Allocation handles (the malleable runners churn
+	// through one per size-1 GRAM stub); a handle stays valid until the
+	// cluster is torn down.
+	allocs slab.Slab[Allocation]
 }
+
+// allocPool holds the Allocation chunks of torn-down clusters.
+var allocPool slab.Pool[Allocation]
 
 // New creates a cluster with the given name and node count.
 func New(name string, nodes int) *Cluster {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("cluster: %q must have positive node count", name))
 	}
-	return &Cluster{name: name, nodes: nodes}
+	return &Cluster{name: name, nodes: nodes, allocs: slab.New(&allocPool)}
 }
+
+// Teardown hands the memory of every Allocation the cluster made to the
+// pool for later clusters. Neither the cluster nor any of its
+// allocations may be used afterwards.
+func (c *Cluster) Teardown() { c.allocs.Release() }
 
 // NewWithInfo creates a cluster carrying the descriptive fields of Table I.
 func NewWithInfo(name, location, interconnect string, nodes int) *Cluster {
@@ -88,11 +98,7 @@ func (c *Cluster) Allocate(n int) (*Allocation, error) {
 	}
 	c.used += n
 	c.checkInvariant()
-	if len(c.arena) == 0 {
-		c.arena = make([]Allocation, 64)
-	}
-	a := &c.arena[0]
-	c.arena = c.arena[1:]
+	a := c.allocs.Alloc()
 	a.cluster = c
 	a.nodes = n
 	return a, nil

@@ -76,6 +76,22 @@ func (s *System) SubmitRigid(id string, model app.RuntimeModel, size int) (*koal
 	})
 }
 
+// Teardown hands the memory of the system's replication-scoped objects
+// — events, GRAM and LRM jobs, node allocations, KOALA jobs and
+// malleable runners — to shared pools, so the next system reuses it.
+// Results must be copied out first: neither the system nor any handle
+// it gave out may be used afterwards. A system that is never torn down
+// leaves that memory to the garbage collector instead.
+func (s *System) Teardown() {
+	s.Scheduler.Teardown()
+	for _, site := range s.Sites {
+		site.Gram().Teardown()
+		site.LRM().Teardown()
+		site.Cluster().Teardown()
+	}
+	s.Engine.Teardown()
+}
+
 // Run drives the simulation until the horizon (seconds of virtual time).
 func (s *System) Run(horizon float64) { s.Engine.RunUntil(horizon) }
 

@@ -190,7 +190,11 @@ func runBatch(ctx context.Context, cfg Config, lim parallel.Limiter) (*Result, e
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Config: cfg, Runs: runs}
+	n := 0
+	for _, r := range runs {
+		n += len(r.Records)
+	}
+	out := &Result{Config: cfg, Runs: runs, Pooled: make([]metrics.JobRecord, 0, n)}
 	for _, r := range runs {
 		out.Pooled = append(out.Pooled, r.Records...)
 	}

@@ -93,6 +93,10 @@ func (p *Prepared) Config() Config { return p.cfg }
 // RunOnce executes one seeded replication against the prepared setup.
 // Everything stateful — engine, grid, sites, scheduler, collector — is
 // built fresh for this seed; only the immutable prepared parts are shared.
+// The world's memory is handed back to the shared pools when RunOnce
+// returns, for the next replication on any goroutine: nothing in the
+// RunResult points into it (records are values, and the utilisation and
+// op series are allocated outside the world).
 func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 	cfg := p.cfg
 	wl := p.wl.Generate(seed)
@@ -114,6 +118,7 @@ func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 		},
 		DisableManager: cfg.DisableMalleability,
 	})
+	defer sys.Teardown()
 	if cfg.SimStats != nil {
 		// Guarded here, not in SetStats: boxing a nil *SimStats in the
 		// interface would defeat the engine's nil check.

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/lrm"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // Config holds the latency model of a GRAM service.
@@ -136,21 +137,13 @@ type Service struct {
 	activated   uint64
 	releases    uint64
 
-	// arena batch-allocates Job structs; handles stay valid for the life
-	// of the service (jobs are never reused), the batching only cuts the
-	// per-submission allocation count.
-	arena []Job
+	// jobs hands out Job structs; a handle stays valid until the service
+	// is torn down.
+	jobs slab.Slab[Job]
 }
 
-// newJob hands out a zeroed Job from the arena.
-func (s *Service) newJob() *Job {
-	if len(s.arena) == 0 {
-		s.arena = make([]Job, 64)
-	}
-	j := &s.arena[0]
-	s.arena = s.arena[1:]
-	return j
-}
+// jobPool holds the Job chunks of torn-down services.
+var jobPool slab.Pool[Job]
 
 // New creates a GRAM service submitting to the given LRM.
 func New(engine *sim.Engine, mgr *lrm.Manager, cfg Config) *Service {
@@ -160,8 +153,13 @@ func New(engine *sim.Engine, mgr *lrm.Manager, cfg Config) *Service {
 	if cfg.SubmitConcurrency < 0 {
 		panic("gram: negative submit concurrency")
 	}
-	return &Service{engine: engine, mgr: mgr, cfg: cfg}
+	return &Service{engine: engine, mgr: mgr, cfg: cfg, jobs: slab.New(&jobPool)}
 }
+
+// Teardown hands the memory of every Job the service made to the pool
+// for later services. (Release is the per-job GRAM operation.) Neither
+// the service nor any of its jobs may be used afterwards.
+func (s *Service) Teardown() { s.jobs.Release() }
 
 // SiteName returns the name of the execution site (the LRM's cluster).
 func (s *Service) SiteName() string { return s.mgr.Cluster().Name() }
@@ -212,7 +210,7 @@ func (s *Service) submit(nodes int) (*Job, error) {
 		return nil, fmt.Errorf("gram %s: %d nodes exceed cluster size %d",
 			s.SiteName(), nodes, s.mgr.Cluster().Nodes())
 	}
-	j := s.newJob()
+	j := s.jobs.Alloc()
 	j.Nodes = nodes
 	j.seq = s.seq
 	j.state = Submitted

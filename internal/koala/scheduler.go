@@ -6,6 +6,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // Hooks is how the malleability manager (package core, §V) plugs into the
@@ -105,9 +106,10 @@ type Scheduler struct {
 	// Placing to Running, so a small free list serves the whole run.
 	claimsPool [][]int
 
-	// jobArena batch-allocates Job structs (handles stay valid for the
-	// scheduler's lifetime; see gram.Service.arena for the pattern).
-	jobArena []Job
+	// jobMem hands out Job structs and runners holds the malleable
+	// runners; handles from either stay valid until Teardown.
+	jobMem  slab.Slab[Job]
+	runners runner.Slabs
 
 	hooks  Hooks
 	ticker *sim.Ticker
@@ -119,6 +121,9 @@ type Scheduler struct {
 
 	scanning bool
 }
+
+// jobPool holds the Job chunks of torn-down schedulers.
+var jobPool slab.Pool[Job]
 
 // NewScheduler assembles a scheduler over the given sites.
 func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
@@ -137,6 +142,8 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 		pending: make([]int, len(sites)),
 		running: make([][]*Job, len(sites)),
 		viewBuf: make([]ProcessorInfo, len(sites)),
+		jobMem:  slab.New(&jobPool),
+		runners: runner.NewSlabs(),
 	}
 	for i, site := range sites {
 		s.siteOf[site] = i
@@ -165,6 +172,14 @@ func (s *Scheduler) SetHooks(h Hooks) { s.hooks = h }
 
 // Stop halts the polling ticker (end of experiment).
 func (s *Scheduler) Stop() { s.ticker.Stop() }
+
+// Teardown hands the memory of every job and malleable runner the
+// scheduler made to the shared pools for later schedulers. Neither the
+// scheduler nor any job or runner it returned may be used afterwards.
+func (s *Scheduler) Teardown() {
+	s.jobMem.Release()
+	s.runners.Release()
+}
 
 // Jobs returns every job ever submitted, in submission order.
 func (s *Scheduler) Jobs() []*Job { return s.jobs }
@@ -242,11 +257,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if spec.ID == "" {
 		spec.ID = fmt.Sprintf("job-%d", len(s.jobs))
 	}
-	if len(s.jobArena) == 0 {
-		s.jobArena = make([]Job, 64)
-	}
-	j := &s.jobArena[0]
-	s.jobArena = s.jobArena[1:]
+	j := s.jobMem.Alloc()
 	j.Spec, j.state, j.submitTime, j.seq, j.sched = spec, Waiting, s.engine.Now(), len(s.jobs), s
 	s.jobs = append(s.jobs, j)
 	if !s.tryPlace(j) {
@@ -392,7 +403,7 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	cb := runner.Callbacks{Lifecycle: j}
 	if j.Malleable() {
 		comp := j.Spec.Components[0]
-		mr, err := runner.NewMRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, s.cfg.MRunnerConfig, cb)
+		mr, err := s.runners.NewMRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, s.cfg.MRunnerConfig, cb)
 		if err != nil {
 			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 		}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // State is the lifecycle state of an LRM job.
@@ -110,10 +111,13 @@ type Manager struct {
 	seq         int
 	running     int
 
-	// arena batch-allocates Job structs (never reused; batching only cuts
-	// the per-submission allocation count).
-	arena []Job
+	// jobs hands out Job structs; a handle stays valid until the manager
+	// is torn down.
+	jobs slab.Slab[Job]
 }
+
+// jobPool holds the Job chunks of torn-down managers.
+var jobPool slab.Pool[Job]
 
 // opRetry is the Manager's only sim.Handler op: the periodic SGE-style
 // scheduling pass while jobs wait.
@@ -127,8 +131,13 @@ func (m *Manager) OnEvent(int) {
 
 // New creates an LRM driving the given cluster.
 func New(engine *sim.Engine, clus *cluster.Cluster) *Manager {
-	return &Manager{engine: engine, clus: clus}
+	return &Manager{engine: engine, clus: clus, jobs: slab.New(&jobPool)}
 }
+
+// Teardown hands the memory of every Job the manager made to the pool
+// for later managers. Neither the manager nor any of its jobs may be
+// used afterwards.
+func (m *Manager) Teardown() { m.jobs.Release() }
 
 // Cluster returns the managed cluster.
 func (m *Manager) Cluster() *cluster.Cluster { return m.clus }
@@ -175,11 +184,7 @@ func (m *Manager) submit(id string, nodes int) (*Job, error) {
 		return nil, fmt.Errorf("lrm %s: job %q requests %d nodes but cluster has %d",
 			m.clus.Name(), id, nodes, m.clus.Nodes())
 	}
-	if len(m.arena) == 0 {
-		m.arena = make([]Job, 64)
-	}
-	j := &m.arena[0]
-	m.arena = m.arena[1:]
+	j := m.jobs.Alloc()
 	j.id = id
 	j.seq = m.seq
 	j.Nodes = nodes
@@ -240,9 +245,14 @@ func (m *Manager) dispatch() {
 	}()
 	for m.head < len(m.queue) {
 		head := m.queue[m.head]
+		// Allocate's own capacity test, checked first so that a blocked
+		// head — the common case under load — formats no error.
+		if head.Nodes > m.clus.Idle() {
+			return // strict FCFS: the head blocks the queue (no backfilling)
+		}
 		alloc, err := m.clus.Allocate(head.Nodes)
 		if err != nil {
-			return // strict FCFS: the head blocks the queue (no backfilling)
+			panic(fmt.Sprintf("lrm %s: %v", m.clus.Name(), err))
 		}
 		m.queue[m.head] = nil
 		m.head++

@@ -193,3 +193,22 @@ func TestRetryPassDoesNotLeakWhenQueueDrains(t *testing.T) {
 		t.Fatalf("events still pending after drain: %d", e.Pending())
 	}
 }
+
+// TestBlockedDispatchAllocatesNothing pins that a dispatch pass whose
+// FCFS head does not fit builds no error: under load that pass runs on
+// every submission, finish and retry.
+func TestBlockedDispatchAllocatesNothing(t *testing.T) {
+	_, _, m := setup(4)
+	if _, err := m.Submit("running", 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Submit("blocked", 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.QueueLength() != 1 || m.retry == nil {
+		t.Fatalf("queue %d, retry armed %v: want the blocked head queued with a retry armed", m.QueueLength(), m.retry != nil)
+	}
+	if allocs := testing.AllocsPerRun(100, m.dispatch); allocs != 0 {
+		t.Fatalf("a blocked dispatch pass allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dynaco"
 	"repro/internal/gram"
 	"repro/internal/sim"
+	"repro/internal/slab"
 )
 
 // Lifecycle receives start/finish notifications as an interface — the
@@ -119,7 +120,10 @@ type MRunner struct {
 
 	initial int
 	stubs   []*gram.Job
+	// exec points at execVal once the application starts: the execution
+	// is embedded by value, so it lives wherever the runner does.
 	exec    *app.Execution
+	execVal app.Execution
 	// fw points at fwVal: the per-job DYNACO instance is embedded by value
 	// so claiming a malleable job heap-allocates one object fewer.
 	fw    *dynaco.Framework
@@ -152,9 +156,42 @@ type MRunner struct {
 	shrinkMsgs uint64
 }
 
+// Slabs is the memory a scheduler's malleable runners are built in: each
+// MRunner, with its application execution embedded, and the backing of
+// its stub lists. NewSlabs draws it from pools shared by all schedulers;
+// the zero value allocates fresh memory and never hands it back.
+type Slabs struct {
+	runners slab.Slab[MRunner]
+	stubs   slab.Slab[*gram.Job]
+}
+
+var (
+	runnerPool slab.Pool[MRunner]
+	stubPool   slab.Pool[*gram.Job]
+)
+
+// NewSlabs returns runner memory backed by the shared pools.
+func NewSlabs() Slabs {
+	return Slabs{runners: slab.New(&runnerPool), stubs: slab.New(&stubPool)}
+}
+
+// Release hands the memory of every runner built in m to the pools. No
+// runner built in m, nor its execution, may be used afterwards.
+func (m *Slabs) Release() {
+	m.runners.Release()
+	m.stubs.Release()
+}
+
 // NewMRunner builds an MRunner for one malleable application instance to be
-// executed at the given site, starting at initial processors.
+// executed at the given site, starting at initial processors, in fresh
+// memory. A scheduler builds its runners in its Slabs instead.
 func NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, cb Callbacks) (*MRunner, error) {
+	return new(Slabs).NewMRunner(engine, svc, profile, initial, cfg, cb)
+}
+
+// NewMRunner is the package-level NewMRunner with the runner built in m;
+// it stays valid until m is released.
+func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, cb Callbacks) (*MRunner, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
@@ -164,16 +201,21 @@ func NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, ini
 	if initial < profile.Min || initial > profile.Max {
 		return nil, fmt.Errorf("runner: initial size %d outside [%d,%d]", initial, profile.Min, profile.Max)
 	}
-	r := &MRunner{
-		engine:  engine,
-		svc:     svc,
-		profile: profile,
-		cfg:     cfg,
-		cb:      cb,
-		initial: initial,
-		planned: initial,
-	}
+	r := m.runners.Alloc()
+	r.engine = engine
+	r.svc = svc
+	r.profile = profile
+	r.cfg = cfg
+	r.cb = cb
+	r.initial = initial
+	r.planned = initial
 	r.acq.r = r
+	// One backing run serves both stub lists: held stubs in the front
+	// half, the in-flight batch in the back half. Each half is sized for
+	// the profile's maximum, so grow recruitment never reallocates.
+	buf := m.stubs.Run(2 * profile.Max)
+	r.stubs = buf[:0:profile.Max]
+	r.acq.newStubs = buf[profile.Max:profile.Max]
 	// The complete DYNACO instance embedded in the MRunner (§V-A). The
 	// decide step runs synchronously in RequestGrow/RequestShrink (it is
 	// the protocol reply to the scheduler), so the framework executes
@@ -215,17 +257,6 @@ func (r *MRunner) Start() error {
 		return fmt.Errorf("runner: %s started twice", r.profile.Name)
 	}
 	r.started = true
-	// Sized for the profile's maximum so that grow recruitment appends
-	// never reallocate.
-	cap := r.profile.Max
-	if cap < r.initial {
-		cap = r.initial
-	}
-	// One backing array serves both stub lists: held stubs in the front
-	// half, the in-flight batch in the back half.
-	buf := make([]*gram.Job, 2*cap)
-	r.stubs = buf[:0:cap]
-	r.acq.newStubs = buf[cap:cap]
 	if err := r.acquire(r.initial, nil, true, 0); err != nil {
 		return fmt.Errorf("runner: initial submission failed: %w", err)
 	}
@@ -234,7 +265,8 @@ func (r *MRunner) Start() error {
 
 func (r *MRunner) beginExecution() {
 	r.running = true
-	r.exec = app.NewExecution(r.engine, r.profile, r.initial, r.onAppFinished)
+	r.exec = &r.execVal
+	r.exec.Start(r.engine, r.profile, r.initial, r.onAppFinished)
 	r.cb.notifyStarted()
 }
 

@@ -13,14 +13,17 @@
 // (time, seq) min-heap's.
 //
 // The kernel's hot path is allocation-free: fired and canceled Event structs
-// are recycled through a free list backed by an arena owned by the Engine,
-// and the Handler-based scheduling methods (AtOp, AfterOp, ImmediatelyOp)
-// let steady-state callers avoid per-event closures entirely.
+// are recycled through a free list backed by a slab owned by the Engine
+// (whose memory Teardown hands to the next engine), and the Handler-based
+// scheduling methods (AtOp, AfterOp, ImmediatelyOp) let steady-state
+// callers avoid per-event closures entirely.
 package sim
 
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/slab"
 )
 
 // Handler is a pre-bound event target: scheduling one with AtOp/AfterOp
@@ -53,7 +56,8 @@ type Stats interface {
 //
 // Handles are valid only until the event fires or is canceled: the Engine
 // recycles the struct for later events, so a retained stale handle may refer
-// to an unrelated live event. Clear stored handles when they fire.
+// to an unrelated live event. Clear stored handles when they fire. No
+// handle survives the engine's Teardown.
 type Event struct {
 	engine *Engine
 	time   float64
@@ -92,9 +96,8 @@ func (e *Event) Cancel() {
 	}
 }
 
-// arenaChunk is how many Events one arena block holds; the free list grows
-// by this much whenever it runs dry.
-const arenaChunk = 256
+// eventPool holds the event chunks of torn-down engines.
+var eventPool slab.Pool[Event]
 
 // Engine is a single-threaded discrete-event simulation engine. The zero
 // value is ready to use and starts at virtual time 0.
@@ -118,10 +121,10 @@ type Engine struct {
 	pendingPeak                               int
 	flushedSched, flushedFired, flushedCancel uint64
 
-	// free holds fired/canceled events available for reuse; arena is the
-	// current allocation block the free list refills from.
-	free  []*Event
-	arena []Event
+	// free holds fired/canceled events available for reuse; events is
+	// the slab the free list refills from.
+	free   []*Event
+	events slab.Slab[Event]
 
 	// stats, when non-nil, receives the kernel counters when
 	// Run/RunUntil return. It is pure observability: it must never
@@ -140,8 +143,23 @@ func (e *Engine) SetStats(st Stats) {
 	e.stats = st
 }
 
-// New returns an Engine starting at virtual time 0.
-func New() *Engine { return &Engine{} }
+// New returns an Engine starting at virtual time 0 whose events come
+// from a shared pool (see Teardown). The zero Engine allocates its
+// events fresh.
+func New() *Engine { return &Engine{events: slab.New(&eventPool)} }
+
+// Teardown hands the memory of every event the engine made to the pool
+// for later engines. The engine and every event handle it returned must
+// not be used afterwards. An engine that is never torn down leaves its
+// events to the garbage collector.
+func (e *Engine) Teardown() {
+	e.events.Release()
+	// The free list and the queue point into the released memory: drop
+	// them, so a stray use of this engine cannot reach another engine's
+	// events.
+	e.free = nil
+	e.q = calQueue{}
+}
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -154,7 +172,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // removed from the queue eagerly, so the count is exact.
 func (e *Engine) Pending() int { return e.q.pending() }
 
-// alloc hands out an Event from the free list, refilling from the arena
+// alloc hands out an Event from the free list, refilling from the slab
 // when it runs dry.
 //
 //koalalint:hotpath
@@ -165,12 +183,7 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	if len(e.arena) == 0 {
-		//koalalint:alloc arena refill: one chunk allocation amortized over arenaChunk events
-		e.arena = make([]Event, arenaChunk)
-	}
-	ev := &e.arena[0]
-	e.arena = e.arena[1:]
+	ev := e.events.Alloc()
 	ev.engine = e
 	return ev
 }

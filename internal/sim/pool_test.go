@@ -5,6 +5,10 @@ import "testing"
 // nop is package-level so scheduling it never allocates a closure.
 var nop = func() {}
 
+// warmEvents is how many events the allocation tests push through an
+// engine before measuring, so the free list and queue are warm.
+const warmEvents = 256
+
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := New()
 	a := e.At(1, nop)
@@ -86,7 +90,7 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 	e := New()
 	rec := &opRecorder{}
 	// Warm the pool and the heap's backing array.
-	for i := 0; i < 2*arenaChunk; i++ {
+	for i := 0; i < 2*warmEvents; i++ {
 		e.At(e.Now(), nop)
 	}
 	e.Run()
@@ -104,7 +108,7 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 // TestCancelIsAllocationFree pins that eager removal recycles in place.
 func TestCancelIsAllocationFree(t *testing.T) {
 	e := New()
-	for i := 0; i < arenaChunk; i++ {
+	for i := 0; i < warmEvents; i++ {
 		e.At(e.Now(), nop)
 	}
 	e.Run()
@@ -158,5 +162,34 @@ func BenchmarkEngineChurn(b *testing.B) {
 			evs[j].Cancel()
 		}
 		e.Run()
+	}
+}
+
+// TestTeardownLeavesEngineEmpty pins the teardown contract: events still
+// queued when an engine is torn down never fire, and a later engine
+// reuses the released memory zeroed.
+func TestTeardownLeavesEngineEmpty(t *testing.T) {
+	a := New()
+	fired := false
+	for i := 0; i < 2*warmEvents; i++ {
+		a.At(float64(i), func() { fired = true })
+	}
+	a.Teardown()
+	if a.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Teardown, want 0", a.Pending())
+	}
+	a.Run()
+	if fired {
+		t.Fatal("an event queued before Teardown fired")
+	}
+	b := New()
+	for i := 0; i < 2*warmEvents; i++ {
+		ev := b.AtOp(1, &opRecorder{}, i)
+		if ev.engine != b || ev.canceled || ev.fn != nil || ev.seq != uint64(i) {
+			t.Fatalf("event %d of a new engine carries stale state: %+v", i, *ev)
+		}
+	}
+	if b.Run() != 1 || b.Fired() != uint64(2*warmEvents) {
+		t.Fatalf("new engine fired %d events, want %d", b.Fired(), 2*warmEvents)
 	}
 }

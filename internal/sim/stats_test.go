@@ -80,7 +80,7 @@ func TestSetStatsNilPanics(t *testing.T) {
 func TestStatsKeepsHotPathAllocationFree(t *testing.T) {
 	e := New()
 	e.SetStats(obs.NewSimStats())
-	for i := 0; i < 2*arenaChunk; i++ {
+	for i := 0; i < 2*warmEvents; i++ {
 		e.At(e.Now(), nop)
 	}
 	e.Run()

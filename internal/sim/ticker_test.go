@@ -56,7 +56,7 @@ func TestTickerStopTwiceAfterReuse(t *testing.T) {
 func TestTickerSteadyStateIsAllocationFree(t *testing.T) {
 	e := New()
 	NewTicker(e, 1, func() {})
-	e.RunUntil(float64(arenaChunk)) // warm pool and heap
+	e.RunUntil(float64(warmEvents)) // warm pool and heap
 	allocs := testing.AllocsPerRun(100, func() {
 		e.RunUntil(e.Now() + 10)
 	})

@@ -13,7 +13,8 @@ import (
 	"sort"
 )
 
-// Result is one benchmark's measurement.
+// Result is one benchmark's measurement. From several runs of the same
+// benchmark (go test -count=N), each value is the median over the runs.
 type Result struct {
 	Package     string             `json:"package,omitempty"`
 	Iterations  int64              `json:"iterations"`
@@ -21,6 +22,12 @@ type Result struct {
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Samples is how many runs the medians are over (omitted for one).
+	Samples int `json:"samples,omitempty"`
+	// Spread maps a unit ("ns/op", "B/op", "allocs/op" or a custom
+	// metric) to its quartile spread over the runs, relative to the
+	// median; units that did not vary are omitted.
+	Spread map[string]float64 `json:"spread,omitempty"`
 }
 
 // File is the BENCH_*.json schema.

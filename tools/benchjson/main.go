@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench=. -benchmem ./... | go run ./tools/benchjson -o BENCH_PR3.json
+//	go test -run=NONE -bench=. -benchmem -count=6 ./... | go run ./tools/benchjson -o BENCH_PR13.json
+//
+// A benchmark run several times (-count=N) is recorded as the median of
+// each metric, with the sample count and each metric's quartile spread.
 //
 // With -compare it becomes the regression gate the bench-smoke CI job
 // runs against the committed baseline:
@@ -20,14 +23,11 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/tools/benchjson/benchfmt"
 )
@@ -81,74 +81,14 @@ func main() {
 		return
 	}
 
-	file := benchfmt.New()
-
-	pkg := ""
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		if *out != "" {
-			fmt.Println(line) // JSON goes to a file: echo the run for the human
-		}
-		if rest, ok := strings.CutPrefix(line, "pkg: "); ok {
-			pkg = strings.TrimSpace(rest)
-			continue
-		}
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			continue
-		}
-		// Strip the -N GOMAXPROCS suffix go test appends to benchmark
-		// names, but only when N matches this process's GOMAXPROCS (the
-		// tool runs in the same environment as the test, per make bench).
-		// go test omits the suffix entirely at GOMAXPROCS=1, and a blind
-		// numeric strip would mangle sub-benchmarks whose own names end
-		// in a number (…/size-512).
-		name := strings.TrimSuffix(fields[0], fmt.Sprintf("-%d", runtime.GOMAXPROCS(0)))
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
-		}
-		res := benchfmt.Result{Package: pkg, Iterations: iters}
-		// The remainder is (value, unit) pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp = v
-			case "B/op":
-				res.BytesPerOp = v
-			case "allocs/op":
-				res.AllocsPerOp = v
-			default:
-				if res.Metrics == nil {
-					res.Metrics = map[string]float64{}
-				}
-				res.Metrics[fields[i+1]] = v
-			}
-		}
-		// Same benchmark name in two packages: qualify both so neither
-		// measurement is silently dropped.
-		if prev, ok := file.Benchmarks[name]; ok && prev.Package != res.Package {
-			delete(file.Benchmarks, name)
-			file.Benchmarks[prev.Package+":"+name] = prev
-			name = res.Package + ":" + name
-		}
-		file.Benchmarks[name] = res
+	// With -o the JSON goes to a file: echo the run for the human.
+	var in io.Reader = os.Stdin
+	if *out != "" {
+		in = io.TeeReader(os.Stdin, os.Stdout)
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: read:", err)
-		os.Exit(1)
-	}
-	if len(file.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
+	file, err := benchfmt.Parse(in)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 
