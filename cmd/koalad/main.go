@@ -127,9 +127,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "koalad: %v\n", err)
 		os.Exit(1)
 	}
-	// One metrics registry for the whole process: the server's lifecycle
-	// histograms, the backend's dispatch RTT and the store's I/O
-	// latencies all land here and render together on /metrics.
+	// One metrics registry for the whole process: the server, the
+	// remote backend and the store each register their families here,
+	// and /metrics renders them together.
 	metrics := obs.NewRegistry()
 	// Validate execution knobs up front: a bad value must fail the
 	// process at startup with a clear message, not surface as a wedged

@@ -15,6 +15,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/experiment"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -58,6 +59,31 @@ func encode(t *testing.T, res *experiment.StreamResult) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// ledger is a Remote's dispatch counters, read back from its registry
+// by family name.
+type ledger struct {
+	Dispatched, RemoteDone, Failovers, Retries, Reroutes, BreakerOpens int64
+}
+
+func dispatchLedger(t *testing.T, m *obs.Registry) ledger {
+	t.Helper()
+	get := func(name string) int64 {
+		v, ok := m.Value(name)
+		if !ok {
+			t.Fatalf("no metric family %s", name)
+		}
+		return int64(v)
+	}
+	return ledger{
+		Dispatched:   get("koalad_dispatch_remote_total"),
+		RemoteDone:   get("koalad_dispatch_remote_done_total"),
+		Failovers:    get("koalad_dispatch_failover_total"),
+		Retries:      get("koalad_dispatch_retries_total"),
+		Reroutes:     get("koalad_dispatch_reroutes_total"),
+		BreakerOpens: get("koalad_dispatch_breaker_opens_total"),
+	}
 }
 
 // newWorker starts a koalad core as an HTTP worker.
@@ -118,7 +144,8 @@ func TestLocalMatchesRunStream(t *testing.T) {
 // progress through the same hooks.
 func TestRemoteSingleWorkerByteIdentical(t *testing.T) {
 	_, ts := newWorker(t)
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{ts.URL}})
+	m := obs.NewRegistry()
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{ts.URL}, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +169,7 @@ func TestRemoteSingleWorkerByteIdentical(t *testing.T) {
 	if done.Load() != int64(cfg.Runs) {
 		t.Fatalf("OnDone fired %d times, want %d", done.Load(), cfg.Runs)
 	}
-	if st := rb.Stats(); st.Dispatched != 1 || st.RemoteDone != 1 || st.Failovers != 0 {
+	if st := dispatchLedger(t, m); st.Dispatched != 1 || st.RemoteDone != 1 || st.Failovers != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The remote result exposes the same accessors the local one does.
@@ -188,10 +215,12 @@ func TestRemoteDedupesByFingerprint(t *testing.T) {
 // reached at submit time fails the point over to the local backend,
 // byte-identically.
 func TestRemoteFailoverUnreachableWorker(t *testing.T) {
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		// A closed port: connection refused at submit.
 		Workers: []string{"http://127.0.0.1:1"},
 		Log:     testLogger(t),
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +237,7 @@ func TestRemoteFailoverUnreachableWorker(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("failover result diverges from local")
 	}
-	if st := rb.Stats(); st.Failovers != 1 || st.RemoteDone != 0 {
+	if st := dispatchLedger(t, m); st.Failovers != 1 || st.RemoteDone != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if h := rb.Health(context.Background()); h.Healthy || h.Workers != 0 {
@@ -236,10 +265,12 @@ func TestRemoteFailoverMidStreamDeath(t *testing.T) {
 	}))
 	defer dying.Close()
 
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers: []string{dying.URL},
 		Log:     testLogger(t),
 		Retry:   backend.RetryPolicy{MaxRetries: -1},
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +290,7 @@ func TestRemoteFailoverMidStreamDeath(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("mid-stream failover result diverges from local")
 	}
-	if st := rb.Stats(); st.Failovers != 1 {
+	if st := dispatchLedger(t, m); st.Failovers != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// One replication streamed before the death + the full local rerun.
@@ -301,7 +332,8 @@ func TestRemoteReadsOversizedSummaryLines(t *testing.T) {
 	}))
 	defer fat.Close()
 
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{fat.URL}, Log: testLogger(t)})
+	m := obs.NewRegistry()
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{fat.URL}, Log: testLogger(t), Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +341,7 @@ func TestRemoteReadsOversizedSummaryLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := rb.Stats(); st.Failovers != 0 || st.RemoteDone != 1 {
+	if st := dispatchLedger(t, m); st.Failovers != 0 || st.RemoteDone != 1 {
 		t.Fatalf("oversized summary caused a failover: %+v", st)
 	}
 	if len(res.Replications) != 40000 {
@@ -331,9 +363,11 @@ func TestRemoteReadsOversizedSummaryLines(t *testing.T) {
 // all-local sweep byte for byte, in order.
 func TestRemoteSweepWithFailoverRace(t *testing.T) {
 	_, live := newWorker(t)
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers: []string{live.URL, "http://127.0.0.1:1"},
 		Log:     testLogger(t),
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +395,7 @@ func TestRemoteSweepWithFailoverRace(t *testing.T) {
 			t.Fatalf("combo %d diverges across backends", i)
 		}
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	if st.Dispatched != int64(len(combos)) || st.RemoteDone+st.Failovers != st.Dispatched {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/experiment"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -73,9 +74,11 @@ func TestRemoteRetriesThroughFaultSchedule(t *testing.T) {
 		faults.Fault{Kind: faults.Reset, After: 200},
 		faults.Fault{Kind: faults.Status, Code: 503},
 	)
+	m := obs.NewRegistry()
 	rb := faultedRemote(t, sched, backend.RemoteOptions{
 		Workers: []string{ts.URL},
 		Retry:   backend.RetryPolicy{MaxRetries: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Metrics: m,
 	})
 
 	cfg := testConfig(7)
@@ -90,7 +93,7 @@ func TestRemoteRetriesThroughFaultSchedule(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("summary after scripted reset+503 diverges from clean local run")
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	if st.Retries != 2 || st.RemoteDone != 1 || st.Failovers != 0 || st.Reroutes != 0 {
 		t.Fatalf("stats = %+v, want 2 retries, 1 remote done, 0 failovers", st)
 	}
@@ -104,9 +107,11 @@ func TestRemoteRetriesThroughFaultSchedule(t *testing.T) {
 func TestRemoteDropThenRecover(t *testing.T) {
 	_, ts := newWorker(t)
 	sched := faults.NewSchedule(faults.Fault{Kind: faults.Drop})
+	m := obs.NewRegistry()
 	rb := faultedRemote(t, sched, backend.RemoteOptions{
 		Workers: []string{ts.URL},
 		Retry:   backend.RetryPolicy{MaxRetries: 1, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Metrics: m,
 	})
 	cfg := testConfig(3)
 	local, err := experiment.RunStream(cfg)
@@ -120,7 +125,7 @@ func TestRemoteDropThenRecover(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("summary after scripted drop diverges from clean local run")
 	}
-	if st := rb.Stats(); st.Retries != 1 || st.RemoteDone != 1 || st.Failovers != 0 {
+	if st := dispatchLedger(t, m); st.Retries != 1 || st.RemoteDone != 1 || st.Failovers != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -187,10 +192,12 @@ func TestTornNDJSONRetryableEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var hits atomic.Int64
 			ts := tornWorker(t, &hits, tc.write)
+			m := obs.NewRegistry()
 			rb, err := backend.NewRemote(backend.RemoteOptions{
 				Workers: []string{ts.URL},
 				Log:     testLogger(t),
 				Retry:   backend.RetryPolicy{MaxRetries: 1, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+				Metrics: m,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -203,7 +210,7 @@ func TestTornNDJSONRetryableEquivalence(t *testing.T) {
 			if !bytes.Equal(encode(t, local), encode(t, res)) {
 				t.Fatalf("summary after torn stream (%s) diverges from clean local run", tc.name)
 			}
-			st := rb.Stats()
+			st := dispatchLedger(t, m)
 			// The tear was classified retryable (it was retried on the
 			// worker — 2 hits), then the point failed over locally.
 			if hits.Load() != 2 {
@@ -230,10 +237,12 @@ func TestTornNDJSONReroutesBeforeLocal(t *testing.T) {
 	// Order workers so the torn one owns the point's shard.
 	seed := seedForShard(t, 2, 0)
 	workers := []string{torn.URL, live.URL}
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers: workers,
 		Log:     testLogger(t),
 		Retry:   backend.RetryPolicy{MaxRetries: 1, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +261,7 @@ func TestTornNDJSONReroutesBeforeLocal(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("rerouted summary diverges from clean local run")
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	if st.RemoteDone != 1 || st.Failovers != 0 || st.Reroutes != 1 {
 		t.Fatalf("stats = %+v, want reroute to the healthy worker, no local failover", st)
 	}
@@ -273,12 +282,14 @@ func TestBreakerSkipsBrokenWorker(t *testing.T) {
 	_, live := newWorker(t)
 
 	seed := seedForShard(t, 2, 0)
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers:          []string{broken.URL, live.URL},
 		Log:              testLogger(t),
 		Retry:            backend.RetryPolicy{MaxRetries: -1},
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // no probe within this test
+		Metrics:          m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,7 +341,7 @@ func TestBreakerSkipsBrokenWorker(t *testing.T) {
 	if hits.Load() != 1 {
 		t.Fatalf("circuit-broken worker was contacted again: %d attempts", hits.Load())
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	if st.BreakerOpens != 1 || st.RemoteDone != 2 || st.Failovers != 0 || st.Reroutes != 2 {
 		t.Fatalf("stats = %+v, want 1 breaker open, 2 remote done via reroute", st)
 	}
@@ -345,9 +356,11 @@ func TestRingDropsDrainingWorker(t *testing.T) {
 	_, liveTS := newWorker(t)
 
 	seed := seedForShard(t, 2, 0)
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers: []string{drainingTS.URL, liveTS.URL},
 		Log:     testLogger(t),
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +391,7 @@ func TestRingDropsDrainingWorker(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("summary routed around the draining worker diverges from clean local run")
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	// The draining worker was gated out of the candidate ring before
 	// dispatch: no retries were burned discovering it, no bounced
 	// attempt to count as a reroute — the point's first (and only)
@@ -455,11 +468,13 @@ func TestIdleWatchdogDetectsStalledWorker(t *testing.T) {
 	}))
 	defer stalled.Close()
 
+	m := obs.NewRegistry()
 	rb, err := backend.NewRemote(backend.RemoteOptions{
 		Workers:          []string{stalled.URL},
 		Log:              testLogger(t),
 		Retry:            backend.RetryPolicy{MaxRetries: -1},
 		IdleEventTimeout: 200 * time.Millisecond,
+		Metrics:          m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +494,7 @@ func TestIdleWatchdogDetectsStalledWorker(t *testing.T) {
 	if !bytes.Equal(encode(t, local), encode(t, res)) {
 		t.Fatal("summary after stalled worker diverges from clean local run")
 	}
-	if st := rb.Stats(); st.Failovers != 1 {
+	if st := dispatchLedger(t, m); st.Failovers != 1 {
 		t.Fatalf("stats = %+v, want 1 failover", st)
 	}
 	// The stall was detected by the watchdog, not a multi-minute
@@ -503,9 +518,11 @@ func TestSweepFaultScheduleEquivalence(t *testing.T) {
 		faults.Fault{Kind: faults.Status, Code: 503},
 		faults.Fault{Kind: faults.Truncate, After: 150},
 	)
+	m := obs.NewRegistry()
 	rb := faultedRemote(t, sched, backend.RemoteOptions{
 		Workers: []string{ts.URL},
 		Retry:   backend.RetryPolicy{MaxRetries: 2, BaseDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+		Metrics: m,
 	})
 
 	combos := []experiment.Combo{
@@ -531,7 +548,7 @@ func TestSweepFaultScheduleEquivalence(t *testing.T) {
 			t.Fatalf("combo %d diverges from the clean serial sweep under the fault schedule", i)
 		}
 	}
-	st := rb.Stats()
+	st := dispatchLedger(t, m)
 	if st.Dispatched != int64(len(combos)) || st.RemoteDone+st.Failovers != st.Dispatched {
 		t.Fatalf("stats don't conserve points: %+v", st)
 	}

@@ -43,9 +43,9 @@ type RemoteOptions struct {
 	// Log receives one structured record per retry, reroute, breaker
 	// transition, ring flip and failover (optional; nil discards).
 	Log *slog.Logger
-	// Metrics, when non-nil, registers the resilience metric families
-	// (dispatch RTT, retries, breaker state, ring membership) on the
-	// shared registry.
+	// Metrics is the registry the dispatch families (outcome counters,
+	// RTT, retries, breaker state, ring membership) land on; share the
+	// server's so /metrics scrapes them. Nil creates a private registry.
 	Metrics *obs.Registry
 	// Retry shapes the per-worker retry loop (zero value = defaults:
 	// 2 retries, 50ms base, 2s cap; MaxRetries < 0 disables).
@@ -110,16 +110,13 @@ type Remote struct {
 	breakers map[string]*breaker
 	ring     *ring
 
-	rtt        *obs.HistogramVec // dispatch round-trip per worker, nil without Metrics
-	retriesVec obs.CounterVec    // per-worker retry counter, valid iff hasMetrics
-	hasMetrics bool
-
-	dispatched   atomic.Int64 // points entering RunPoint
-	remoteDone   atomic.Int64 // points completed by a worker
-	failovers    atomic.Int64 // points re-run on the fallback
-	retries      atomic.Int64 // same-worker retry attempts
-	reroutes     atomic.Int64 // attempts moved to a non-owner worker
-	breakerOpens atomic.Int64 // closed/half-open -> open transitions
+	rtt           obs.HistogramVec // dispatch round-trip per worker
+	workerRetries obs.CounterVec   // retries per worker
+	dispatched    *obs.Counter     // points entering RunPoint
+	remoteDone    *obs.Counter     // points completed by a worker
+	failovers     *obs.Counter     // points re-run on the fallback
+	retries       *obs.Counter     // same-worker retry attempts
+	reroutes      *obs.Counter     // attempts moved to a non-owner worker
 }
 
 // NewRemote validates the worker URLs and assembles the backend. Call
@@ -196,26 +193,32 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		cooldown = 5 * time.Second
 	}
 
-	var breakerStates obs.GaugeVec
-	var breakerOpens, ringFlips obs.CounterVec
-	if opts.Metrics != nil {
-		r.hasMetrics = true
-		v := opts.Metrics.HistogramVec("koalad_dispatch_rtt_seconds",
-			"Dispatch round-trip per worker: POST to terminal event (failures included).",
-			"worker", obs.DefaultLatencyBuckets())
-		r.rtt = &v
-		r.retriesVec = opts.Metrics.CounterVec("koalad_worker_retries_total",
-			"Same-worker dispatch retries after a retryable failure.", "worker")
-		breakerOpens = opts.Metrics.CounterVec("koalad_breaker_opens_total",
-			"Circuit-breaker open transitions per worker.", "worker")
-		breakerStates = opts.Metrics.GaugeVec("koalad_breaker_state",
-			"Circuit-breaker state per worker (0 closed, 1 open, 2 half-open).", "worker")
-		ringFlips = opts.Metrics.CounterVec("koalad_ring_transitions_total",
-			"Health-ring admissions and ejections per worker.", "worker")
-		opts.Metrics.GaugeFunc("koalad_ring_healthy_workers",
-			"Workers currently admitted by the health-gated ring.",
-			func() float64 { return float64(r.ring.healthyCount()) })
+	m := opts.Metrics
+	if m == nil {
+		m = obs.NewRegistry()
 	}
+	m.Gauge("koalad_dispatch_workers", "Worker daemons configured for dispatch.").Set(int64(len(workers)))
+	r.dispatched = m.Counter("koalad_dispatch_remote_total", "Runs dispatched to a worker daemon.")
+	r.remoteDone = m.Counter("koalad_dispatch_remote_done_total", "Runs completed by a worker daemon.")
+	r.failovers = m.Counter("koalad_dispatch_failover_total", "Runs failed over to the local backend.")
+	r.retries = m.Counter("koalad_dispatch_retries_total", "Same-worker dispatch retries after a retryable failure.")
+	r.reroutes = m.Counter("koalad_dispatch_reroutes_total",
+		"Dispatch attempts rerouted off the owner shard to another healthy worker.")
+	opens := m.Counter("koalad_dispatch_breaker_opens_total",
+		"Per-worker circuit-breaker open transitions (sum over workers).")
+	r.rtt = m.HistogramVec("koalad_dispatch_rtt_seconds",
+		"Dispatch round-trip per worker: POST to terminal event (failures included).",
+		"worker", obs.DefaultLatencyBuckets())
+	r.workerRetries = m.CounterVec("koalad_worker_retries_total",
+		"Same-worker dispatch retries after a retryable failure.", "worker")
+	workerOpens := m.CounterVec("koalad_breaker_opens_total",
+		"Circuit-breaker open transitions per worker.", "worker")
+	breakerStates := m.GaugeVec("koalad_breaker_state",
+		"Circuit-breaker state per worker (0 closed, 1 open, 2 half-open).", "worker")
+	ringFlips := m.CounterVec("koalad_ring_transitions_total",
+		"Health-ring admissions and ejections per worker.", "worker")
+	m.GaugeFunc("koalad_ring_healthy_workers", "Workers currently admitted by the health-gated ring.",
+		func() float64 { return float64(r.ring.healthyCount()) })
 
 	r.breakers = make(map[string]*breaker, len(workers))
 	for _, w := range workers {
@@ -223,26 +226,20 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		b := newBreaker(threshold, cooldown)
 		b.onTransition = func(from, to breakerState) {
 			if to == breakerOpen {
-				r.breakerOpens.Add(1)
-				if r.hasMetrics {
-					breakerOpens.With(w).Inc()
-				}
+				opens.Inc()
+				workerOpens.With(w).Inc()
 				r.log.Warn("backend: circuit breaker opened", "worker", w)
 			} else {
 				r.log.Info("backend: circuit breaker "+to.String(), "worker", w)
 			}
-			if r.hasMetrics {
-				breakerStates.With(w).Set(int64(to))
-			}
+			breakerStates.With(w).Set(int64(to))
 		}
 		r.breakers[w] = b
 	}
 
 	r.ring = newRing(workers, r.client, r.log)
-	if r.hasMetrics {
-		r.ring.onTransition = func(worker string, healthy bool) {
-			ringFlips.With(worker).Inc()
-		}
+	r.ring.onTransition = func(worker string, healthy bool) {
+		ringFlips.With(worker).Inc()
 	}
 	r.ring.start(opts.HealthInterval)
 	return r, nil
@@ -290,7 +287,7 @@ func (r *Remote) RunPoint(ctx context.Context, cfg experiment.Config, hooks expe
 	if err != nil {
 		return nil, err
 	}
-	r.dispatched.Add(1)
+	r.dispatched.Inc()
 	var lastErr error
 	for i, worker := range r.ring.candidates(hash) {
 		br := r.breakers[worker]
@@ -300,13 +297,13 @@ func (r *Remote) RunPoint(ctx context.Context, cfg experiment.Config, hooks expe
 			continue
 		}
 		if i > 0 {
-			r.reroutes.Add(1)
+			r.reroutes.Inc()
 			r.log.Warn("backend: rerouting point off its owner shard",
 				"worker", worker, "config", cfg.Name, "hash", shortHash(hash), "prev_err", lastErr)
 		}
 		res, err := r.tryWorker(ctx, worker, hash, cfg, hooks)
 		if err == nil {
-			r.remoteDone.Add(1)
+			r.remoteDone.Inc()
 			return res, nil
 		}
 		if ctx.Err() != nil {
@@ -315,7 +312,7 @@ func (r *Remote) RunPoint(ctx context.Context, cfg experiment.Config, hooks expe
 		}
 		lastErr = err
 	}
-	r.failovers.Add(1)
+	r.failovers.Inc()
 	r.log.Warn("backend: all worker candidates exhausted; failing over",
 		"config", cfg.Name, "hash", shortHash(hash),
 		"err", lastErr, "fallback", r.fallback.Name())
@@ -344,10 +341,8 @@ func (r *Remote) tryWorker(ctx context.Context, worker, hash string, cfg experim
 			return nil, err
 		}
 		delay := r.retry.Delay(hash, attempt)
-		r.retries.Add(1)
-		if r.hasMetrics {
-			r.retriesVec.With(worker).Inc()
-		}
+		r.retries.Inc()
+		r.workerRetries.With(worker).Inc()
 		r.log.Info("backend: retrying worker dispatch",
 			"worker", worker, "config", cfg.Name, "hash", shortHash(hash),
 			"attempt", attempt+1, "backoff", delay, "err", err)
@@ -423,10 +418,8 @@ func (r *Remote) runOn(ctx context.Context, worker string, cfg experiment.Config
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		sc.InjectHTTP(req)
 	}
-	if r.rtt != nil {
-		start := time.Now()
-		defer func() { r.rtt.With(worker).Observe(time.Since(start).Seconds()) }()
-	}
+	start := time.Now()
+	defer func() { r.rtt.With(worker).Observe(time.Since(start).Seconds()) }()
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, classify("submit failed", err)
@@ -534,30 +527,4 @@ func (r *Remote) Health(ctx context.Context) Health {
 		h.Detail = fmt.Sprintf("%d/%d workers up (%s)", up, len(r.workers), strings.Join(detail, "; "))
 	}
 	return h
-}
-
-// RemoteStats are the dispatch counters koalad exposes on /metrics.
-type RemoteStats struct {
-	Workers        int   // configured workers
-	HealthyWorkers int   // workers currently admitted by the ring
-	Dispatched     int64 // points entering RunPoint
-	RemoteDone     int64 // points completed by a worker
-	Failovers      int64 // points re-run on the fallback backend
-	Retries        int64 // same-worker retry attempts
-	Reroutes       int64 // attempts moved off the owner shard
-	BreakerOpens   int64 // circuit-breaker open transitions
-}
-
-// Stats snapshots the dispatch counters.
-func (r *Remote) Stats() RemoteStats {
-	return RemoteStats{
-		Workers:        len(r.workers),
-		HealthyWorkers: r.ring.healthyCount(),
-		Dispatched:     r.dispatched.Load(),
-		RemoteDone:     r.remoteDone.Load(),
-		Failovers:      r.failovers.Load(),
-		Retries:        r.retries.Load(),
-		Reroutes:       r.reroutes.Load(),
-		BreakerOpens:   r.breakerOpens.Load(),
-	}
 }

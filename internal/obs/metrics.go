@@ -256,6 +256,36 @@ func (f *family) child(value string) any {
 	panic("obs: unknown metric type " + f.typ)
 }
 
+// Value reads a family back by name: a counter's or gauge's value
+// (summed over its label values), a sampled gauge's current sample or
+// a histogram's observation count. ok is false when no family has that
+// name, so a misspelt name cannot read as zero.
+func (r *Registry) Value(name string) (v float64, ok bool) {
+	r.mu.Lock()
+	f := r.byName[name]
+	r.mu.Unlock()
+	if f == nil {
+		return 0, false
+	}
+	f.mu.Lock()
+	sample := f.sample
+	var n int64
+	for _, c := range f.counters {
+		n += c.Value()
+	}
+	for _, g := range f.gauges {
+		n += g.Value()
+	}
+	for _, h := range f.hists {
+		n += h.Count()
+	}
+	f.mu.Unlock()
+	if sample != nil {
+		return sample(), true
+	}
+	return float64(n), true
+}
+
 // Render writes every family in Prometheus text exposition format:
 // one # HELP and # TYPE line per family, children sorted by label value
 // so scrapes are stable.
@@ -291,7 +321,7 @@ func (f *family) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 	if sample != nil {
-		fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(sample()))
+		fmt.Fprintf(w, "%s %s\n", f.name, formatSample(sample()))
 		return
 	}
 	for _, v := range values {
@@ -335,6 +365,16 @@ func plainLabels(label, value string) string {
 		return ""
 	}
 	return fmt.Sprintf(`{%s=%q}`, label, value)
+}
+
+// formatSample renders a sampled gauge: an integral value as an integer
+// (1234567, not 1.234567e+06, like a Gauge), anything else as
+// formatFloat does.
+func formatSample(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return formatFloat(v)
 }
 
 // formatFloat renders a float the way Prometheus expects: shortest

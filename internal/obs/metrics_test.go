@@ -58,6 +58,8 @@ func TestRegistryExposition(t *testing.T) {
 	g := r.Gauge("koalad_test_depth", "A gauge.")
 	g.Set(7)
 	r.GaugeFunc("koalad_test_sampled", "A sampled gauge.", func() float64 { return 1.5 })
+	r.GaugeFunc("koalad_test_sampled_half", "A fractional sampled gauge.", func() float64 { return 0.5 })
+	r.GaugeFunc("koalad_test_sampled_bytes", "An integral sampled gauge.", func() float64 { return 1234567 })
 	h := r.Histogram("koalad_test_seconds", "A histogram.", []float64{0.5, 2})
 	h.Observe(0.25)
 	h.Observe(1)
@@ -74,6 +76,8 @@ func TestRegistryExposition(t *testing.T) {
 		"# HELP koalad_test_total A counter.\n# TYPE koalad_test_total counter\nkoalad_test_total 3\n",
 		"koalad_test_depth 7\n",
 		"koalad_test_sampled 1.5\n",
+		"koalad_test_sampled_half 0.5\n",
+		"koalad_test_sampled_bytes 1234567\n", // not 1.234567e+06
 		`koalad_test_seconds_bucket{le="0.5"} 1`,
 		`koalad_test_seconds_bucket{le="2"} 2`,
 		`koalad_test_seconds_bucket{le="+Inf"} 3`,
@@ -108,4 +112,29 @@ func TestRegistryReRegistration(t *testing.T) {
 		}
 	}()
 	r.Gauge("koalad_x_total", "X as a gauge.")
+}
+
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("koalad_x_total", "X.").Add(3)
+	v := r.CounterVec("koalad_y_total", "Y.", "worker")
+	v.With("a").Inc()
+	v.With("b").Add(2)
+	r.GaugeFunc("koalad_z", "Z.", func() float64 { return 0.25 })
+	h := r.Histogram("koalad_w_seconds", "W.", []float64{1})
+	h.Observe(0.5)
+	h.Observe(5)
+	for name, want := range map[string]float64{
+		"koalad_x_total":   3,
+		"koalad_y_total":   3, // summed over label values
+		"koalad_z":         0.25,
+		"koalad_w_seconds": 2, // observation count
+	} {
+		if got, ok := r.Value(name); !ok || got != want {
+			t.Errorf("Value(%s) = %g, %v; want %g, true", name, got, ok, want)
+		}
+	}
+	if _, ok := r.Value("koalad_x"); ok {
+		t.Error("Value of an unknown family reported ok")
+	}
 }

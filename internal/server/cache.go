@@ -1,9 +1,6 @@
 package server
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Cache is koalad's content-addressed result index: runs keyed by the
 // canonical fingerprint of their config (experiment.Fingerprint). The
@@ -14,10 +11,6 @@ import (
 type Cache struct {
 	mu     sync.Mutex
 	byHash map[string]*Run
-
-	hits      atomic.Int64 // POSTs answered by a completed run
-	coalesced atomic.Int64 // POSTs attached to an in-flight run
-	misses    atomic.Int64 // POSTs that started a new run
 }
 
 // NewCache returns an empty cache.
@@ -25,9 +18,9 @@ func NewCache() *Cache {
 	return &Cache{byHash: make(map[string]*Run)}
 }
 
-// Lookup returns the run owning hash, or nil. It does not touch the
-// hit/miss counters — the server classifies the outcome (hit, coalesce
-// or miss) once it knows the run's status.
+// Lookup returns the run owning hash, or nil. The server classifies and
+// counts the outcome (hit, coalesce or miss) once it knows the run's
+// status.
 func (c *Cache) Lookup(hash string) *Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -57,21 +50,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.byHash)
 }
-
-// Hits, Coalesced and Misses expose the counters.
-func (c *Cache) Hits() int64      { return c.hits.Load() }
-func (c *Cache) Coalesced() int64 { return c.coalesced.Load() }
-func (c *Cache) Misses() int64    { return c.misses.Load() }
-
-// HitRate returns hits/(hits+misses), or 0 before any classified POST.
-func (c *Cache) HitRate() float64 {
-	h, m := float64(c.hits.Load()), float64(c.misses.Load())
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}
-
-func (c *Cache) countHit()      { c.hits.Add(1) }
-func (c *Cache) countCoalesce() { c.coalesced.Add(1) }
-func (c *Cache) countMiss()     { c.misses.Add(1) }

@@ -67,12 +67,12 @@ func TestExecuteEndpoint(t *testing.T) {
 	if len(events) < 4 || events[0]["type"] != "accepted" || events[len(events)-1]["type"] != "summary" {
 		t.Fatalf("execute events = %+v", events)
 	}
-	if s.workerExecutes.Load() != 1 || s.workerDeduped.Load() != 0 {
-		t.Fatalf("worker counters = %d/%d, want 1/0", s.workerExecutes.Load(), s.workerDeduped.Load())
+	if metric(t, s, "koalad_worker_executes_total") != 1 || metric(t, s, "koalad_worker_dedup_total") != 0 {
+		t.Fatalf("worker counters = %g/%g, want 1/0", metric(t, s, "koalad_worker_executes_total"), metric(t, s, "koalad_worker_dedup_total"))
 	}
 
 	// Dedupe: the same fingerprint answers terminally, zero simulation.
-	repsBefore := s.repsDone.Load()
+	repsBefore := metric(t, s, "koalad_replications_total")
 	events2, code2 := postExecute(t, ts, tinyConfig)
 	if code2 != http.StatusOK {
 		t.Fatalf("re-execute status = %d", code2)
@@ -80,14 +80,14 @@ func TestExecuteEndpoint(t *testing.T) {
 	if events2[len(events2)-1]["type"] != "summary" {
 		t.Fatalf("re-execute terminal event = %v", events2[len(events2)-1])
 	}
-	if s.repsDone.Load() != repsBefore {
+	if metric(t, s, "koalad_replications_total") != repsBefore {
 		t.Fatal("deduped execute re-simulated replications")
 	}
 	if s.registry.Len() != 1 {
 		t.Fatalf("registry = %d runs, want 1", s.registry.Len())
 	}
-	if s.workerDeduped.Load() != 1 {
-		t.Fatalf("dedup counter = %d, want 1", s.workerDeduped.Load())
+	if metric(t, s, "koalad_worker_dedup_total") != 1 {
+		t.Fatalf("dedup counter = %g, want 1", metric(t, s, "koalad_worker_dedup_total"))
 	}
 	text := string(mustGet(t, ts, "/metrics"))
 	for _, want := range []string{
@@ -111,11 +111,14 @@ func TestExecuteEndpoint(t *testing.T) {
 // what a single-node daemon produces for the same config.
 func TestDispatcherRoutesToWorker(t *testing.T) {
 	worker, workerTS := newTestServer(t, Options{Role: "worker"})
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{workerTS.URL}, Log: testLogger(t)})
+	// The coordinator and its dispatcher share a registry, as in
+	// cmd/koalad, so the dispatch families reach its /metrics.
+	metrics := obs.NewRegistry()
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{workerTS.URL}, Log: testLogger(t), Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, coordTS := newTestServer(t, Options{Backend: rb, Role: "coordinator"})
+	coord, coordTS := newTestServer(t, Options{Backend: rb, Role: "coordinator", Metrics: metrics})
 	single, singleTS := newTestServer(t, Options{})
 
 	sr, code := postConfig(t, coordTS, tinyConfig)
@@ -139,16 +142,17 @@ func TestDispatcherRoutesToWorker(t *testing.T) {
 	// the coordinator only relayed progress — its repsDone counts the
 	// replication events streamed back, and the dispatch counters
 	// prove where the work ran.
-	if worker.repsDone.Load() != 2 || worker.workerExecutes.Load() != 1 {
-		t.Fatalf("worker repsDone/executes = %d/%d, want 2/1",
-			worker.repsDone.Load(), worker.workerExecutes.Load())
+	if metric(t, worker, "koalad_replications_total") != 2 || metric(t, worker, "koalad_worker_executes_total") != 1 {
+		t.Fatalf("worker repsDone/executes = %g/%g, want 2/1",
+			metric(t, worker, "koalad_replications_total"), metric(t, worker, "koalad_worker_executes_total"))
 	}
-	if coord.repsDone.Load() != 2 || coord.workerExecutes.Load() != 0 {
-		t.Fatalf("coordinator repsDone/executes = %d/%d, want 2/0 (streamed, not simulated)",
-			coord.repsDone.Load(), coord.workerExecutes.Load())
+	if metric(t, coord, "koalad_replications_total") != 2 || metric(t, coord, "koalad_worker_executes_total") != 0 {
+		t.Fatalf("coordinator repsDone/executes = %g/%g, want 2/0 (streamed, not simulated)",
+			metric(t, coord, "koalad_replications_total"), metric(t, coord, "koalad_worker_executes_total"))
 	}
-	if st := rb.Stats(); st.Dispatched != 1 || st.RemoteDone != 1 || st.Failovers != 0 {
-		t.Fatalf("dispatch stats = %+v", st)
+	if d, done, f := metric(t, coord, "koalad_dispatch_remote_total"), metric(t, coord, "koalad_dispatch_remote_done_total"),
+		metric(t, coord, "koalad_dispatch_failover_total"); d != 1 || done != 1 || f != 0 {
+		t.Fatalf("dispatched/remote done/failovers = %g/%g/%g, want 1/1/0", d, done, f)
 	}
 
 	// Byte-for-byte: the coordinator's summary equals the single-node
@@ -267,11 +271,12 @@ func TestDispatchTracePropagation(t *testing.T) {
 // unreachable still completes the run locally, byte-identical to a
 // single-node daemon, and counts the failover.
 func TestDispatcherFailsOverToLocal(t *testing.T) {
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{"http://127.0.0.1:1"}, Log: testLogger(t)})
+	metrics := obs.NewRegistry()
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{"http://127.0.0.1:1"}, Log: testLogger(t), Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, coordTS := newTestServer(t, Options{Backend: rb})
+	coord, coordTS := newTestServer(t, Options{Backend: rb, Metrics: metrics})
 	_, singleTS := newTestServer(t, Options{})
 
 	sr, code := postConfig(t, coordTS, tinyConfig)
@@ -282,11 +287,11 @@ func TestDispatcherFailsOverToLocal(t *testing.T) {
 	if events[len(events)-1]["type"] != "summary" {
 		t.Fatalf("terminal event = %v", events[len(events)-1])
 	}
-	if st := rb.Stats(); st.Failovers != 1 {
-		t.Fatalf("dispatch stats = %+v", st)
+	if f := metric(t, coord, "koalad_dispatch_failover_total"); f != 1 {
+		t.Fatalf("failovers = %g, want 1", f)
 	}
-	if coord.repsDone.Load() != 2 {
-		t.Fatalf("coordinator repsDone = %d, want 2 after failover", coord.repsDone.Load())
+	if metric(t, coord, "koalad_replications_total") != 2 {
+		t.Fatalf("coordinator repsDone = %g, want 2 after failover", metric(t, coord, "koalad_replications_total"))
 	}
 
 	sr2, _ := postConfig(t, singleTS, tinyConfig)
@@ -314,7 +319,7 @@ func TestDispatcherFailsOverToLocal(t *testing.T) {
 // produce. The run then completes via local failover, byte-identical.
 func TestSelfDispatchFailsOverInsteadOfDeadlocking(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{ts.URL}, Log: testLogger(t)})
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{ts.URL}, Log: testLogger(t), Metrics: s.metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +333,11 @@ func TestSelfDispatchFailsOverInsteadOfDeadlocking(t *testing.T) {
 	if events[len(events)-1]["type"] != "summary" {
 		t.Fatalf("terminal event = %v", events[len(events)-1])
 	}
-	if st := rb.Stats(); st.Failovers != 1 || st.RemoteDone != 0 {
-		t.Fatalf("self-dispatch stats = %+v, want one failover", st)
+	if f, done := metric(t, s, "koalad_dispatch_failover_total"), metric(t, s, "koalad_dispatch_remote_done_total"); f != 1 || done != 0 {
+		t.Fatalf("self-dispatch failovers/remote done = %g/%g, want 1/0", f, done)
 	}
-	if s.workerExecutes.Load() != 0 {
-		t.Fatalf("self-dispatched execute was served (%d), want bounced", s.workerExecutes.Load())
+	if metric(t, s, "koalad_worker_executes_total") != 0 {
+		t.Fatalf("self-dispatched execute was served (%g), want bounced", metric(t, s, "koalad_worker_executes_total"))
 	}
 }
 
@@ -341,11 +346,12 @@ func TestSelfDispatchFailsOverInsteadOfDeadlocking(t *testing.T) {
 // daemon is (mis)configured with a remote backend, so a cycle of
 // coordinators cannot bounce a run around forever.
 func TestExecuteNeverReforwards(t *testing.T) {
-	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{"http://127.0.0.1:1"}, Log: testLogger(t)})
+	metrics := obs.NewRegistry()
+	rb, err := backend.NewRemote(backend.RemoteOptions{Workers: []string{"http://127.0.0.1:1"}, Log: testLogger(t), Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := newTestServer(t, Options{Backend: rb})
+	s, ts := newTestServer(t, Options{Backend: rb, Metrics: metrics})
 	events, code := postExecute(t, ts, tinyConfig)
 	if code != http.StatusOK {
 		t.Fatalf("execute status = %d", code)
@@ -353,10 +359,10 @@ func TestExecuteNeverReforwards(t *testing.T) {
 	if events[len(events)-1]["type"] != "summary" {
 		t.Fatalf("terminal event = %v", events[len(events)-1])
 	}
-	if st := rb.Stats(); st.Dispatched != 0 {
-		t.Fatalf("execute-admitted run was re-forwarded: %+v", st)
+	if d := metric(t, s, "koalad_dispatch_remote_total"); d != 0 {
+		t.Fatalf("execute-admitted run was re-forwarded: %g dispatched", d)
 	}
-	if s.repsDone.Load() != 2 {
-		t.Fatalf("repsDone = %d, want 2 (simulated in-process)", s.repsDone.Load())
+	if metric(t, s, "koalad_replications_total") != 2 {
+		t.Fatalf("repsDone = %g, want 2 (simulated in-process)", metric(t, s, "koalad_replications_total"))
 	}
 }

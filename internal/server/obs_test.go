@@ -180,8 +180,7 @@ func checkHistogram(t *testing.T, name string, f *promFamily) {
 // after a run and parses every line with a strict text-format parser:
 // each sample must trace back to a HELP/TYPE pair, and each histogram
 // family must be internally consistent. This is the guard that keeps
-// the hand-rolled exposition and the registry renderer scrapeable by
-// real Prometheus.
+// the registry renderer scrapeable by real Prometheus.
 func TestMetricsExpositionRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	sr, _ := postConfig(t, ts, tinyConfig)
@@ -322,6 +321,17 @@ func TestFollowerDisconnectAccounting(t *testing.T) {
 	if s.followers.Value() != 0 {
 		t.Fatalf("followers gauge = %d after streams closed", s.followers.Value())
 	}
+}
+
+// metric reads one of s's families back from its registry by name; an
+// unknown name fails the test instead of reading as zero.
+func metric(t *testing.T, s *Server, name string) float64 {
+	t.Helper()
+	v, ok := s.metrics.Value(name)
+	if !ok {
+		t.Fatalf("no metric family %s", name)
+	}
+	return v
 }
 
 // waitFor polls cond for up to 5 seconds.

@@ -131,7 +131,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 			Op: store.OpSubmitted, ID: run.ID, Hash: run.Hash, Name: run.Name,
 			Spec: run.specJSON, TimeUnixNano: rec.TimeUnixNano,
 		})
-		s.storeReplayed.Add(1)
+		s.storeReplayed.Inc()
 		rs.Reenqueued++
 	}
 	// Truncate the journal down to the surviving runs: everything else
@@ -142,7 +142,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	if err := s.store.Journal().Compact(keep); err != nil {
 		s.log.Warn("koalad: recovery journal compaction failed", "err", err)
 	} else {
-		s.compactions.Add(1)
+		s.compactions.Inc()
 	}
 	for _, run := range revived {
 		go s.execute(run)
@@ -172,6 +172,7 @@ func (s *Server) reenqueue(rec store.Record) (*Run, error) {
 	run := s.registry.Adopt(rec.ID, rec.Hash, cfg, rec.Spec, SourceLive)
 	run.beginTrace(obs.SpanContext{})
 	s.cache.Store(run)
+	s.runsAdmitted.Inc()
 	s.queued.Add(1)
 	s.wg.Add(1)
 	s.admitMu.Unlock()
@@ -206,7 +207,7 @@ func (s *Server) adoptEntry(e *store.Entry) *Run {
 	run.restoreDone(sum)
 	s.cache.Store(run)
 	s.retire(run) // restored runs count against MaxRetained like any terminal run
-	s.storeRestored.Add(1)
+	s.storeRestored.Inc()
 	return run
 }
 
@@ -291,6 +292,6 @@ func (s *Server) maybeCompactJournal() {
 		s.log.Warn("koalad: journal compaction failed", "err", err)
 		return
 	}
-	s.compactions.Add(1)
+	s.compactions.Inc()
 	s.log.Info("koalad: journal compacted", "in_flight", len(keep))
 }

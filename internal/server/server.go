@@ -74,9 +74,10 @@ type Options struct {
 	// Log receives one structured record per lifecycle transition
 	// (optional; nil discards).
 	Log *slog.Logger
-	// Metrics is the registry the daemon's histograms and gauges land
-	// on; share one instance with the store and backend so /metrics
-	// scrapes the whole process. Nil creates a private registry.
+	// Metrics is the registry every family the daemon exposes lands on;
+	// share one instance with the store and backend so /metrics scrapes
+	// the whole process (but not with another server: their families
+	// would merge). Nil creates a private registry.
 	Metrics *obs.Registry
 }
 
@@ -111,36 +112,37 @@ type Server struct {
 	cache    *Cache
 	store    *store.Store // nil = in-memory only
 
-	// Latency histograms (Prometheus exposition via /metrics).
-	queueWait     *obs.Histogram // admission -> concurrency slot
-	runDuration   *obs.Histogram // slot -> terminal event
-	followerStall *obs.Histogram // single event write on a follower stream
-
-	followers           *obs.Gauge   // NDJSON streams currently attached
+	// The daemon's metric families, registered once by New.
+	queueWait           *obs.Histogram // admission -> concurrency slot
+	runDuration         *obs.Histogram // slot -> terminal event
+	followerStall       *obs.Histogram // single event write on a follower stream
+	queued              *obs.Gauge     // admitted, waiting for a slot
+	activeRuns          *obs.Gauge
+	activeSims          *obs.Gauge // replications currently simulating
+	followers           *obs.Gauge // NDJSON streams currently attached
+	repsDone            *obs.Counter
+	runsAdmitted        *obs.Counter // runs entering the queue: admission misses and recovery
+	runsDone            *obs.Counter
+	runsFailed          *obs.Counter
+	cacheHits           *obs.Counter // POSTs answered by a completed run
+	cacheCoalesced      *obs.Counter // POSTs attached to an in-flight run
+	cacheMisses         *obs.Counter // POSTs that started a new run
+	workerExecutes      *obs.Counter // runs admitted via the execute endpoint
+	workerDeduped       *obs.Counter // execute requests answered without simulating
 	followerDisconnects *obs.Counter // followers that left before the terminal event
+	// With a store only (nil without one; every use is on a store path).
+	storeHits     *obs.Counter // POSTs answered by a disk-restored result
+	storeMisses   *obs.Counter // POSTs that missed memory and disk and simulated
+	storeRestored *obs.Counter // results re-indexed from the store
+	storeReplayed *obs.Counter // in-flight runs re-enqueued by recovery
+	compactions   *obs.Counter // journal compactions performed
 
 	// backend executes admitted runs; local is the in-process backend
 	// that worker-endpoint runs (and Remote failovers) use.
 	backend backend.Backend
 	local   backend.Backend
 
-	sem    chan struct{} // run slots
-	queued atomic.Int64  // admitted, waiting for a slot
-
-	workerExecutes atomic.Int64 // runs admitted via the execute endpoint
-	workerDeduped  atomic.Int64 // execute requests answered without simulating
-
-	activeRuns atomic.Int64
-	activeSims atomic.Int64 // replications currently simulating
-	repsDone   atomic.Int64
-	runsDone   atomic.Int64
-	runsFailed atomic.Int64
-
-	storeHits     atomic.Int64 // POSTs answered by a disk-restored result
-	storeMisses   atomic.Int64 // POSTs that missed memory and disk and simulated
-	storeRestored atomic.Int64 // results re-indexed from the store
-	storeReplayed atomic.Int64 // in-flight runs re-enqueued by recovery
-	compactions   atomic.Int64 // journal compactions performed
+	sem chan struct{} // run slots
 
 	retireMu sync.Mutex // guards retired
 	retired  []string   // terminal run IDs, oldest first
@@ -179,21 +181,61 @@ func New(opts Options) *Server {
 	if s.backend == nil {
 		s.backend = s.local
 	}
-	s.queueWait = s.metrics.Histogram("koalad_queue_wait_seconds",
-		"Time from admission to taking a concurrency slot.", obs.DefaultLatencyBuckets())
-	s.runDuration = s.metrics.Histogram("koalad_run_duration_seconds",
-		"Time from taking a slot to the terminal event.", obs.DefaultLatencyBuckets())
-	s.followerStall = s.metrics.Histogram("koalad_follower_write_stall_seconds",
-		"Time writing one event to an NDJSON follower (slow consumers stall here).", obs.DefaultLatencyBuckets())
-	s.followers = s.metrics.Gauge("koalad_event_followers",
-		"NDJSON event streams currently attached.")
-	s.followerDisconnects = s.metrics.Counter("koalad_follower_disconnects_total",
-		"Followers that disconnected before the run's terminal event.")
+	s.registerMetrics(opts.Metrics)
 	return s
 }
 
-// Cache exposes the result cache (tests and metrics).
-func (s *Server) Cache() *Cache { return s.cache }
+// registerMetrics registers every family the server exposes. Derived
+// values are sampled when /metrics is scraped; constants are set once.
+func (s *Server) registerMetrics(m *obs.Registry) {
+	// Process-level gauges: what a fleet operator correlates client
+	// latency against (see docs/load.md).
+	m.GaugeFunc("koalad_goroutines", "Goroutines in the process (followers hold one each).",
+		func() float64 { return float64(runtime.NumGoroutine()) })
+	m.GaugeFunc("koalad_registry_runs", "Runs resident in the registry (live + retained terminal).",
+		func() float64 { return float64(s.registry.Len()) })
+	s.queued = m.Gauge("koalad_queue_depth", "Admitted runs waiting for a concurrency slot.")
+	s.activeRuns = m.Gauge("koalad_active_runs", "Runs currently executing.")
+	s.activeSims = m.Gauge("koalad_active_simulations", "Replications currently simulating.")
+	m.Gauge("koalad_run_slots", "Concurrent-run bound.").Set(int64(s.opts.MaxConcurrent))
+	m.Gauge("koalad_sim_workers_default", "Per-run simulation parallelism handed to configs without their own.").
+		Set(int64(effectiveWorkers(s.opts.Parallelism)))
+	s.repsDone = m.Counter("koalad_replications_total", "Completed replications.")
+	s.runsAdmitted = m.Counter("koalad_runs_total", "Runs admitted for execution.")
+	s.runsDone = m.Counter("koalad_runs_done_total", "Runs completed successfully.")
+	s.runsFailed = m.Counter("koalad_runs_failed_total", "Runs failed or aborted.")
+	m.GaugeFunc("koalad_cache_size", "Results indexed by config fingerprint.",
+		func() float64 { return float64(s.cache.Len()) })
+	s.cacheHits = m.Counter("koalad_cache_hits_total", "Submissions answered from the result cache.")
+	s.cacheCoalesced = m.Counter("koalad_cache_coalesced_total", "Submissions attached to an in-flight identical run.")
+	s.cacheMisses = m.Counter("koalad_cache_misses_total", "Submissions that started a new run.")
+	m.GaugeFunc("koalad_cache_hit_rate", "hits / (hits + misses).", func() float64 {
+		h, m := float64(s.cacheHits.Value()), float64(s.cacheMisses.Value())
+		if h+m == 0 {
+			return 0
+		}
+		return h / (h + m)
+	})
+	s.workerExecutes = m.Counter("koalad_worker_executes_total", "Runs served over the internal worker execute endpoint.")
+	s.workerDeduped = m.Counter("koalad_worker_dedup_total", "Execute requests answered from cache/store without simulating.")
+	s.queueWait = m.Histogram("koalad_queue_wait_seconds",
+		"Time from admission to taking a concurrency slot.", obs.DefaultLatencyBuckets())
+	s.runDuration = m.Histogram("koalad_run_duration_seconds",
+		"Time from taking a slot to the terminal event.", obs.DefaultLatencyBuckets())
+	s.followerStall = m.Histogram("koalad_follower_write_stall_seconds",
+		"Time writing one event to an NDJSON follower (slow consumers stall here).", obs.DefaultLatencyBuckets())
+	s.followers = m.Gauge("koalad_event_followers", "NDJSON event streams currently attached.")
+	s.followerDisconnects = m.Counter("koalad_follower_disconnects_total",
+		"Followers that disconnected before the run's terminal event.")
+	if s.store == nil {
+		return
+	}
+	s.storeHits = m.Counter("koalad_store_hits_total", "Submissions answered by a disk-restored result.")
+	s.storeMisses = m.Counter("koalad_store_misses_total", "Submissions that missed memory and disk and simulated.")
+	s.storeRestored = m.Counter("koalad_store_restored_total", "Results re-indexed from the store (recovery + lazy adoption).")
+	s.storeReplayed = m.Counter("koalad_store_replayed_total", "In-flight runs re-enqueued by startup recovery.")
+	s.compactions = m.Counter("koalad_journal_compactions_total", "Journal compactions performed.")
+}
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -335,8 +377,8 @@ func (s *Server) admit(spec *experiment.ConfigSpec, cfg experiment.Config, hash 
 	if s.store != nil {
 		if run := s.adoptStored(hash); run != nil {
 			s.admitMu.Unlock()
-			s.cache.countHit()
-			s.storeHits.Add(1)
+			s.cacheHits.Inc()
+			s.storeHits.Inc()
 			s.log.Info("koalad: store hit", "run", run.ID, "hash", shortHash(hash))
 			return run, StatusDone, false, nil
 		}
@@ -349,7 +391,7 @@ func (s *Server) admit(spec *experiment.ConfigSpec, cfg experiment.Config, hash 
 		s.admitMu.Unlock()
 		return nil, "", false, errDraining
 	}
-	if s.queued.Load() >= int64(s.opts.QueueDepth) {
+	if s.queued.Value() >= int64(s.opts.QueueDepth) {
 		s.admitMu.Unlock()
 		return nil, "", false, errQueueFull
 	}
@@ -361,9 +403,10 @@ func (s *Server) admit(spec *experiment.ConfigSpec, cfg experiment.Config, hash 
 			s.admitMu.Unlock()
 			return nil, "", false, err
 		}
-		s.storeMisses.Add(1)
+		s.storeMisses.Inc()
 	}
-	s.cache.countMiss()
+	s.cacheMisses.Inc()
+	s.runsAdmitted.Inc()
 	run = s.registry.Create(hash, cfg, specJSON)
 	run.localOnly = localOnly // before execution starts; only execute reads it
 	run.beginTrace(parent)    // before the run is visible to any reader
@@ -389,13 +432,13 @@ func (s *Server) admit(spec *experiment.ConfigSpec, cfg experiment.Config, hash 
 func (s *Server) serveCached(existing *Run, hash string) (*Run, Status) {
 	status := existing.Status()
 	if status == StatusDone {
-		s.cache.countHit()
+		s.cacheHits.Inc()
 		if existing.Source == SourceStore {
-			s.storeHits.Add(1)
+			s.storeHits.Inc()
 		}
 		s.log.Info("koalad: cache hit", "run", existing.ID, "hash", shortHash(hash))
 	} else {
-		s.cache.countCoalesce()
+		s.cacheCoalesced.Inc()
 		s.log.Info("koalad: coalesced identical submission", "run", existing.ID, "hash", shortHash(hash))
 	}
 	return existing, status
@@ -481,9 +524,9 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "config is in flight on this daemon's dispatch backend")
 		return
 	}
-	s.workerExecutes.Add(1)
+	s.workerExecutes.Inc()
 	if !created && status == StatusDone {
-		s.workerDeduped.Add(1)
+		s.workerDeduped.Inc()
 		s.log.Info("koalad: deduped execute request", "run", run.ID, "hash", shortHash(hash))
 	}
 	s.streamRun(w, r, run)
@@ -576,7 +619,7 @@ func (s *Server) execute(run *Run) {
 		OnDone: func(rep experiment.Replication) {
 			finished.Add(1)
 			s.activeSims.Add(-1)
-			s.repsDone.Add(1)
+			s.repsDone.Inc()
 			repMu.Lock()
 			id := repSpans[rep.Rep]
 			delete(repSpans, rep.Rep)
@@ -613,7 +656,7 @@ func (s *Server) execute(run *Run) {
 // erase this one's.
 func (s *Server) completeRun(run *Run, started *time.Time, sum experiment.StreamSummary) {
 	s.endRun(run, started)
-	s.runsDone.Add(1)
+	s.runsDone.Inc()
 	// The trace event precedes the terminal summary: a coordinator
 	// following this run over the execute endpoint imports these spans
 	// into its own trace, and its stream reader stops at the summary.
@@ -634,7 +677,7 @@ func (s *Server) completeRun(run *Run, started *time.Time, sum experiment.Stream
 func (s *Server) failRun(run *Run, started *time.Time, msg string, journal bool) {
 	s.endRun(run, started)
 	s.cache.Evict(run)
-	s.runsFailed.Add(1)
+	s.runsFailed.Inc()
 	s.retire(run)
 	run.fail(msg)
 	if journal {
@@ -832,79 +875,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Role:          s.opts.Role,
 		Backend:       s.backend.Name(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		ActiveRuns:    s.activeRuns.Load(),
-		QueuedRuns:    s.queued.Load(),
-		InFlightSims:  s.activeSims.Load(),
+		ActiveRuns:    s.activeRuns.Value(),
+		QueuedRuns:    s.queued.Value(),
+		InFlightSims:  s.activeSims.Value(),
 		Followers:     s.followers.Value(),
 		Runs:          s.registry.Len(),
 		CacheSize:     s.cache.Len(),
 	})
 }
 
-// handleMetrics renders Prometheus text exposition (no client library
-// needed for gauges and counters).
+// handleMetrics renders every registered family in Prometheus text
+// exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	type metric struct {
-		name, help, typ string
-		value           any
-	}
-	metrics := []metric{
-		// Process-level gauges: what a fleet operator correlates client
-		// latency against (see docs/load.md).
-		{"koalad_goroutines", "Goroutines in the process (followers hold one each).", "gauge", runtime.NumGoroutine()},
-		{"koalad_registry_runs", "Runs resident in the registry (live + retained terminal).", "gauge", s.registry.Len()},
-		{"koalad_queue_depth", "Admitted runs waiting for a concurrency slot.", "gauge", s.queued.Load()},
-		{"koalad_active_runs", "Runs currently executing.", "gauge", s.activeRuns.Load()},
-		{"koalad_active_simulations", "Replications currently simulating.", "gauge", s.activeSims.Load()},
-		{"koalad_run_slots", "Concurrent-run bound.", "gauge", s.opts.MaxConcurrent},
-		{"koalad_sim_workers_default", "Per-run simulation parallelism handed to configs without their own.", "gauge", effectiveWorkers(s.opts.Parallelism)},
-		{"koalad_replications_total", "Completed replications.", "counter", s.repsDone.Load()},
-		{"koalad_runs_total", "Runs admitted for execution.", "counter", s.cache.Misses()},
-		{"koalad_runs_done_total", "Runs completed successfully.", "counter", s.runsDone.Load()},
-		{"koalad_runs_failed_total", "Runs failed or aborted.", "counter", s.runsFailed.Load()},
-		{"koalad_cache_size", "Results indexed by config fingerprint.", "gauge", s.cache.Len()},
-		{"koalad_cache_hits_total", "Submissions answered from the result cache.", "counter", s.cache.Hits()},
-		{"koalad_cache_coalesced_total", "Submissions attached to an in-flight identical run.", "counter", s.cache.Coalesced()},
-		{"koalad_cache_misses_total", "Submissions that started a new run.", "counter", s.cache.Misses()},
-		{"koalad_cache_hit_rate", "hits / (hits + misses).", "gauge", s.cache.HitRate()},
-		{"koalad_worker_executes_total", "Runs served over the internal worker execute endpoint.", "counter", s.workerExecutes.Load()},
-		{"koalad_worker_dedup_total", "Execute requests answered from cache/store without simulating.", "counter", s.workerDeduped.Load()},
-	}
-	if rb, ok := s.backend.(*backend.Remote); ok {
-		st := rb.Stats()
-		metrics = append(metrics,
-			metric{"koalad_dispatch_workers", "Worker daemons configured for dispatch.", "gauge", st.Workers},
-			metric{"koalad_dispatch_remote_total", "Runs dispatched to a worker daemon.", "counter", st.Dispatched},
-			metric{"koalad_dispatch_remote_done_total", "Runs completed by a worker daemon.", "counter", st.RemoteDone},
-			metric{"koalad_dispatch_failover_total", "Runs failed over to the local backend.", "counter", st.Failovers},
-			metric{"koalad_dispatch_retries_total", "Same-worker dispatch retries after a retryable failure.", "counter", st.Retries},
-			metric{"koalad_dispatch_reroutes_total", "Dispatch attempts rerouted off the owner shard to another healthy worker.", "counter", st.Reroutes},
-			metric{"koalad_dispatch_breaker_opens_total", "Per-worker circuit-breaker open transitions (sum over workers).", "counter", st.BreakerOpens},
-		)
-	}
-	if s.store != nil {
-		st := s.store.Stats()
-		metrics = append(metrics,
-			metric{"koalad_store_entries", "Results in the on-disk store.", "gauge", st.Entries},
-			metric{"koalad_store_bytes", "Bytes of results in the on-disk store.", "gauge", st.Bytes},
-			metric{"koalad_store_hits_total", "Submissions answered by a disk-restored result.", "counter", s.storeHits.Load()},
-			metric{"koalad_store_misses_total", "Submissions that missed memory and disk and simulated.", "counter", s.storeMisses.Load()},
-			metric{"koalad_store_restored_total", "Results re-indexed from the store (recovery + lazy adoption).", "counter", s.storeRestored.Load()},
-			metric{"koalad_store_replayed_total", "In-flight runs re-enqueued by startup recovery.", "counter", s.storeReplayed.Load()},
-			metric{"koalad_store_skipped_total", "Corrupt or incompatible on-disk artifacts skipped.", "counter", st.Skipped},
-			metric{"koalad_store_gc_removed_total", "Store entries removed by GC.", "counter", st.GCRemoved},
-			metric{"koalad_store_gc_bytes_total", "Bytes reclaimed by GC.", "counter", st.GCBytes},
-			metric{"koalad_journal_records", "Records currently in the run journal.", "gauge", s.store.Journal().Records()},
-			metric{"koalad_journal_compactions_total", "Journal compactions performed.", "counter", s.compactions.Load()},
-		)
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", m.name, m.help, m.name, m.typ, m.name, m.value)
-	}
-	// Registry-backed families (latency histograms, follower gauge,
-	// dispatch RTT, store latencies) render after the scalar metrics;
-	// names never overlap the hand-rolled list above.
 	s.metrics.Render(w)
 }
 

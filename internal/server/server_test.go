@@ -171,8 +171,8 @@ func TestEndToEndSubmitStreamAndCacheHit(t *testing.T) {
 
 	// Identical re-submission: cache hit, same run, no new simulation.
 	runsBefore := s.registry.Len()
-	missesBefore := s.cache.Misses()
-	repsBefore := s.repsDone.Load()
+	missesBefore := metric(t, s, "koalad_cache_misses_total")
+	repsBefore := metric(t, s, "koalad_replications_total")
 	sr2, code2 := postConfig(t, ts, tinyConfig)
 	if code2 != http.StatusOK {
 		t.Fatalf("re-POST status = %d, want 200", code2)
@@ -180,14 +180,14 @@ func TestEndToEndSubmitStreamAndCacheHit(t *testing.T) {
 	if !sr2.Cached || sr2.ID != sr.ID || sr2.Hash != sr.Hash {
 		t.Fatalf("re-POST response = %+v, want cached same run", sr2)
 	}
-	if s.registry.Len() != runsBefore || s.cache.Misses() != missesBefore {
+	if s.registry.Len() != runsBefore || metric(t, s, "koalad_cache_misses_total") != missesBefore {
 		t.Error("cache hit created a new run")
 	}
-	if s.repsDone.Load() != repsBefore {
+	if metric(t, s, "koalad_replications_total") != repsBefore {
 		t.Error("cache hit re-simulated replications")
 	}
-	if s.cache.Hits() != 1 {
-		t.Errorf("cache hits = %d, want 1", s.cache.Hits())
+	if metric(t, s, "koalad_cache_hits_total") != 1 {
+		t.Errorf("cache hits = %g, want 1", metric(t, s, "koalad_cache_hits_total"))
 	}
 
 	// A semantically different config is a miss.
@@ -405,8 +405,8 @@ func TestCoalescedSubmission(t *testing.T) {
 	if s.registry.Len() != 1 {
 		t.Fatalf("runs = %d, want 1", s.registry.Len())
 	}
-	if s.cache.Coalesced() != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", s.cache.Coalesced())
+	if metric(t, s, "koalad_cache_coalesced_total") != 1 {
+		t.Fatalf("coalesced counter = %g, want 1", metric(t, s, "koalad_cache_coalesced_total"))
 	}
 	close(release)
 	events := readEvents(t, ts, sr1.ID)
@@ -639,8 +639,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
 	}
-	if s.cache.HitRate() != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", s.cache.HitRate())
+	if metric(t, s, "koalad_cache_hit_rate") != 0.5 {
+		t.Errorf("HitRate = %v, want 0.5", metric(t, s, "koalad_cache_hit_rate"))
 	}
 }
 
@@ -677,12 +677,12 @@ func TestRetentionBound(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET evicted run = %d, want 404", resp.StatusCode)
 	}
-	missesBefore := s.cache.Misses()
+	missesBefore := metric(t, s, "koalad_cache_misses_total")
 	sr3, code := postConfig(t, ts, mk(1))
 	if code != http.StatusAccepted || sr3.Cached || sr3.ID == sr1.ID {
 		t.Fatalf("re-POST of evicted config = %+v (%d)", sr3, code)
 	}
-	if s.cache.Misses() != missesBefore+1 {
+	if metric(t, s, "koalad_cache_misses_total") != missesBefore+1 {
 		t.Fatal("re-POST of evicted config was not a miss")
 	}
 	readEvents(t, ts, sr3.ID)

@@ -14,15 +14,21 @@ import (
 	"time"
 
 	"repro/internal/experiment"
+	"repro/internal/obs"
 	"repro/internal/store"
 )
 
 // newStoreServer assembles a durable server over dir: open the store,
-// recover, serve. Callers stop it with closeStoreServer (not t.Cleanup)
-// so tests can restart "the daemon" on the same directory mid-test.
+// recover, serve. The store and the server share one registry, as in
+// cmd/koalad, so the server's /metrics carries the store's families.
+// Callers stop it with closeStoreServer (not t.Cleanup) so tests can
+// restart "the daemon" on the same directory mid-test.
 func newStoreServer(t *testing.T, dir string, opts Options) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{})
+	if opts.Metrics == nil {
+		opts.Metrics = obs.NewRegistry()
+	}
+	st, err := store.Open(dir, store.Options{Metrics: opts.Metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +91,16 @@ func TestRestartDurability(t *testing.T) {
 	}
 	readEvents(t, ts1, sr.ID)
 	before := mustGet(t, ts1, "/v1/experiments/"+sr.ID)
-	if s1.storeMisses.Load() != 1 {
-		t.Fatalf("store misses = %d, want 1", s1.storeMisses.Load())
+	if metric(t, s1, "koalad_store_misses_total") != 1 {
+		t.Fatalf("store misses = %g, want 1", metric(t, s1, "koalad_store_misses_total"))
 	}
 	closeStoreServer(t, s1, ts1, st1)
 
 	// "Restart": a fresh server over the same directory.
 	s2, ts2, st2 := newStoreServer(t, dir, Options{})
 	defer closeStoreServer(t, s2, ts2, st2)
-	if got := s2.storeRestored.Load(); got != 1 {
-		t.Fatalf("restored = %d, want 1", got)
+	if got := metric(t, s2, "koalad_store_restored_total"); got != 1 {
+		t.Fatalf("restored = %g, want 1", got)
 	}
 
 	sr2, code2 := postConfig(t, ts2, tinyConfig)
@@ -104,7 +110,7 @@ func TestRestartDurability(t *testing.T) {
 	if !sr2.Cached || sr2.ID != sr.ID || sr2.Hash != sr.Hash {
 		t.Fatalf("re-POST after restart = %+v, want cached %s", sr2, sr.ID)
 	}
-	if s2.repsDone.Load() != 0 {
+	if metric(t, s2, "koalad_replications_total") != 0 {
 		t.Fatal("re-POST after restart re-simulated replications")
 	}
 	// The result round-trips the disk byte-identically. Compare the
@@ -187,8 +193,8 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 
 	s, ts, st2 := newStoreServer(t, dir, Options{})
 	defer closeStoreServer(t, s, ts, st2)
-	if got := s.storeReplayed.Load(); got != 1 {
-		t.Fatalf("replayed = %d, want 1", got)
+	if got := metric(t, s, "koalad_store_replayed_total"); got != 1 {
+		t.Fatalf("replayed = %g, want 1", got)
 	}
 	run := s.registry.Get("exp-1")
 	if run == nil || run.Source != SourceLive {
@@ -198,7 +204,7 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	if events[len(events)-1]["type"] != "summary" {
 		t.Fatalf("re-enqueued run terminal event = %v", events[len(events)-1])
 	}
-	if s.repsDone.Load() == 0 {
+	if metric(t, s, "koalad_replications_total") == 0 {
 		t.Fatal("re-enqueued run did not actually simulate")
 	}
 	// Its completion was written through: the store now holds the
@@ -225,6 +231,39 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	}
 	if strings.Join(ops, ",") != "submitted,started,completed" {
 		t.Fatalf("journal after replayed run = %v", ops)
+	}
+}
+
+// TestRunsTotalCountsRecoveredRuns pins the run ledger across a
+// restart: a run that recovery re-enqueues is admitted like a POST
+// miss, so once it completes every admitted run is accounted for as
+// done, failed, queued or active. koalad_cache_misses_total stays a
+// count of POSTs only.
+func TestRunsTotalCountsRecoveredRuns(t *testing.T) {
+	dir := t.TempDir()
+	hash, spec := tinyHashAndSpec(t)
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Journal().Append(store.Record{Op: store.OpSubmitted, ID: "exp-1", Hash: hash, Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close() // the crash
+
+	s, ts, st2 := newStoreServer(t, dir, Options{})
+	defer closeStoreServer(t, s, ts, st2)
+	if events := readEvents(t, ts, "exp-1"); events[len(events)-1]["type"] != "summary" {
+		t.Fatalf("recovered run terminal event = %v", events[len(events)-1])
+	}
+	total := metric(t, s, "koalad_runs_total")
+	accounted := metric(t, s, "koalad_runs_done_total") + metric(t, s, "koalad_runs_failed_total") +
+		metric(t, s, "koalad_queue_depth") + metric(t, s, "koalad_active_runs")
+	if total != 1 || total != accounted {
+		t.Fatalf("runs_total = %g, want 1 = done + failed + queued + active = %g", total, accounted)
+	}
+	if misses := metric(t, s, "koalad_cache_misses_total"); misses != 0 {
+		t.Fatalf("cache misses = %g after a replay with no POST, want 0", misses)
 	}
 }
 
@@ -262,11 +301,11 @@ func TestRecoveryResolvesStoredButUnjournaledRun(t *testing.T) {
 
 	s2, ts2, st2 := newStoreServer(t, dir, Options{})
 	defer closeStoreServer(t, s2, ts2, st2)
-	if s2.storeRestored.Load() != 1 || s2.storeReplayed.Load() != 0 {
-		t.Fatalf("restored/replayed = %d/%d, want 1/0",
-			s2.storeRestored.Load(), s2.storeReplayed.Load())
+	if metric(t, s2, "koalad_store_restored_total") != 1 || metric(t, s2, "koalad_store_replayed_total") != 0 {
+		t.Fatalf("restored/replayed = %g/%g, want 1/0",
+			metric(t, s2, "koalad_store_restored_total"), metric(t, s2, "koalad_store_replayed_total"))
 	}
-	if s2.repsDone.Load() != 0 {
+	if metric(t, s2, "koalad_replications_total") != 0 {
 		t.Fatal("stored run re-simulated")
 	}
 	sr2, code := postConfig(t, ts2, tinyConfig)
@@ -298,8 +337,8 @@ func TestRecoverySkipsFailedRuns(t *testing.T) {
 
 	s, ts, st2 := newStoreServer(t, dir, Options{})
 	defer closeStoreServer(t, s, ts, st2)
-	if s.storeReplayed.Load() != 0 || s.registry.Len() != 0 {
-		t.Fatalf("failed run resurrected: replayed=%d runs=%d", s.storeReplayed.Load(), s.registry.Len())
+	if metric(t, s, "koalad_store_replayed_total") != 0 || s.registry.Len() != 0 {
+		t.Fatalf("failed run resurrected: replayed=%g runs=%d", metric(t, s, "koalad_store_replayed_total"), s.registry.Len())
 	}
 }
 
@@ -408,7 +447,7 @@ func TestStoreFallbackAfterRetentionEviction(t *testing.T) {
 	if s.registry.Get(sr1.ID) != nil {
 		t.Fatal("run 1 not evicted")
 	}
-	repsBefore := s.repsDone.Load()
+	repsBefore := metric(t, s, "koalad_replications_total")
 	sr3, code := postConfig(t, ts, mk(1))
 	if code != http.StatusOK || !sr3.Cached {
 		t.Fatalf("re-POST of evicted config = %+v (%d), want store hit", sr3, code)
@@ -416,11 +455,11 @@ func TestStoreFallbackAfterRetentionEviction(t *testing.T) {
 	if sr3.Hash != sr1.Hash {
 		t.Fatalf("hash changed: %s vs %s", sr3.Hash, sr1.Hash)
 	}
-	if s.repsDone.Load() != repsBefore {
+	if metric(t, s, "koalad_replications_total") != repsBefore {
 		t.Fatal("store hit re-simulated")
 	}
-	if s.storeHits.Load() != 1 {
-		t.Fatalf("store hits = %d, want 1", s.storeHits.Load())
+	if metric(t, s, "koalad_store_hits_total") != 1 {
+		t.Fatalf("store hits = %g, want 1", metric(t, s, "koalad_store_hits_total"))
 	}
 	if run := s.registry.Get(sr3.ID); run == nil || run.Source != SourceStore {
 		t.Fatalf("adopted run = %+v", run)
@@ -433,7 +472,7 @@ func TestJournalCompactionBounded(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, st := newStoreServer(t, dir, Options{JournalCompactEvery: 4})
 	defer closeStoreServer(t, s, ts, st)
-	recovered := s.compactions.Load() // Recover compacts once at start
+	recovered := metric(t, s, "koalad_journal_compactions_total") // Recover compacts once at start
 
 	for seed := 1; seed <= 3; seed++ {
 		body := strings.Replace(tinyConfig, `"seed": 1`, `"seed": `+string(rune('0'+seed)), 1)
@@ -446,7 +485,7 @@ func TestJournalCompactionBounded(t *testing.T) {
 	// The terminal journal record, and the compaction it may trigger,
 	// follow the terminal event: wait for the runs' goroutines.
 	s.wg.Wait()
-	if s.compactions.Load() == recovered {
+	if metric(t, s, "koalad_journal_compactions_total") == recovered {
 		t.Fatal("journal never compacted")
 	}
 	// 3 completed runs ~ 9 records without compaction; the bound holds
@@ -463,7 +502,7 @@ func TestJournalCompactionOnFailures(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, st := newStoreServer(t, dir, Options{JournalCompactEvery: 4})
 	defer closeStoreServer(t, s, ts, st)
-	recovered := s.compactions.Load() // Recover compacts once at start
+	recovered := metric(t, s, "koalad_journal_compactions_total") // Recover compacts once at start
 
 	// Decodes fine, fails at run time (grid too small for the initial
 	// size); each attempt is a fresh run since failures leave the cache.
@@ -481,10 +520,10 @@ func TestJournalCompactionOnFailures(t *testing.T) {
 		readEvents(t, ts, sr.ID)
 	}
 	s.wg.Wait() // the failed records follow the terminal events
-	if s.runsFailed.Load() != 3 {
-		t.Fatalf("failed runs = %d, want 3", s.runsFailed.Load())
+	if metric(t, s, "koalad_runs_failed_total") != 3 {
+		t.Fatalf("failed runs = %g, want 3", metric(t, s, "koalad_runs_failed_total"))
 	}
-	if s.compactions.Load() == recovered {
+	if metric(t, s, "koalad_journal_compactions_total") == recovered {
 		t.Fatal("journal never compacted under an all-failure workload")
 	}
 	if got := st.Journal().Records(); got > 6 {

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/obs"
 )
 
 // Op is a run lifecycle transition recorded in the journal.
@@ -46,19 +48,20 @@ type Record struct {
 type Journal struct {
 	path    string
 	opts    Options
+	skipped *obs.Counter // undecodable lines tolerated during replay
 	mu      sync.Mutex
 	f       *os.File
-	lines   int   // complete records currently in the file
-	skipped int64 // undecodable lines tolerated during replay
+	lines   int // complete records currently in the file
 }
 
 // openJournal opens (creating if absent) the journal at path. If the
 // previous process died mid-append the file ends in a partial line;
 // that tail is truncated away so the journal stays valid NDJSON and
 // new appends do not fuse onto garbage. The records it held were never
-// durable, which is exactly the contract of an append-only log.
-func openJournal(path string, opts Options) (*Journal, error) {
-	j := &Journal{path: path, opts: opts}
+// durable, which is exactly the contract of an append-only log. Lines
+// a replay skips count on skipped.
+func openJournal(path string, opts Options, skipped *obs.Counter) (*Journal, error) {
+	j := &Journal{path: path, opts: opts, skipped: skipped}
 	b, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
@@ -129,12 +132,6 @@ func (j *Journal) Records() int {
 	return j.lines
 }
 
-func (j *Journal) skippedLines() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.skipped
-}
-
 // Replay reads every decodable record in append order. Undecodable
 // lines and records with an unknown schema version are skipped and
 // counted, never fatal: a journal written by a newer or corrupted
@@ -155,7 +152,7 @@ func (j *Journal) Replay() ([]Record, error) {
 	for len(b) > 0 {
 		nl := bytes.IndexByte(b, '\n')
 		if nl < 0 {
-			j.skipped++
+			j.skipped.Inc()
 			j.opts.Log.Warn("store: journal replay skipping partial tail", "bytes", len(b))
 			break
 		}
@@ -166,12 +163,12 @@ func (j *Journal) Replay() ([]Record, error) {
 		}
 		var rec Record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			j.skipped++
+			j.skipped.Inc()
 			j.opts.Log.Warn("store: journal replay skipping undecodable line", "err", err)
 			continue
 		}
 		if rec.Schema != SchemaVersion {
-			j.skipped++
+			j.skipped.Inc()
 			j.opts.Log.Warn("store: journal replay skipping record with unknown schema", "schema", rec.Schema, "want", SchemaVersion)
 			continue
 		}

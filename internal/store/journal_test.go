@@ -133,8 +133,8 @@ func TestJournalCorruptAndForeignLinesSkipped(t *testing.T) {
 	if len(got) != 2 || got[0].Op != OpSubmitted || got[1].Op != OpCompleted {
 		t.Fatalf("replay = %+v, want the 2 schema-1 records", got)
 	}
-	if st := s.Stats(); st.Skipped != 2 {
-		t.Fatalf("skipped = %d, want 2 (garbage + future schema)", st.Skipped)
+	if n := metric(t, s, "koalad_store_skipped_total"); n != 2 {
+		t.Fatalf("skipped = %g, want 2 (garbage + future schema)", n)
 	}
 }
 

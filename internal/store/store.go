@@ -55,14 +55,19 @@ type Options struct {
 	// Log receives one structured record per skipped/repaired artifact
 	// (optional; nil discards).
 	Log *slog.Logger
-	// Metrics, when non-nil, registers the store's latency histograms
-	// (entry read/write, GC pause) on the shared registry.
+	// Metrics is the registry the store's families (size, skipped
+	// artifacts, GC, journal records and the I/O latency histograms)
+	// land on; share the server's so /metrics scrapes them. Nil creates
+	// a private registry.
 	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
 	if o.Log == nil {
 		o.Log = obs.NopLogger()
+	}
+	if o.Metrics == nil {
+		o.Metrics = obs.NewRegistry()
 	}
 	return o
 }
@@ -89,17 +94,16 @@ type Store struct {
 	opts    Options
 	journal *Journal
 
-	// Latency histograms, nil without Options.Metrics.
 	readHist  *obs.Histogram
 	writeHist *obs.Histogram
 	gcHist    *obs.Histogram
+	skipped   *obs.Counter // corrupt or incompatible artifacts, shared with the journal
+	gcRemoved *obs.Counter
+	gcBytes   *obs.Counter
 
-	mu        sync.Mutex // guards writes, GC and the size accounting
-	entries   int
-	bytes     int64
-	skipped   int64 // corrupt or incompatible entries seen (gauge-ish counter)
-	gcEntries int64
-	gcBytes   int64
+	mu      sync.Mutex // guards writes, GC and the size accounting
+	entries int
+	bytes   int64
 }
 
 // Open creates (if needed) and opens the store rooted at dir. The
@@ -112,17 +116,31 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(results, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating %s: %w", results, err)
 	}
-	j, err := openJournal(filepath.Join(dir, "journal.ndjson"), opts)
+	m := opts.Metrics
+	skipped := m.Counter("koalad_store_skipped_total", "Corrupt or incompatible on-disk artifacts skipped.")
+	j, err := openJournal(filepath.Join(dir, "journal.ndjson"), opts, skipped)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, results: results, opts: opts, journal: j}
-	if m := opts.Metrics; m != nil {
-		b := obs.DefaultLatencyBuckets()
-		s.readHist = m.Histogram("koalad_store_read_seconds", "Store entry read+decode latency.", b)
-		s.writeHist = m.Histogram("koalad_store_write_seconds", "Store entry marshal+write+rename latency.", b)
-		s.gcHist = m.Histogram("koalad_store_gc_pause_seconds", "Store GC sweep duration (the store lock is held throughout).", b)
-	}
+	s := &Store{dir: dir, results: results, opts: opts, journal: j, skipped: skipped}
+	m.GaugeFunc("koalad_store_entries", "Results in the on-disk store.", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.entries)
+	})
+	m.GaugeFunc("koalad_store_bytes", "Bytes of results in the on-disk store.", func() float64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return float64(s.bytes)
+	})
+	s.gcRemoved = m.Counter("koalad_store_gc_removed_total", "Store entries removed by GC.")
+	s.gcBytes = m.Counter("koalad_store_gc_bytes_total", "Bytes reclaimed by GC.")
+	m.GaugeFunc("koalad_journal_records", "Records currently in the run journal.",
+		func() float64 { return float64(j.Records()) })
+	b := obs.DefaultLatencyBuckets()
+	s.readHist = m.Histogram("koalad_store_read_seconds", "Store entry read+decode latency.", b)
+	s.writeHist = m.Histogram("koalad_store_write_seconds", "Store entry marshal+write+rename latency.", b)
+	s.gcHist = m.Histogram("koalad_store_gc_pause_seconds", "Store GC sweep duration (the store lock is held throughout).", b)
 	// A crash between CreateTemp and Rename (Put or Compact) orphans a
 	// temp file invisible to GC and the size accounting; sweep the
 	// debris of previous lives before counting. The directory is owned
@@ -193,10 +211,8 @@ func (s *Store) Put(e Entry) error {
 	if !validHash(e.Hash) {
 		return fmt.Errorf("store: invalid hash %q", e.Hash)
 	}
-	if s.writeHist != nil {
-		start := time.Now()
-		defer func() { s.writeHist.Observe(time.Since(start).Seconds()) }()
-	}
+	start := time.Now()
+	defer func() { s.writeHist.Observe(time.Since(start).Seconds()) }()
 	e.Schema = SchemaVersion
 	if e.SavedUnixNano == 0 {
 		e.SavedUnixNano = time.Now().UnixNano()
@@ -265,10 +281,8 @@ func (s *Store) Get(hash string) *Entry {
 	if !validHash(hash) {
 		return nil
 	}
-	if s.readHist != nil {
-		start := time.Now()
-		defer func() { s.readHist.Observe(time.Since(start).Seconds()) }()
-	}
+	start := time.Now()
+	defer func() { s.readHist.Observe(time.Since(start).Seconds()) }()
 	b, err := os.ReadFile(s.entryPath(hash))
 	if err != nil {
 		return nil // miss (or racing GC removal — same thing)
@@ -298,9 +312,7 @@ func (s *Store) decodeEntry(hash string, b []byte) *Entry {
 }
 
 func (s *Store) skip(msg string, attrs ...any) {
-	s.mu.Lock()
-	s.skipped++
-	s.mu.Unlock()
+	s.skipped.Inc()
 	s.opts.Log.Warn("store: "+msg, attrs...)
 }
 
@@ -395,10 +407,8 @@ type GCResult struct {
 // against concurrent readers — a Get racing a removal degrades to a
 // miss (the config re-simulates on its next POST).
 func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
-	if s.gcHist != nil {
-		start := time.Now()
-		defer func() { s.gcHist.Observe(time.Since(start).Seconds()) }()
-	}
+	start := time.Now()
+	defer func() { s.gcHist.Observe(time.Since(start).Seconds()) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	infos, err := s.scan()
@@ -445,30 +455,8 @@ func (s *Store) GC(maxBytes int64, maxAge time.Duration) (GCResult, error) {
 	for _, fi := range live {
 		s.bytes += fi.size
 	}
-	s.gcEntries += int64(res.Removed)
-	s.gcBytes += res.RemovedBytes
+	s.gcRemoved.Add(int64(res.Removed))
+	s.gcBytes.Add(res.RemovedBytes)
 	res.Entries, res.Bytes = s.entries, s.bytes
 	return res, nil
-}
-
-// Stats is a point-in-time view of the store for /metrics.
-type Stats struct {
-	Entries   int
-	Bytes     int64
-	Skipped   int64 // corrupt/incompatible artifacts skipped since Open
-	GCRemoved int64 // entries removed by GC since Open
-	GCBytes   int64 // bytes reclaimed by GC since Open
-}
-
-// Stats returns the current counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Entries:   s.entries,
-		Bytes:     s.bytes,
-		Skipped:   s.skipped + s.journal.skippedLines(),
-		GCRemoved: s.gcEntries,
-		GCBytes:   s.gcBytes,
-	}
 }

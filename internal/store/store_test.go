@@ -20,6 +20,17 @@ func mkStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// metric reads one of s's families back by name; an unknown name fails
+// the test instead of reading as zero.
+func metric(t *testing.T, s *Store, name string) float64 {
+	t.Helper()
+	v, ok := s.opts.Metrics.Value(name)
+	if !ok {
+		t.Fatalf("no metric family %s", name)
+	}
+	return v
+}
+
 // hashN returns a syntactically valid fingerprint (64 hex chars).
 func hashN(i int) string { return fmt.Sprintf("%064x", i) }
 
@@ -51,8 +62,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if e.Schema != SchemaVersion || e.SavedUnixNano == 0 {
 		t.Fatalf("envelope not stamped: %+v", e)
 	}
-	if st := s.Stats(); st.Entries != 1 || st.Bytes <= 0 {
-		t.Fatalf("stats = %+v", st)
+	if n, b := metric(t, s, "koalad_store_entries"), metric(t, s, "koalad_store_bytes"); n != 1 || b <= 0 {
+		t.Fatalf("entries, bytes = %g, %g", n, b)
 	}
 }
 
@@ -79,8 +90,8 @@ func TestPutOverwriteKeepsAccounting(t *testing.T) {
 	if err := s.Put(Entry{Hash: h, ID: "exp-9", Summary: json.RawMessage(`{"jobs":100000}`)}); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Entries != 1 {
-		t.Fatalf("entries after overwrite = %d, want 1", st.Entries)
+	if n := metric(t, s, "koalad_store_entries"); n != 1 {
+		t.Fatalf("entries after overwrite = %g, want 1", n)
 	}
 	if e := s.Get(h); e == nil || e.ID != "exp-9" {
 		t.Fatalf("overwrite not visible: %+v", e)
@@ -90,8 +101,8 @@ func TestPutOverwriteKeepsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Bytes != info.Size() {
-		t.Fatalf("bytes = %d, on disk %d", st.Bytes, info.Size())
+	if b := metric(t, s, "koalad_store_bytes"); b != float64(info.Size()) {
+		t.Fatalf("bytes = %g, on disk %d", b, info.Size())
 	}
 }
 
@@ -125,8 +136,8 @@ func TestIncompatibleEntriesSkippedNotFatal(t *testing.T) {
 	if len(entries) != 1 || entries[0].Hash != good {
 		t.Fatalf("Entries = %d, want only the good one", len(entries))
 	}
-	if st := s.Stats(); st.Skipped < 4 {
-		t.Fatalf("skipped = %d, want >= 4", st.Skipped)
+	if n := metric(t, s, "koalad_store_skipped_total"); n < 4 {
+		t.Fatalf("skipped = %g, want >= 4", n)
 	}
 }
 
@@ -206,8 +217,8 @@ func TestGCMaxAge(t *testing.T) {
 	if s.Get(hashN(3)) == nil {
 		t.Fatal("fresh entry removed")
 	}
-	if st := s.Stats(); st.GCRemoved != 2 || st.Entries != 1 {
-		t.Fatalf("stats after GC = %+v", st)
+	if gc, n := metric(t, s, "koalad_store_gc_removed_total"), metric(t, s, "koalad_store_entries"); gc != 2 || n != 1 {
+		t.Fatalf("GC removed, entries after GC = %g, %g", gc, n)
 	}
 }
 
@@ -298,8 +309,8 @@ func TestConcurrentReadWhileGC(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := s.Stats(); st.Entries != 0 || st.GCRemoved != n {
-		t.Fatalf("stats after full GC = %+v", st)
+	if entries, gc := metric(t, s, "koalad_store_entries"), metric(t, s, "koalad_store_gc_removed_total"); entries != 0 || gc != n {
+		t.Fatalf("entries, GC removed after full GC = %g, %g", entries, gc)
 	}
 	for i := 0; i < n; i++ {
 		if s.Get(hashN(i)) != nil {
@@ -318,8 +329,8 @@ func TestForeignFilesInvisible(t *testing.T) {
 	if err := os.WriteFile(foreign, []byte(`{"schema":1,"hash":"ab"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d, want foreign file uncounted", st.Entries)
+	if n := metric(t, s, "koalad_store_entries"); n != 1 {
+		t.Fatalf("entries = %g, want foreign file uncounted", n)
 	}
 	entries, err := s.Entries()
 	if err != nil {
@@ -381,7 +392,7 @@ func TestReopenRecountsAccounting(t *testing.T) {
 	}
 	putN(t, s, 1)
 	putN(t, s, 2)
-	want := s.Stats()
+	wantEntries, wantBytes := metric(t, s, "koalad_store_entries"), metric(t, s, "koalad_store_bytes")
 	s.Close()
 
 	s2, err := Open(dir, Options{})
@@ -389,9 +400,8 @@ func TestReopenRecountsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got := s2.Stats()
-	if got.Entries != want.Entries || got.Bytes != want.Bytes {
-		t.Fatalf("reopened stats = %+v, want %+v", got, want)
+	if n, b := metric(t, s2, "koalad_store_entries"), metric(t, s2, "koalad_store_bytes"); n != wantEntries || b != wantBytes {
+		t.Fatalf("reopened entries, bytes = %g, %g, want %g, %g", n, b, wantEntries, wantBytes)
 	}
 }
 
