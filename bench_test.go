@@ -267,26 +267,38 @@ func BenchmarkEndToEndPRABatched(b *testing.B) {
 	}
 }
 
+// warmLoop runs b.N timed calls of run after one untimed call that fills
+// the pools a torn-down world leaves its memory in, as the end-to-end
+// benchmarks do, so even a single timed iteration measures the steady
+// state. It returns the last call's result.
+func warmLoop(b *testing.B, run func() float64) float64 {
+	last := run()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		last = run()
+	}
+	return last
+}
+
+// runOnce is one seeded replication of cfg, failing the benchmark on error.
+func runOnce(b *testing.B, cfg experiment.Config) []metrics.JobRecord {
+	res, err := experiment.RunOnce(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Records
+}
+
 // BenchmarkAblationPolicies compares all four malleability policies
 // (FPSMA, EGS and the §III baselines Equipartition and Folding) on Wm and
 // reports mean execution times.
 func BenchmarkAblationPolicies(b *testing.B) {
 	for _, policy := range []string{"FPSMA", "EGS", "EQUI", "FOLD"} {
-		policy := policy
 		b.Run(policy, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunOnce(experiment.Config{
-					Workload: workload.Wm(1),
-					Policy:   policy,
-					Approach: "PRA",
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = stats.Mean(metrics.ExecTimesOf(res.Records))
-			}
-			b.ReportMetric(last, "mean-exec-s")
+			cfg := experiment.Config{Workload: workload.Wm(1), Policy: policy, Approach: "PRA"}
+			b.ReportMetric(warmLoop(b, func() float64 {
+				return stats.Mean(metrics.ExecTimesOf(runOnce(b, cfg)))
+			}), "mean-exec-s")
 		})
 	}
 }
@@ -295,22 +307,11 @@ func BenchmarkAblationPolicies(b *testing.B) {
 // the mixed workload Wmr and reports mean response times.
 func BenchmarkAblationPlacement(b *testing.B) {
 	for _, placement := range []string{"WF", "CF", "CM", "FCM"} {
-		placement := placement
 		b.Run(placement, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunOnce(experiment.Config{
-					Workload:  workload.Wmr(1),
-					Policy:    "FPSMA",
-					Approach:  "PRA",
-					Placement: placement,
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = stats.Mean(metrics.ResponseTimesOf(res.Records))
-			}
-			b.ReportMetric(last, "mean-resp-s")
+			cfg := experiment.Config{Workload: workload.Wmr(1), Policy: "FPSMA", Approach: "PRA", Placement: placement}
+			b.ReportMetric(warmLoop(b, func() float64 {
+				return stats.Mean(metrics.ResponseTimesOf(runOnce(b, cfg)))
+			}), "mean-resp-s")
 		})
 	}
 }
@@ -320,23 +321,12 @@ func BenchmarkAblationPlacement(b *testing.B) {
 // sizes.
 func BenchmarkAblationGramGatekeeper(b *testing.B) {
 	for _, conc := range []int{1, 4, 16} {
-		conc := conc
 		b.Run(map[int]string{1: "serial", 4: "conc4", 16: "conc16"}[conc], func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				g := gram.Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: conc}
-				res, err := experiment.RunOnce(experiment.Config{
-					Workload:     workload.Wm(1),
-					Policy:       "EGS",
-					Approach:     "PRA",
-					GramOverride: &g,
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = stats.Mean(metrics.AvgProcsOf(metrics.OnlyMalleable(res.Records)))
-			}
-			b.ReportMetric(last, "mean-avg-procs")
+			g := gram.Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: conc}
+			cfg := experiment.Config{Workload: workload.Wm(1), Policy: "EGS", Approach: "PRA", GramOverride: &g}
+			b.ReportMetric(warmLoop(b, func() float64 {
+				return stats.Mean(metrics.AvgProcsOf(metrics.OnlyMalleable(runOnce(b, cfg))))
+			}), "mean-avg-procs")
 		})
 	}
 }
@@ -346,26 +336,15 @@ func BenchmarkAblationGramGatekeeper(b *testing.B) {
 // workload — the headline "malleability is beneficial" comparison.
 func BenchmarkAblationMalleabilityOff(b *testing.B) {
 	for _, on := range []bool{true, false} {
-		on := on
 		name := "malleable"
 		if !on {
 			name = "rigid-baseline"
 		}
 		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.RunOnce(experiment.Config{
-					Workload:            workload.Wm(1),
-					Policy:              "FPSMA",
-					Approach:            "PRA",
-					DisableMalleability: !on,
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = stats.Mean(metrics.ExecTimesOf(res.Records))
-			}
-			b.ReportMetric(last, "mean-exec-s")
+			cfg := experiment.Config{Workload: workload.Wm(1), Policy: "FPSMA", Approach: "PRA", DisableMalleability: !on}
+			b.ReportMetric(warmLoop(b, func() float64 {
+				return stats.Mean(metrics.ExecTimesOf(runOnce(b, cfg)))
+			}), "mean-exec-s")
 		})
 	}
 }

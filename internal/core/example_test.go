@@ -1,12 +1,4 @@
-// Appgrow: demonstrate the §II-C / §VIII extension — grow operations
-// initiated by the *application* rather than the scheduler, for irregular
-// parallelism patterns. The application asks KOALA's malleability manager
-// for more processors when its computation calls for it; the manager grants
-// at most the current headroom (such requests are voluntary for the
-// scheduler and never preempt other jobs).
-//
-// Run with: go run ./examples/appgrow
-package main
+package core_test
 
 import (
 	"fmt"
@@ -16,7 +8,13 @@ import (
 	"repro/internal/core"
 )
 
-func main() {
+// ExampleManual shows the §II-C / §VIII extension: grow operations
+// initiated by the application rather than the scheduler, for irregular
+// parallelism patterns. The application asks KOALA's malleability manager
+// for more processors when its computation calls for it; the manager
+// grants at most the current headroom (such requests are voluntary for
+// the scheduler and never preempt other jobs).
+func ExampleManual() {
 	grid := cluster.NewMulticluster(cluster.New("site", 32))
 	sys := core.NewSystem(core.SystemConfig{
 		Grid: grid,
@@ -39,7 +37,6 @@ func main() {
 		at     float64
 		amount int
 	}{{60, 8}, {120, 16}} {
-		req := req
 		sys.Engine.At(req.at, func() {
 			got := job.AppRequestGrow(req.amount)
 			fmt.Printf("t=%3.0fs  application asked for +%d processors, obtained %d (now %d planned)\n",
@@ -66,8 +63,14 @@ func main() {
 	if err := sys.RunUntilDone(10000); err != nil {
 		panic(err)
 	}
-	fmt.Printf("\napplication-initiated grow requests granted by the manager: %d\n",
+	fmt.Printf("application-initiated grow requests granted by the manager: %d\n",
 		sys.Manager.AppGrowRequests())
 	fmt.Printf("job finished at t=%.0fs having reached %d processors\n",
 		job.EndTime(), maxSeen)
+	// Output:
+	// t= 60s  application asked for +8 processors, obtained 8 (now 10 planned)
+	// t= 90s  a rigid 12-processor job arrives and is placed
+	// t=120s  application asked for +16 processors, obtained 10 (now 20 planned)
+	// application-initiated grow requests granted by the manager: 2
+	// job finished at t=321s having reached 20 processors
 }

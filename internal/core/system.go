@@ -23,8 +23,8 @@ type SystemConfig struct {
 	DisableManager bool
 }
 
-// System is the facade tying the whole reproduction together; examples and
-// the experiment harness build everything through it.
+// System is the facade tying the whole reproduction together; the
+// experiment harness and the package example build everything through it.
 type System struct {
 	Engine    *sim.Engine
 	Grid      *cluster.Multicluster

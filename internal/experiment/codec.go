@@ -185,14 +185,15 @@ func (s *ConfigSpec) Config() (Config, error) {
 		NoBackground:        s.NoBackground,
 		DisableMalleability: s.DisableMalleability,
 	}
-	if s.Runs < 0 {
-		return Config{}, fmt.Errorf("experiment: negative runs %d", s.Runs)
+	if s.Gram != nil {
+		cfg.GramOverride = &gram.Config{
+			SubmitLatency:     s.Gram.SubmitLatency,
+			ReleaseLatency:    s.Gram.ReleaseLatency,
+			SubmitConcurrency: s.Gram.SubmitConcurrency,
+		}
 	}
-	if s.PollInterval < 0 || s.SamplePeriod < 0 || s.Horizon < 0 {
-		return Config{}, fmt.Errorf("experiment: negative interval in config")
-	}
-	if s.GrowthReserve < 0 {
-		return Config{}, fmt.Errorf("experiment: negative growth reserve %d", s.GrowthReserve)
+	if err := cfg.validate(); err != nil {
+		return Config{}, err
 	}
 	wl, err := s.Workload.resolve(s.Seed)
 	if err != nil {
@@ -204,16 +205,6 @@ func (s *ConfigSpec) Config() (Config, error) {
 		return Config{}, err
 	}
 	cfg.Grid = grid
-	if s.Gram != nil {
-		if s.Gram.SubmitLatency < 0 || s.Gram.ReleaseLatency < 0 || s.Gram.SubmitConcurrency < 0 {
-			return Config{}, fmt.Errorf("experiment: negative gram override field")
-		}
-		cfg.GramOverride = &gram.Config{
-			SubmitLatency:     s.Gram.SubmitLatency,
-			ReleaseLatency:    s.Gram.ReleaseLatency,
-			SubmitConcurrency: s.Gram.SubmitConcurrency,
-		}
-	}
 	if s.Background != nil {
 		if s.NoBackground {
 			return Config{}, fmt.Errorf("experiment: background spec conflicts with no_background")
@@ -250,8 +241,12 @@ func (s *ConfigSpec) Config() (Config, error) {
 // it through ConfigSpec.Config() on the worker yields a config with
 // the same Fingerprint (and therefore the same simulated results).
 // Parallelism is deliberately dropped: it does not change results, and
-// each worker picks its own.
+// each worker picks its own. A config Prepare would reject is rejected
+// here too, before defaulting could rewrite its bad fields.
 func SpecFromConfig(cfg Config) (ConfigSpec, error) {
+	if err := cfg.validate(); err != nil {
+		return ConfigSpec{}, err
+	}
 	cfg = cfg.withDefaults()
 	spec := ConfigSpec{
 		Name: cfg.Name,
@@ -347,48 +342,34 @@ type canonicalWorkload struct {
 // simulation is deterministic in these fields), so the fingerprint is
 // the key of koalad's content-addressed result cache.
 func Fingerprint(cfg Config) (string, error) {
-	cfg = cfg.withDefaults()
+	spec, err := SpecFromConfig(cfg)
+	if err != nil {
+		return "", err
+	}
+	w := spec.Workload
 	canon := canonicalConfig{
 		Workload: canonicalWorkload{
-			Name:              cfg.Workload.Name,
-			Jobs:              cfg.Workload.Jobs,
-			InterArrival:      cfg.Workload.InterArrival,
-			PoissonArrivals:   cfg.Workload.PoissonArrivals,
-			MalleableFraction: cfg.Workload.MalleableFraction,
-			InitialSize:       cfg.Workload.InitialSize,
-			RigidSize:         cfg.Workload.RigidSize,
+			Name:              w.Name,
+			Jobs:              w.Jobs,
+			InterArrival:      w.InterArrival,
+			PoissonArrivals:   w.PoissonArrivals,
+			MalleableFraction: w.MalleableFraction,
+			InitialSize:       w.InitialSize,
+			RigidSize:         w.RigidSize,
 		},
-		Policy:              cfg.Policy,
-		Approach:            cfg.Approach,
-		Placement:           cfg.Placement,
-		Runs:                cfg.Runs,
-		Seed:                cfg.Seed,
-		PollInterval:        cfg.PollInterval,
-		SamplePeriod:        cfg.SamplePeriod,
-		GrowthReserve:       cfg.GrowthReserve,
-		Horizon:             cfg.Horizon,
-		DisableMalleability: cfg.DisableMalleability,
-	}
-	grid := cfg.Grid()
-	if grid == nil {
-		return "", fmt.Errorf("experiment: config grid returned nil")
-	}
-	for _, c := range grid.Clusters() {
-		canon.Grid = append(canon.Grid, ClusterSpec{Name: c.Name(), Nodes: c.Nodes()})
-	}
-	if cfg.GramOverride != nil {
-		canon.Gram = &GramSpec{
-			SubmitLatency:     cfg.GramOverride.SubmitLatency,
-			ReleaseLatency:    cfg.GramOverride.ReleaseLatency,
-			SubmitConcurrency: cfg.GramOverride.SubmitConcurrency,
-		}
-	}
-	if cfg.Background != nil {
-		canon.Background = &BackgroundSpec{
-			MeanInterArrival: cfg.Background.MeanInterArrival,
-			MeanDuration:     cfg.Background.MeanDuration,
-			MaxNodes:         cfg.Background.MaxNodes,
-		}
+		Policy:              spec.Policy,
+		Approach:            spec.Approach,
+		Placement:           spec.Placement,
+		Runs:                spec.Runs,
+		Seed:                spec.Seed,
+		PollInterval:        spec.PollInterval,
+		SamplePeriod:        spec.SamplePeriod,
+		GrowthReserve:       spec.GrowthReserve,
+		Horizon:             spec.Horizon,
+		Grid:                spec.Grid.Clusters,
+		Gram:                spec.Gram,
+		Background:          spec.Background,
+		DisableMalleability: spec.DisableMalleability,
 	}
 	// encoding/json emits struct fields in declaration order, so the
 	// bytes are canonical without any key sorting.

@@ -160,6 +160,20 @@ func TestFingerprintSeparatesSemanticChanges(t *testing.T) {
 		`{"workload":{"preset":"Wm"},"seed":3,"disable_malleability":true}`,
 		`{"workload":{"preset":"Wm"},"seed":3,"grid":{"clusters":[{"name":"A","nodes":48}]}}`,
 		`{"workload":{"preset":"Wm"},"seed":3,"gram":{"submit_latency":9,"release_latency":1,"submit_concurrency":2}}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"placement":"CM"}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"poll_interval":5}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"sample_period":5}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"growth_reserve":2}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"horizon":1000}`,
+		`{"workload":{"preset":"Wm"},"seed":3,"background":{"mean_inter_arrival":60,"mean_duration":480,"max_nodes":24}}`,
+		// The inline form of Wm (wmInline) with one field changed each.
+		`{"workload":{"name":"Wx","jobs":300,"inter_arrival":120,"malleable_fraction":1,"initial_size":2,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":299,"inter_arrival":120,"malleable_fraction":1,"initial_size":2,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":300,"inter_arrival":121,"malleable_fraction":1,"initial_size":2,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":300,"inter_arrival":120,"poisson_arrivals":true,"malleable_fraction":1,"initial_size":2,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":300,"inter_arrival":120,"malleable_fraction":0.5,"initial_size":2,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":300,"inter_arrival":120,"malleable_fraction":1,"initial_size":4,"rigid_size":2},"seed":3}`,
+		`{"workload":{"name":"Wm","jobs":300,"inter_arrival":120,"malleable_fraction":1,"initial_size":2,"rigid_size":4},"seed":3}`,
 	}
 	cfg, err := decodeSpec(t, base).Config()
 	if err != nil {
@@ -168,6 +182,16 @@ func TestFingerprintSeparatesSemanticChanges(t *testing.T) {
 	h0, err := Fingerprint(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The inline variants differ from the base in their one field only:
+	// Wm's inline form hashes like the preset.
+	const wmInline = `{"workload":{"name":"Wm","jobs":300,"inter_arrival":120,"malleable_fraction":1,"initial_size":2,"rigid_size":2},"seed":3}`
+	icfg, err := decodeSpec(t, wmInline).Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := Fingerprint(icfg); err != nil || h != h0 {
+		t.Fatalf("inline Wm hashes %s (%v), preset Wm %s", h, err, h0)
 	}
 	for _, js := range variants {
 		vcfg, err := decodeSpec(t, js).Config()

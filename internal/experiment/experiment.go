@@ -78,6 +78,24 @@ type Config struct {
 	SimStats *obs.SimStats
 }
 
+// validate rejects out-of-range fields. It runs before withDefaults,
+// which would otherwise turn a negative value into its default.
+func (c Config) validate() error {
+	if c.Runs < 0 {
+		return fmt.Errorf("experiment: negative runs %d", c.Runs)
+	}
+	if c.PollInterval < 0 || c.SamplePeriod < 0 || c.Horizon < 0 {
+		return fmt.Errorf("experiment: negative interval in config")
+	}
+	if c.GrowthReserve < 0 {
+		return fmt.Errorf("experiment: negative growth reserve %d", c.GrowthReserve)
+	}
+	if g := c.GramOverride; g != nil && (g.SubmitLatency < 0 || g.ReleaseLatency < 0 || g.SubmitConcurrency < 0) {
+		return fmt.Errorf("experiment: negative gram override field")
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Policy == "" {
 		c.Policy = "FPSMA"
@@ -240,11 +258,16 @@ func runPoint[T any](ctx context.Context, cfg Config, lim parallel.Limiter,
 	return cfg, out, err
 }
 
-// sweep runs every point of a sweep at once and returns run's results
-// in point order. Bounding the actual concurrency is run's job: a
-// replication limiter shared by the points, or the worker daemons of a
-// remote backend.
-func sweep[T any](ctx context.Context, cfgs []Config, run func(context.Context, Config) (T, error)) ([]T, error) {
+// sweep runs every combo point of an approach at once and returns run's
+// results in combo order. Bounding the actual concurrency is run's job:
+// a replication limiter shared by the points, or the worker daemons of a
+// remote backend. base is range-checked first: ComboConfigs resolves
+// defaults, which would rewrite a bad field before Prepare saw it.
+func sweep[T any](ctx context.Context, approach string, combos []Combo, base Config, run func(context.Context, Config) (T, error)) ([]T, error) {
+	if err := base.validate(); err != nil {
+		return nil, err
+	}
+	cfgs := ComboConfigs(approach, combos, base)
 	out := make([]T, len(cfgs))
 	err := parallel.ForEach(ctx, len(cfgs), len(cfgs), func(ctx context.Context, c int) (err error) {
 		out[c], err = run(ctx, cfgs[c])

@@ -147,7 +147,7 @@ type Set struct {
 // pooled record order match a serial loop exactly.
 func RunSet(approach string, combos []Combo, base Config) (*Set, error) {
 	lim := parallel.NewLimiter(base.Parallelism)
-	results, err := sweep(context.Background(), ComboConfigs(approach, combos, base),
+	results, err := sweep(context.Background(), approach, combos, base,
 		func(ctx context.Context, cfg Config) (*Result, error) { return runBatch(ctx, cfg, lim) })
 	if err != nil {
 		return nil, err

@@ -43,6 +43,9 @@ type Prepared struct {
 // seed-independent setup. The returned Prepared serves any number of
 // replications via Prepared.RunOnce.
 func Prepare(cfg Config) (*Prepared, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 
 	pol, ok := core.PolicyByName(cfg.Policy)
@@ -141,7 +144,7 @@ func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 		// Local users stop arriving a little after the measured workload's
 		// submission window so runs can drain (running sessions still
 		// terminate normally).
-		sys.Engine.At(p.span+2000, bg.Stop)
+		sys.Engine.AtOp(p.span+2000, bg, 0)
 	}
 
 	sub := workload.Submit(sys.Engine, wl, func(js koala.JobSpec) error {

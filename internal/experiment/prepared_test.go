@@ -2,9 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/gram"
 	"repro/internal/workload"
 )
 
@@ -111,4 +115,60 @@ func TestPreparedReplicationsAllocateLess(t *testing.T) {
 		t.Errorf("batched replication allocates %.0f allocs/run, single-shot %.0f — sharing setup saved nothing", batched, single)
 	}
 	t.Logf("allocs/run: batched %.0f, single-shot %.0f", batched, single)
+}
+
+// noPoints is a PointRunner for sweeps that must fail before running.
+type noPoints struct{ t *testing.T }
+
+func (r noPoints) RunPoint(context.Context, Config, StreamHooks) (*StreamResult, error) {
+	r.t.Error("a sweep with a bad base config ran a point")
+	return nil, errors.New("unexpected point")
+}
+
+// TestPrepareRejectsNegativeFields pins the library front doors: Prepare
+// and the three sweep drivers reject every out-of-range field before
+// defaults could rewrite it (a negative poll interval used to run at the
+// default, negative runs ran four replications), with the message
+// koalad answers the same field with.
+func TestPrepareRejectsNegativeFields(t *testing.T) {
+	ctx := context.Background()
+	sweeps := map[string]func(Config) error{
+		"RunSet":          func(c Config) error { _, err := RunSet("PRA", PRACombos(), c); return err },
+		"RunSetStream":    func(c Config) error { _, err := RunSetStream(ctx, "PRA", PRACombos(), c); return err },
+		"RunSetStreamVia": func(c Config) error { _, err := RunSetStreamVia(ctx, noPoints{t}, "PRA", PRACombos(), c); return err },
+	}
+	cases := []struct {
+		wire string
+		mut  func(*Config)
+	}{
+		{`"runs":-3`, func(c *Config) { c.Runs = -3 }},
+		{`"poll_interval":-5`, func(c *Config) { c.PollInterval = -5 }},
+		{`"sample_period":-1`, func(c *Config) { c.SamplePeriod = -1 }},
+		{`"horizon":-1`, func(c *Config) { c.Horizon = -1 }},
+		{`"growth_reserve":-1`, func(c *Config) { c.GrowthReserve = -1 }},
+		{`"gram":{"submit_latency":-1}`, func(c *Config) { c.GramOverride = &gram.Config{SubmitLatency: -1} }},
+		{`"gram":{"release_latency":-1}`, func(c *Config) { c.GramOverride = &gram.Config{ReleaseLatency: -1} }},
+		{`"gram":{"submit_concurrency":-1}`, func(c *Config) { c.GramOverride = &gram.Config{SubmitConcurrency: -1} }},
+	}
+	for _, tc := range cases {
+		cfg := Config{Workload: smallWorkload("w", 4, 30, 1)(3), Grid: smallGrid, NoBackground: true}
+		tc.mut(&cfg)
+		_, err := Prepare(cfg)
+		if err == nil {
+			t.Errorf("%s: Prepare accepted the config", tc.wire)
+			continue
+		}
+		spec, derr := DecodeConfigSpec(strings.NewReader(`{"workload":{"preset":"Wm"},` + tc.wire + `}`))
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if _, werr := spec.Config(); werr == nil || werr.Error() != err.Error() {
+			t.Errorf("%s: Prepare says %q, the wire form %v", tc.wire, err, werr)
+		}
+		for name, run := range sweeps {
+			if serr := run(cfg); serr == nil || serr.Error() != err.Error() {
+				t.Errorf("%s: Prepare says %q, %s %v", tc.wire, err, name, serr)
+			}
+		}
+	}
 }

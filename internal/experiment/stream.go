@@ -176,7 +176,7 @@ func runStream(ctx context.Context, cfg Config, lim parallel.Limiter, hooks Stre
 // cfg.Parallelism; backend.Remote shards whole points across worker
 // daemons). RunSetStream is the in-process sweep with one budget.
 func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
-	return sweep(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*StreamResult, error) {
+	return sweep(ctx, approach, combos, base, func(ctx context.Context, cfg Config) (*StreamResult, error) {
 		return runner.RunPoint(ctx, cfg, StreamHooks{})
 	})
 }
@@ -187,7 +187,7 @@ func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, c
 // StreamResult per combo, in combo order.
 func RunSetStream(ctx context.Context, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
 	lim := parallel.NewLimiter(base.Parallelism)
-	return sweep(ctx, ComboConfigs(approach, combos, base), func(ctx context.Context, cfg Config) (*StreamResult, error) {
+	return sweep(ctx, approach, combos, base, func(ctx context.Context, cfg Config) (*StreamResult, error) {
 		return runStream(ctx, cfg, lim, StreamHooks{})
 	})
 }

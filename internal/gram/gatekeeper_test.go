@@ -14,7 +14,7 @@ func TestGatekeeperSerializesSubmissions(t *testing.T) {
 	s := New(e, lrm.New(e, c), Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: 1})
 	var activeTimes []float64
 	for i := 0; i < 4; i++ {
-		s.Submit(1, func(*Job) { activeTimes = append(activeTimes, e.Now()) })
+		s.Submit(1, activeFunc(func(*Job) { activeTimes = append(activeTimes, e.Now()) }))
 	}
 	if s.Backlog() != 3 {
 		t.Fatalf("backlog = %d, want 3", s.Backlog())
@@ -37,7 +37,7 @@ func TestGatekeeperConcurrencyTwo(t *testing.T) {
 	s := New(e, lrm.New(e, c), Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: 2})
 	active := 0
 	for i := 0; i < 4; i++ {
-		s.Submit(1, func(*Job) { active++ })
+		s.Submit(1, activeFunc(func(*Job) { active++ }))
 	}
 	e.RunUntil(5)
 	if active != 2 {
@@ -55,7 +55,7 @@ func TestGatekeeperUnlimitedWhenZero(t *testing.T) {
 	s := New(e, lrm.New(e, c), Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: 0})
 	active := 0
 	for i := 0; i < 10; i++ {
-		s.Submit(1, func(*Job) { active++ })
+		s.Submit(1, activeFunc(func(*Job) { active++ }))
 	}
 	e.RunUntil(5)
 	if active != 10 {
@@ -68,7 +68,7 @@ func TestReleaseWhileInBacklogNeverSubmits(t *testing.T) {
 	c := cluster.New("site", 32)
 	s := New(e, lrm.New(e, c), Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: 1})
 	s.Submit(1, nil) // occupies the gatekeeper
-	victim, _ := s.Submit(1, func(*Job) { t.Error("released backlog job became active") })
+	victim, _ := s.Submit(1, activeFunc(func(*Job) { t.Error("released backlog job became active") }))
 	if err := s.Release(victim); err != nil {
 		t.Fatal(err)
 	}

@@ -81,13 +81,10 @@ func (s State) String() string {
 type Job struct {
 	Nodes int
 
-	seq      int
-	state    State
-	lrmJob   *lrm.Job
-	svc      *Service
-	onActive func(*Job)
-	// activator is the interface form of onActive (see SubmitTo); at most
-	// one of the two is set.
+	seq       int
+	state     State
+	lrmJob    *lrm.Job
+	svc       *Service
 	activator Activator
 	released  bool // release requested (possibly while still in flight)
 }
@@ -169,40 +166,18 @@ func (s *Service) Stats() (submitted, activated, released uint64) {
 	return s.submitted, s.activated, s.releases
 }
 
-// Activator receives stub activation callbacks. It is the interface form
-// of Submit's onActive parameter: a caller that submits many stubs (the
-// Malleable Runner's acquisitions) implements it once and passes itself to
-// SubmitTo, so the grow hot path allocates no per-submission closures.
+// Activator receives stub activation notifications. A caller that
+// submits many stubs (the Malleable Runner's acquisitions) implements it
+// once and passes itself to every Submit, so the grow hot path allocates
+// no per-submission closures.
 type Activator interface {
 	JobActive(j *Job)
 }
 
-// Submit launches a GRAM job for nodes nodes. onActive fires once the stub
-// holds its nodes. The returned handle can be released at any point of its
-// life (including before it becomes active).
-func (s *Service) Submit(nodes int, onActive func(*Job)) (*Job, error) {
-	j, err := s.submit(nodes)
-	if err != nil {
-		return nil, err
-	}
-	j.onActive = onActive
-	s.dispatch(j)
-	return j, nil
-}
-
-// SubmitTo is Submit with the activation callback as an interface — the
-// closure-free form used on the stub-acquisition hot path.
-func (s *Service) SubmitTo(nodes int, a Activator) (*Job, error) {
-	j, err := s.submit(nodes)
-	if err != nil {
-		return nil, err
-	}
-	j.activator = a
-	s.dispatch(j)
-	return j, nil
-}
-
-func (s *Service) submit(nodes int) (*Job, error) {
+// Submit launches a GRAM job for nodes nodes. a, when non-nil, is told
+// once the stub holds its nodes. The returned handle can be released at
+// any point of its life (including before it becomes active).
+func (s *Service) Submit(nodes int, a Activator) (*Job, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("gram %s: submit of %d nodes", s.SiteName(), nodes)
 	}
@@ -215,18 +190,15 @@ func (s *Service) submit(nodes int) (*Job, error) {
 	j.seq = s.seq
 	j.state = Submitted
 	j.svc = s
+	j.activator = a
 	s.seq++
 	s.submitted++
-	return j, nil
-}
-
-// dispatch hands a freshly built job to the gatekeeper (or its backlog).
-func (s *Service) dispatch(j *Job) {
 	if s.cfg.SubmitConcurrency > 0 && s.inFlight >= s.cfg.SubmitConcurrency {
 		s.backlog = append(s.backlog, j)
-		return
+		return j, nil
 	}
 	s.beginSubmission(j)
+	return j, nil
 }
 
 // beginSubmission occupies a gatekeeper slot for SubmitLatency.
@@ -260,7 +232,7 @@ func (s *Service) arriveAtLRM(j *Job) {
 		j.state = Released
 		return
 	}
-	lj, err := s.mgr.SubmitFor(j, j.Nodes)
+	lj, err := s.mgr.Submit(j, j.Nodes)
 	if err != nil {
 		// Validated at Submit; reaching this means the model is inconsistent.
 		panic(fmt.Sprintf("gram %s: LRM rejected validated job: %v", s.SiteName(), err))
@@ -283,8 +255,6 @@ func (s *Service) activate(j *Job) {
 	s.activated++
 	if j.activator != nil {
 		j.activator.JobActive(j)
-	} else if j.onActive != nil {
-		j.onActive(j)
 	}
 }
 

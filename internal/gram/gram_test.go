@@ -8,6 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
+// activeFunc adapts a closure to Activator for tests.
+type activeFunc func(*Job)
+
+func (f activeFunc) JobActive(j *Job) { f(j) }
+
 func setup(nodes int, cfg Config) (*sim.Engine, *cluster.Cluster, *Service) {
 	e := sim.New()
 	c := cluster.New("site", nodes)
@@ -17,7 +22,7 @@ func setup(nodes int, cfg Config) (*sim.Engine, *cluster.Cluster, *Service) {
 func TestSubmitLatency(t *testing.T) {
 	e, c, s := setup(8, Config{SubmitLatency: 5, ReleaseLatency: 1})
 	var activeAt float64 = -1
-	j, err := s.Submit(2, func(*Job) { activeAt = e.Now() })
+	j, err := s.Submit(2, activeFunc(func(*Job) { activeAt = e.Now() }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,7 @@ func TestReleaseActiveJob(t *testing.T) {
 
 func TestReleaseInFlightJobNeverHoldsNodes(t *testing.T) {
 	e, c, s := setup(8, Config{SubmitLatency: 5, ReleaseLatency: 1})
-	j, _ := s.Submit(3, func(*Job) { t.Error("onActive fired for released job") })
+	j, _ := s.Submit(3, activeFunc(func(*Job) { t.Error("released job became active") }))
 	if err := s.Release(j); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +72,7 @@ func TestReleaseInFlightJobNeverHoldsNodes(t *testing.T) {
 func TestReleasePendingJob(t *testing.T) {
 	e, c, s := setup(4, Config{SubmitLatency: 1, ReleaseLatency: 1})
 	blocker, _ := s.Submit(4, nil)
-	j, _ := s.Submit(2, func(*Job) { t.Error("onActive fired for released pending job") })
+	j, _ := s.Submit(2, activeFunc(func(*Job) { t.Error("released pending job became active") }))
 	e.RunUntil(1.5)
 	if j.State() != Pending {
 		t.Fatalf("state = %v, want pending", j.State())
@@ -124,7 +129,7 @@ func TestStubCollectionGrowShrink(t *testing.T) {
 	active := 0
 	var jobs []*Job
 	for i := 0; i < 6; i++ {
-		j, err := s.Submit(1, func(*Job) { active++ })
+		j, err := s.Submit(1, activeFunc(func(*Job) { active++ }))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,12 +125,10 @@ type Job struct {
 	startTime  float64
 	endTime    float64
 
-	// mrunner is set for malleable jobs once placed.
+	// Once placed, a malleable job runs on mrunner and every other job on
+	// rigid.
 	mrunner *runner.MRunner
-	// rigidRunners are set for single-component rigid/moldable jobs.
-	rigidRunners []*runner.RigidRunner
-	// coRunner is set for multi-component (co-allocated) jobs.
-	coRunner *runner.CoRunner
+	rigid   *runner.RigidRunner
 	// sites records where each placed component landed; sitesBuf is its
 	// inline backing for the common one- and two-component cases.
 	sites    []*Site
@@ -187,51 +185,38 @@ func (j *Job) Malleable() bool { return j.Spec.Malleable() }
 // placement).
 func (j *Job) MRunner() *runner.MRunner { return j.mrunner }
 
-// RigidRunners exposes the rigid runners (empty for malleable jobs).
-func (j *Job) RigidRunners() []*runner.RigidRunner { return j.rigidRunners }
-
-// CoRunner exposes the co-allocating runner (nil unless multi-component).
-func (j *Job) CoRunner() *runner.CoRunner { return j.coRunner }
+// Execution returns the job's application execution (nil before it
+// starts).
+func (j *Job) Execution() *app.Execution {
+	switch {
+	case j.mrunner != nil:
+		return j.mrunner.Execution()
+	case j.rigid != nil:
+		return j.rigid.Execution()
+	}
+	return nil
+}
 
 // CurrentProcs returns the processors currently used by the job's
-// application(s).
+// application.
 func (j *Job) CurrentProcs() int {
-	if j.mrunner != nil {
-		if x := j.mrunner.Execution(); x != nil && !x.Done() {
-			return x.Procs()
-		}
-		return 0
+	if x := j.Execution(); x != nil && !x.Done() {
+		return x.Procs()
 	}
-	if j.coRunner != nil {
-		if j.coRunner.Running() {
-			return j.coRunner.TotalSize()
-		}
-		return 0
-	}
-	total := 0
-	for _, r := range j.rigidRunners {
-		if r.Running() {
-			total += r.Execution().Procs()
-		}
-	}
-	return total
+	return 0
 }
 
 // HeldProcs returns the processors currently held at the clusters on behalf
 // of the job, including stubs that are not yet recruited into the
 // application.
 func (j *Job) HeldProcs() int {
-	if j.mrunner != nil {
+	switch {
+	case j.mrunner != nil:
 		return j.mrunner.Nodes()
+	case j.rigid != nil:
+		return j.rigid.Nodes()
 	}
-	if j.coRunner != nil {
-		return j.coRunner.Nodes()
-	}
-	total := 0
-	for _, r := range j.rigidRunners {
-		total += r.Nodes()
-	}
-	return total
+	return 0
 }
 
 // PlannedProcs returns the processor count after in-flight adaptations.

@@ -418,40 +418,27 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 		}
 		return
 	}
-	if len(placements) == 1 {
-		comp := j.Spec.Components[placements[0].Component]
-		size := placements[0].Size
-		if comp.Profile.Class == app.Moldable && s.cfg.MoldableSizing != nil {
-			si := s.siteOf[placements[0].Site]
-			idle := s.kis.Last().IdleAt(si)
-			size = clamp(s.cfg.MoldableSizing(comp.Profile.Min, comp.Profile.Max, idle+size), comp.Profile.Min, comp.Profile.Max)
-			// Moldable sizing may differ from the placed size: keep the
-			// claim accounting in sync.
-			j.claims[si] += size - placements[0].Size
-			s.pending[si] += size - placements[0].Size
-		}
-		rr, err := runner.NewRigidRunner(s.engine, placements[0].Site.Gram(), comp.Profile, size, cb)
-		if err != nil {
-			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
-		}
-		j.rigidRunners = []*runner.RigidRunner{rr}
-		if err := rr.Start(); err != nil {
-			panic(fmt.Sprintf("koala: start failed for %s: %v", j.Spec.ID, err))
-		}
-		return
+	comps := make([]runner.Component, len(placements))
+	for i, p := range placements {
+		comps[i] = runner.Component{Svc: p.Site.Gram(), Profile: j.Spec.Components[p.Component].Profile, Size: p.Size}
 	}
-	// Multi-component (co-allocated) job: one spanning runner.
-	profile := j.Spec.Components[placements[0].Component].Profile
-	comps := make([]runner.CoComponent, 0, len(placements))
-	for _, p := range placements {
-		comps = append(comps, runner.CoComponent{Svc: p.Site.Gram(), Size: p.Size})
+	// Moldable sizing applies to single-placement jobs only.
+	if len(comps) == 1 && comps[0].Profile.Class == app.Moldable && s.cfg.MoldableSizing != nil {
+		c := &comps[0]
+		si := s.siteOf[placements[0].Site]
+		idle := s.kis.Last().IdleAt(si)
+		c.Size = clamp(s.cfg.MoldableSizing(c.Profile.Min, c.Profile.Max, idle+c.Size), c.Profile.Min, c.Profile.Max)
+		// Moldable sizing may differ from the placed size: keep the
+		// claim accounting in sync.
+		j.claims[si] += c.Size - placements[0].Size
+		s.pending[si] += c.Size - placements[0].Size
 	}
-	cr, err := runner.NewCoRunner(s.engine, profile, comps, cb)
+	rr, err := runner.NewRigidRunner(s.engine, comps, cb)
 	if err != nil {
 		panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 	}
-	j.coRunner = cr
-	if err := cr.Start(); err != nil {
+	j.rigid = rr
+	if err := rr.Start(); err != nil {
 		panic(fmt.Sprintf("koala: start failed for %s: %v", j.Spec.ID, err))
 	}
 }

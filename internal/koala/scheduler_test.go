@@ -151,7 +151,7 @@ func TestCoAllocatedJobSpansClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntil(20)
-	if j.State() != Running || j.CoRunner() == nil {
+	if j.State() != Running || len(j.Sites()) != 2 {
 		t.Fatalf("state=%v", j.State())
 	}
 	if j.CurrentProcs() != 16 {

@@ -46,9 +46,9 @@ func (s State) String() string {
 	}
 }
 
-// Starter receives the start notification of an LRM job without the
-// allocation cost of a per-job closure; it is the hot-path alternative to
-// Submit's onStart callback.
+// Starter receives the start notification of an LRM job. The GRAM layer
+// implements it on its own jobs, so its stub churn allocates no per-job
+// closures.
 type Starter interface {
 	JobStarted(*Job)
 }
@@ -57,22 +57,16 @@ type Starter interface {
 type Job struct {
 	Nodes int
 
-	id      string // explicit ID, or "" for a lazily formatted one
 	seq     int
 	state   State
 	alloc   *cluster.Allocation
-	onStart func(*Job)
 	starter Starter
 	mgr     *Manager
 }
 
-// ID returns the job's identifier (lazily formatted for auto-named jobs).
-func (j *Job) ID() string {
-	if j.id != "" {
-		return j.id
-	}
-	return fmt.Sprintf("%s-job-%d", j.mgr.clus.Name(), j.seq)
-}
+// ID returns the job's identifier. It is formatted lazily: the hot path
+// never pays for a per-submission string.
+func (j *Job) ID() string { return fmt.Sprintf("%s-job-%d", j.mgr.clus.Name(), j.seq) }
 
 // State returns the job's lifecycle state.
 func (j *Job) State() State { return j.state }
@@ -82,13 +76,7 @@ const opStart = 0
 
 // OnEvent implements sim.Handler: the deferred start notification fires on
 // the job itself, so dispatch schedules no closures.
-func (j *Job) OnEvent(int) {
-	if j.starter != nil {
-		j.starter.JobStarted(j)
-	} else if j.onStart != nil {
-		j.onStart(j)
-	}
-}
+func (j *Job) OnEvent(int) { j.starter.JobStarted(j) }
 
 // SchedulingInterval is the period at which a non-empty queue is rescanned
 // even without submissions or completions — the SGE scheduler run interval.
@@ -148,49 +136,26 @@ func (m *Manager) QueueLength() int { return len(m.queue) - m.head }
 // RunningJobs returns the number of currently running LRM jobs.
 func (m *Manager) RunningJobs() int { return m.running }
 
-// Submit enqueues a job for nodes nodes; onStart fires (via the simulation
-// engine, at the start instant) once the job holds its nodes. Jobs start
-// FCFS as capacity allows.
-func (m *Manager) Submit(id string, nodes int, onStart func(*Job)) (*Job, error) {
-	j, err := m.submit(id, nodes)
-	if err != nil {
-		return nil, err
-	}
-	j.onStart = onStart
-	m.queue = append(m.queue, j)
-	m.dispatch()
-	return j, nil
-}
-
-// SubmitFor is Submit with a Starter receiver instead of a closure — the
-// allocation-free path the GRAM layer uses for its stub churn. The job is
-// auto-named.
-func (m *Manager) SubmitFor(starter Starter, nodes int) (*Job, error) {
-	j, err := m.submit("", nodes)
-	if err != nil {
-		return nil, err
-	}
-	j.starter = starter
-	m.queue = append(m.queue, j)
-	m.dispatch()
-	return j, nil
-}
-
-func (m *Manager) submit(id string, nodes int) (*Job, error) {
+// Submit enqueues a job for nodes nodes; s, when non-nil, is told (via
+// the simulation engine, at the start instant) once the job holds its
+// nodes. Jobs start FCFS as capacity allows.
+func (m *Manager) Submit(s Starter, nodes int) (*Job, error) {
 	if nodes <= 0 {
-		return nil, fmt.Errorf("lrm %s: job %q requests %d nodes", m.clus.Name(), id, nodes)
+		return nil, fmt.Errorf("lrm %s: job requests %d nodes", m.clus.Name(), nodes)
 	}
 	if nodes > m.clus.Nodes() {
-		return nil, fmt.Errorf("lrm %s: job %q requests %d nodes but cluster has %d",
-			m.clus.Name(), id, nodes, m.clus.Nodes())
+		return nil, fmt.Errorf("lrm %s: job requests %d nodes but cluster has %d",
+			m.clus.Name(), nodes, m.clus.Nodes())
 	}
 	j := m.jobs.Alloc()
-	j.id = id
 	j.seq = m.seq
 	j.Nodes = nodes
 	j.state = Queued
+	j.starter = s
 	j.mgr = m
 	m.seq++
+	m.queue = append(m.queue, j)
+	m.dispatch()
 	return j, nil
 }
 
@@ -263,7 +228,7 @@ func (m *Manager) dispatch() {
 		head.state = Running
 		head.alloc = alloc
 		m.running++
-		if head.onStart != nil || head.starter != nil {
+		if head.starter != nil {
 			m.engine.ImmediatelyOp(head, opStart)
 		}
 	}

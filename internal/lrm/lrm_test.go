@@ -7,6 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
+// startFunc adapts a closure to Starter for tests.
+type startFunc func(*Job)
+
+func (f startFunc) JobStarted(j *Job) { f(j) }
+
 func setup(nodes int) (*sim.Engine, *cluster.Cluster, *Manager) {
 	e := sim.New()
 	c := cluster.New("c", nodes)
@@ -16,7 +21,7 @@ func setup(nodes int) (*sim.Engine, *cluster.Cluster, *Manager) {
 func TestImmediateStart(t *testing.T) {
 	e, c, m := setup(10)
 	started := false
-	j, err := m.Submit("a", 4, func(*Job) { started = true })
+	j, err := m.Submit(startFunc(func(*Job) { started = true }), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,15 +39,15 @@ func TestImmediateStart(t *testing.T) {
 
 func TestFCFSQueueing(t *testing.T) {
 	e, c, m := setup(10)
-	var order []string
-	start := func(j *Job) { order = append(order, j.ID()) }
-	a, _ := m.Submit("a", 8, start)
-	b, _ := m.Submit("b", 8, start)
-	small, _ := m.Submit("small", 2, start)
+	var order []*Job
+	start := startFunc(func(j *Job) { order = append(order, j) })
+	a, _ := m.Submit(start, 8)
+	b, _ := m.Submit(start, 8)
+	small, _ := m.Submit(start, 2)
 	e.RunUntil(1)
 	// Strict FCFS without backfilling: "small" must wait behind "b" even
 	// though 2 nodes are idle while "a" runs.
-	if len(order) != 1 || order[0] != "a" {
+	if len(order) != 1 || order[0] != a {
 		t.Fatalf("started %v, want only a", order)
 	}
 	if b.State() != Queued || small.State() != Queued {
@@ -58,14 +63,14 @@ func TestFCFSQueueing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntil(2)
-	if len(order) != 3 || order[1] != "b" || order[2] != "small" {
+	if len(order) != 3 || order[1] != b || order[2] != small {
 		t.Fatalf("order = %v", order)
 	}
 }
 
 func TestFinishReleasesNodes(t *testing.T) {
 	e, c, m := setup(6)
-	j, _ := m.Submit("a", 6, nil)
+	j, _ := m.Submit(nil, 6)
 	e.Run()
 	if err := m.Finish(j); err != nil {
 		t.Fatal(err)
@@ -80,8 +85,8 @@ func TestFinishReleasesNodes(t *testing.T) {
 
 func TestCancelQueuedJob(t *testing.T) {
 	e, _, m := setup(4)
-	a, _ := m.Submit("a", 4, nil)
-	b, _ := m.Submit("b", 4, nil)
+	a, _ := m.Submit(nil, 4)
+	b, _ := m.Submit(nil, 4)
 	e.RunUntil(1)
 	if err := m.Cancel(b); err != nil {
 		t.Fatal(err)
@@ -99,18 +104,18 @@ func TestCancelQueuedJob(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	_, _, m := setup(4)
-	if _, err := m.Submit("x", 0, nil); err == nil {
+	if _, err := m.Submit(nil, 0); err == nil {
 		t.Fatal("zero-node job should fail")
 	}
-	if _, err := m.Submit("x", 5, nil); err == nil {
+	if _, err := m.Submit(nil, 5); err == nil {
 		t.Fatal("job larger than cluster should fail")
 	}
 }
 
 func TestAutoID(t *testing.T) {
 	e, _, m := setup(4)
-	a, _ := m.Submit("", 1, nil)
-	b, _ := m.Submit("", 1, nil)
+	a, _ := m.Submit(nil, 1)
+	b, _ := m.Submit(nil, 1)
 	e.Run()
 	if a.ID() == "" || a.ID() == b.ID() {
 		t.Fatalf("auto IDs not unique: %q %q", a.ID(), b.ID())
@@ -120,7 +125,7 @@ func TestAutoID(t *testing.T) {
 func TestStartCallbackSeesRunningState(t *testing.T) {
 	e, _, m := setup(2)
 	var seen State = -1
-	j, _ := m.Submit("a", 2, func(j *Job) { seen = j.State() })
+	j, _ := m.Submit(startFunc(func(j *Job) { seen = j.State() }), 2)
 	e.Run()
 	if seen != Running {
 		t.Fatalf("callback saw state %v", seen)
@@ -134,7 +139,7 @@ func TestManyOneNodeJobs(t *testing.T) {
 	started := 0
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
-		j, err := m.Submit("", 1, func(*Job) { started++ })
+		j, err := m.Submit(startFunc(func(*Job) { started++ }), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +168,7 @@ func TestStateString(t *testing.T) {
 func TestBackgroundLoadBlocksDispatch(t *testing.T) {
 	e, c, m := setup(10)
 	c.SeizeBackground(8)
-	j, _ := m.Submit("a", 4, nil)
+	j, _ := m.Submit(nil, 4)
 	e.RunUntil(1)
 	if j.State() != Queued {
 		t.Fatal("job should queue behind background load")
@@ -179,8 +184,8 @@ func TestBackgroundLoadBlocksDispatch(t *testing.T) {
 
 func TestRetryPassDoesNotLeakWhenQueueDrains(t *testing.T) {
 	e, _, m := setup(4)
-	a, _ := m.Submit("a", 4, nil)
-	b, _ := m.Submit("b", 4, nil)
+	a, _ := m.Submit(nil, 4)
+	b, _ := m.Submit(nil, 4)
 	e.RunUntil(1)
 	m.Finish(a)
 	e.RunUntil(2)
@@ -199,10 +204,10 @@ func TestRetryPassDoesNotLeakWhenQueueDrains(t *testing.T) {
 // every submission, finish and retry.
 func TestBlockedDispatchAllocatesNothing(t *testing.T) {
 	_, _, m := setup(4)
-	if _, err := m.Submit("running", 3, nil); err != nil {
+	if _, err := m.Submit(nil, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit("blocked", 2, nil); err != nil {
+	if _, err := m.Submit(nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if m.QueueLength() != 1 || m.retry == nil {

@@ -126,18 +126,11 @@ func (c *Collector) observe(j *koala.Job) {
 
 // procStats integrates the allocation history of the job's execution.
 func procStats(j *koala.Job) (avg float64, maxP int) {
-	var times []float64
-	var procs []int
-	switch {
-	case j.MRunner() != nil && j.MRunner().Execution() != nil:
-		times, procs = j.MRunner().Execution().History()
-	case j.CoRunner() != nil && j.CoRunner().Execution() != nil:
-		times, procs = j.CoRunner().Execution().History()
-	case len(j.RigidRunners()) > 0 && j.RigidRunners()[0].Execution() != nil:
-		times, procs = j.RigidRunners()[0].Execution().History()
-	default:
+	x := j.Execution()
+	if x == nil {
 		return 0, 0
 	}
+	times, procs := x.History()
 	if len(times) == 0 {
 		return 0, 0
 	}

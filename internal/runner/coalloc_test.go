@@ -25,15 +25,12 @@ func coHarness(nodesPerSite ...int) (*sim.Engine, []*cluster.Cluster, []*gram.Se
 
 func TestCoRunnerSpansComponents(t *testing.T) {
 	e, clusters, svcs := coHarness(16, 16)
-	prof := app.RigidProfile("co", app.GadgetModel(), 16)
-	var startAt, finishAt float64
-	r, err := NewCoRunner(e, prof, []CoComponent{
-		{Svc: svcs[0], Size: 8},
-		{Svc: svcs[1], Size: 8},
-	}, Callbacks{
-		OnStarted:  func() { startAt = e.Now() },
-		OnFinished: func() { finishAt = e.Now() },
-	})
+	prof := app.RigidProfile("co", app.GadgetModel(), 8)
+	lc := &lifecycle{engine: e}
+	r, err := NewRigidRunner(e, []Component{
+		{Svc: svcs[0], Profile: prof, Size: 8},
+		{Svc: svcs[1], Profile: prof, Size: 8},
+	}, Callbacks{Lifecycle: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +49,8 @@ func TestCoRunnerSpansComponents(t *testing.T) {
 	}
 	e.Run()
 	// Execution runs at the *total* size: T(16)=280 for GADGET.
-	if startAt != 2 || math.Abs(finishAt-(2+280)) > 1e-6 {
-		t.Fatalf("start=%g finish=%g", startAt, finishAt)
+	if lc.startAt != 2 || math.Abs(lc.finishAt-(2+280)) > 1e-6 {
+		t.Fatalf("start=%g finish=%g", lc.startAt, lc.finishAt)
 	}
 	if clusters[0].Used() != 0 || clusters[1].Used() != 0 {
 		t.Fatal("nodes not released")
@@ -69,20 +66,19 @@ func TestCoRunnerWaitsForAllComponents(t *testing.T) {
 	e, clusters, svcs := coHarness(16, 8)
 	blocker, _ := svcs[1].Submit(8, nil)
 	e.RunUntil(5)
-	prof := app.RigidProfile("co", app.FTModel(), 12)
-	started := false
-	r, _ := NewCoRunner(e, prof, []CoComponent{
-		{Svc: svcs[0], Size: 4},
-		{Svc: svcs[1], Size: 8},
-	}, Callbacks{OnStarted: func() { started = true }})
+	lc := &lifecycle{engine: e}
+	r, _ := NewRigidRunner(e, []Component{
+		{Svc: svcs[0], Profile: app.RigidProfile("co", app.FTModel(), 4), Size: 4},
+		{Svc: svcs[1], Profile: app.RigidProfile("co", app.FTModel(), 8), Size: 8},
+	}, Callbacks{Lifecycle: lc})
 	r.Start()
 	e.RunUntil(50)
-	if started {
+	if lc.started {
 		t.Fatal("execution began before all components were active")
 	}
 	svcs[1].Release(blocker)
 	e.RunUntil(100)
-	if !started {
+	if !lc.started {
 		t.Fatal("execution did not begin after the blocker left")
 	}
 	_ = clusters
@@ -90,20 +86,20 @@ func TestCoRunnerWaitsForAllComponents(t *testing.T) {
 
 func TestCoRunnerValidation(t *testing.T) {
 	e, _, svcs := coHarness(8)
-	if _, err := NewCoRunner(e, app.GadgetProfile(), []CoComponent{{Svc: svcs[0], Size: 2}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: app.GadgetProfile(), Size: 2}}, Callbacks{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
 	prof := app.RigidProfile("r", app.FTModel(), 4)
-	if _, err := NewCoRunner(e, prof, nil, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, nil, Callbacks{}); err == nil {
 		t.Fatal("empty components should be rejected")
 	}
-	if _, err := NewCoRunner(e, prof, []CoComponent{{Svc: nil, Size: 2}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: nil, Profile: prof, Size: 4}}, Callbacks{}); err == nil {
 		t.Fatal("nil service should be rejected")
 	}
-	if _, err := NewCoRunner(e, prof, []CoComponent{{Svc: svcs[0], Size: 0}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 0}}, Callbacks{}); err == nil {
 		t.Fatal("zero size should be rejected")
 	}
-	r, _ := NewCoRunner(e, prof, []CoComponent{{Svc: svcs[0], Size: 4}}, Callbacks{})
+	r, _ := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 4}}, Callbacks{})
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,50 +8,94 @@ import (
 	"repro/internal/sim"
 )
 
-// RigidRunner runs a rigid (or moldable, once its size is fixed) job: one
-// GRAM job of the full size, executed at a constant processor count. It
-// corresponds to KOALA's ordinary runners (PRunner/CRunner in Fig. 1), which
-// need no malleability machinery.
-type RigidRunner struct {
-	engine  *sim.Engine
-	svc     *gram.Service
-	profile *app.Profile
-	size    int
-	cb      Callbacks
+// Component is one piece of a rigid job: size processors of profile at
+// one site's GRAM service.
+type Component struct {
+	Svc     *gram.Service
+	Profile *app.Profile
+	Size    int
+}
 
-	job  *gram.Job
-	exec *app.Execution
+// RigidRunner runs a rigid job, or a moldable one once its size is fixed:
+// one GRAM job per component, and a single application execution at the
+// summed size once every component is active. With one component it is
+// KOALA's ordinary runner (PRunner/CRunner in Fig. 1), which needs no
+// malleability machinery; with several it is KOALA's processor
+// co-allocation (§IV-A). Inter-cluster communication overhead is not
+// modeled separately; it is assumed to be folded into the application's
+// runtime model, which is acceptable because the paper's malleability
+// experiments do not use co-allocation (§V-C).
+type RigidRunner struct {
+	engine *sim.Engine
+	comps  []Component
+	cb     Callbacks
+
+	// jobs[i] is component i's GRAM job; jobsBuf backs the
+	// single-component case.
+	jobs    []*gram.Job
+	jobsBuf [1]*gram.Job
+	active  int
+
+	// exec points at execVal once the application starts. pinned is the
+	// execution's profile: the first component's, with [Min,Max] pinned
+	// to the summed size so the executor accepts the constant size.
+	exec    *app.Execution
+	execVal app.Execution
+	pinned  app.Profile
 
 	started  bool
 	running  bool
 	finished bool
 }
 
-// NewRigidRunner builds a runner executing profile at exactly size
-// processors. Moldable profiles may pick any size in their range; rigid
-// profiles must use their fixed size.
-func NewRigidRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, size int, cb Callbacks) (*RigidRunner, error) {
-	if err := profile.Validate(); err != nil {
-		return nil, err
+// NewRigidRunner builds a runner for the given components; it keeps comps.
+// Each component's size must lie within its profile's bounds: moldable
+// profiles may pick any size in their range, rigid profiles must use
+// their fixed size.
+func NewRigidRunner(engine *sim.Engine, comps []Component, cb Callbacks) (*RigidRunner, error) {
+	if len(comps) == 0 {
+		return nil, fmt.Errorf("runner: a rigid job needs at least one component")
 	}
-	if profile.Class == app.Malleable {
-		return nil, fmt.Errorf("runner: RigidRunner cannot run malleable profile %s", profile.Name)
+	for i, c := range comps {
+		if c.Svc == nil || c.Profile == nil {
+			return nil, fmt.Errorf("runner: component %d has no GRAM service or profile", i)
+		}
+		if err := c.Profile.Validate(); err != nil {
+			return nil, err
+		}
+		if c.Profile.Class == app.Malleable {
+			// §V-C: malleable jobs run single-component, on an MRunner.
+			return nil, fmt.Errorf("runner: RigidRunner cannot run malleable profile %s", c.Profile.Name)
+		}
+		if c.Size < c.Profile.Min || c.Size > c.Profile.Max {
+			return nil, fmt.Errorf("runner: component %d size %d outside [%d,%d] for %s",
+				i, c.Size, c.Profile.Min, c.Profile.Max, c.Profile.Name)
+		}
 	}
-	if size < profile.Min || size > profile.Max {
-		return nil, fmt.Errorf("runner: size %d outside [%d,%d] for %s", size, profile.Min, profile.Max, profile.Name)
-	}
-	return &RigidRunner{engine: engine, svc: svc, profile: profile, size: size, cb: cb}, nil
+	r := &RigidRunner{engine: engine, comps: comps, cb: cb}
+	r.jobs = r.jobsBuf[:0]
+	return r, nil
 }
 
-// Site returns the execution site name.
-func (r *RigidRunner) Site() string { return r.svc.SiteName() }
+// TotalSize returns the summed component sizes: the application's
+// processor count.
+func (r *RigidRunner) TotalSize() int {
+	total := 0
+	for _, c := range r.comps {
+		total += c.Size
+	}
+	return total
+}
 
 // Nodes implements Runner.
 func (r *RigidRunner) Nodes() int {
-	if r.job != nil && r.job.State() == gram.Active {
-		return r.size
+	total := 0
+	for _, j := range r.jobs {
+		if j.State() == gram.Active {
+			total += j.Nodes
+		}
 	}
-	return 0
+	return total
 }
 
 // Running implements Runner.
@@ -63,36 +107,43 @@ func (r *RigidRunner) Finished() bool { return r.finished }
 // Execution exposes the application execution (nil before start).
 func (r *RigidRunner) Execution() *app.Execution { return r.exec }
 
-// Start implements Runner.
+// Start implements Runner: it submits one GRAM job per component.
 func (r *RigidRunner) Start() error {
 	if r.started {
-		return fmt.Errorf("runner: rigid %s started twice", r.profile.Name)
+		return fmt.Errorf("runner: rigid %s started twice", r.comps[0].Profile.Name)
 	}
 	r.started = true
-	j, err := r.svc.Submit(r.size, func(*gram.Job) {
-		r.running = true
-		// Rigid execution needs a profile whose [Min,Max] admits r.size;
-		// pin it so the executor accepts the constant size.
-		exec := app.NewExecution(r.engine, &app.Profile{
-			Name:  r.profile.Name,
-			Class: r.profile.Class,
-			Model: r.profile.Model,
-			Min:   r.size,
-			Max:   r.size,
-		}, r.size, r.onAppFinished)
-		r.exec = exec
-		r.cb.notifyStarted()
-	})
-	if err != nil {
-		return err
+	for _, c := range r.comps {
+		j, err := c.Svc.Submit(c.Size, r)
+		if err != nil {
+			return err
+		}
+		r.jobs = append(r.jobs, j)
 	}
-	r.job = j
 	return nil
+}
+
+// JobActive implements gram.Activator: one component holds its nodes.
+// The application starts once every component does.
+func (r *RigidRunner) JobActive(*gram.Job) {
+	r.active++
+	if r.active < len(r.comps) {
+		return
+	}
+	r.running = true
+	size := r.TotalSize()
+	p := r.comps[0].Profile
+	r.pinned = app.Profile{Name: p.Name, Class: p.Class, Model: p.Model, Min: size, Max: size}
+	r.exec = &r.execVal
+	r.exec.Start(r.engine, &r.pinned, size, r.onAppFinished)
+	r.cb.notifyStarted()
 }
 
 func (r *RigidRunner) onAppFinished() {
 	r.running = false
 	r.finished = true
-	r.svc.Release(r.job)
+	for i, j := range r.jobs {
+		r.comps[i].Svc.Release(j)
+	}
 	r.cb.notifyFinished()
 }

@@ -16,26 +16,23 @@ import (
 	"repro/internal/slab"
 )
 
-// Lifecycle receives start/finish notifications as an interface — the
-// closure-free form of Callbacks.OnStarted/OnFinished. The scheduler's
-// *Job implements it, so claiming a placement allocates no per-job
-// callback closures.
+// Lifecycle receives a runner's start and finish notifications. The
+// scheduler's *Job implements it, so claiming a placement allocates no
+// per-job callback closures.
 type Lifecycle interface {
+	// JobStarted fires when the application begins executing.
 	JobStarted()
+	// JobFinished fires when the application completed and all of its
+	// resources have been handed back to GRAM.
 	JobFinished()
 }
 
 // Callbacks connect a runner to the scheduler frontend. All callbacks are
 // optional.
 type Callbacks struct {
-	// Lifecycle, when non-nil, receives the started/finished notifications
-	// (in addition to OnStarted/OnFinished when those are also set).
+	// Lifecycle, when non-nil, receives the started/finished
+	// notifications.
 	Lifecycle Lifecycle
-	// OnStarted fires when the application begins executing.
-	OnStarted func()
-	// OnFinished fires when the application completed and all of its
-	// resources have been handed back to GRAM.
-	OnFinished func()
 	// OnGrowAck acknowledges a RequestGrow with the number of processors
 	// actually adopted (0 = declined). It fires once the new processors are
 	// recruited into the application.
@@ -51,22 +48,13 @@ type Callbacks struct {
 	OnVoluntaryShrink func(released int)
 }
 
-// notifyStarted fires the started notifications (func first, then the
-// interface form).
 func (cb *Callbacks) notifyStarted() {
-	if cb.OnStarted != nil {
-		cb.OnStarted()
-	}
 	if cb.Lifecycle != nil {
 		cb.Lifecycle.JobStarted()
 	}
 }
 
-// notifyFinished fires the finished notifications.
 func (cb *Callbacks) notifyFinished() {
-	if cb.OnFinished != nil {
-		cb.OnFinished()
-	}
 	if cb.Lifecycle != nil {
 		cb.Lifecycle.JobFinished()
 	}
@@ -401,7 +389,7 @@ func (r *MRunner) acquire(n int, fw *dynaco.Framework, initial bool, timeout flo
 		a.timeout = r.engine.AfterOp(timeout, a, 0)
 	}
 	for i := 0; i < n; i++ {
-		j, err := r.svc.SubmitTo(1, a)
+		j, err := r.svc.Submit(1, a)
 		if err != nil {
 			if initial {
 				return err

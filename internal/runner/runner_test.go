@@ -23,18 +23,24 @@ func newHarness(nodes int) *harness {
 	return &harness{engine: e, clus: c, svc: gram.New(e, lrm.New(e, c), gram.Config{SubmitLatency: 5, ReleaseLatency: 0.5})}
 }
 
+// lifecycle records a runner's start and finish notifications.
+type lifecycle struct {
+	engine            *sim.Engine
+	started, finished bool
+	startAt, finishAt float64
+}
+
+func (l *lifecycle) JobStarted()  { l.started, l.startAt = true, l.engine.Now() }
+func (l *lifecycle) JobFinished() { l.finished, l.finishAt = true, l.engine.Now() }
+
 func zeroCosts() MRunnerConfig {
 	return MRunnerConfig{Costs: app.ReconfigCosts{}, AcquireTimeout: 0}
 }
 
 func TestMRunnerLifecycle(t *testing.T) {
 	h := newHarness(48)
-	started, finished := false, false
-	var startAt, finishAt float64
-	r, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{
-		OnStarted:  func() { started = true; startAt = h.engine.Now() },
-		OnFinished: func() { finished = true; finishAt = h.engine.Now() },
-	})
+	lc := &lifecycle{engine: h.engine}
+	r, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{Lifecycle: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +48,12 @@ func TestMRunnerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.engine.Run()
-	if !started || !finished {
-		t.Fatalf("started=%v finished=%v", started, finished)
+	if !lc.started || !lc.finished {
+		t.Fatalf("started=%v finished=%v", lc.started, lc.finished)
 	}
 	// Submission latency 5, then T(2)=600.
-	if startAt != 5 || math.Abs(finishAt-605) > 1e-6 {
-		t.Fatalf("startAt=%g finishAt=%g", startAt, finishAt)
+	if lc.startAt != 5 || math.Abs(lc.finishAt-605) > 1e-6 {
+		t.Fatalf("startAt=%g finishAt=%g", lc.startAt, lc.finishAt)
 	}
 	// Nodes drain after GRAM release latency.
 	if h.clus.Used() != 0 {
@@ -61,10 +67,10 @@ func TestMRunnerLifecycle(t *testing.T) {
 func TestMRunnerGrow(t *testing.T) {
 	h := newHarness(48)
 	var acks []int
-	var finishAt float64
+	lc := &lifecycle{engine: h.engine}
 	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{
-		OnGrowAck:  func(n int) { acks = append(acks, n) },
-		OnFinished: func() { finishAt = h.engine.Now() },
+		Lifecycle: lc,
+		OnGrowAck: func(n int) { acks = append(acks, n) },
 	})
 	r.Start()
 	// At t=305 (300 s of execution → half done) offer 44 more processors.
@@ -77,8 +83,8 @@ func TestMRunnerGrow(t *testing.T) {
 	// progress 305/600 at old rate... execution started at t=5, so by t=310
 	// progress is 305/600. Remaining 295/600 at T(46)=240 → 118 s → 428.
 	want := 310 + (1-305.0/600)*240
-	if math.Abs(finishAt-want) > 1e-6 {
-		t.Fatalf("finishAt = %g, want %g", finishAt, want)
+	if math.Abs(lc.finishAt-want) > 1e-6 {
+		t.Fatalf("finishAt = %g, want %g", lc.finishAt, want)
 	}
 	g, s := r.Stats()
 	if g != 1 || s != 0 {
@@ -103,10 +109,10 @@ func TestMRunnerGrowRespectsFTPow2(t *testing.T) {
 func TestMRunnerShrink(t *testing.T) {
 	h := newHarness(48)
 	var acks []int
-	var finishAt float64
+	lc := &lifecycle{engine: h.engine}
 	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{
+		Lifecycle:   lc,
 		OnShrinkAck: func(n int) { acks = append(acks, n) },
-		OnFinished:  func() { finishAt = h.engine.Now() },
 	})
 	r.Start()
 	// Execution starts at t=5 with T(46)=240. At t=125 progress is 0.5.
@@ -116,8 +122,8 @@ func TestMRunnerShrink(t *testing.T) {
 		t.Fatalf("acks = %v", acks)
 	}
 	// Remaining half at T(2)=600 → 300 s → finish at 425.
-	if math.Abs(finishAt-425) > 1e-6 {
-		t.Fatalf("finishAt = %g, want 425", finishAt)
+	if math.Abs(lc.finishAt-425) > 1e-6 {
+		t.Fatalf("finishAt = %g, want 425", lc.finishAt)
 	}
 	// The released nodes return to the pool (after GRAM release latency).
 	h2 := h.clus.Used()
@@ -160,14 +166,12 @@ func TestMRunnerReconfigCostsDelayCompletion(t *testing.T) {
 	costsCfg := MRunnerConfig{Costs: app.ReconfigCosts{RecruitPause: 10}, AcquireTimeout: 0}
 	base := func(cfg MRunnerConfig) float64 {
 		h := newHarness(48)
-		var finishAt float64
-		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, Callbacks{
-			OnFinished: func() { finishAt = h.engine.Now() },
-		})
+		lc := &lifecycle{engine: h.engine}
+		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, Callbacks{Lifecycle: lc})
 		r.Start()
 		h.engine.At(50, func() { r.RequestGrow(44) })
 		h.engine.Run()
-		return finishAt
+		return lc.finishAt
 	}
 	free := base(zeroCosts())
 	costly := base(costsCfg)
@@ -239,12 +243,9 @@ func TestMRunnerAcquireTimeoutAbandonsPendingStubs(t *testing.T) {
 
 func TestRigidRunnerLifecycle(t *testing.T) {
 	h := newHarness(8)
-	var startAt, finishAt float64
+	lc := &lifecycle{engine: h.engine}
 	prof := app.RigidProfile("FT-rigid", app.FTModel(), 2)
-	r, err := NewRigidRunner(h.engine, h.svc, prof, 2, Callbacks{
-		OnStarted:  func() { startAt = h.engine.Now() },
-		OnFinished: func() { finishAt = h.engine.Now() },
-	})
+	r, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 2}}, Callbacks{Lifecycle: lc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +253,11 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.engine.Run()
-	if startAt != 5 {
-		t.Fatalf("startAt = %g", startAt)
+	if lc.startAt != 5 {
+		t.Fatalf("startAt = %g", lc.startAt)
 	}
-	if math.Abs(finishAt-125) > 1e-6 { // 5 + T(2)=120
-		t.Fatalf("finishAt = %g, want 125", finishAt)
+	if math.Abs(lc.finishAt-125) > 1e-6 { // 5 + T(2)=120
+		t.Fatalf("finishAt = %g, want 125", lc.finishAt)
 	}
 	if h.clus.Used() != 0 || !r.Finished() {
 		t.Fatalf("used=%d finished=%v", h.clus.Used(), r.Finished())
@@ -265,14 +266,14 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 
 func TestRigidRunnerValidation(t *testing.T) {
 	h := newHarness(8)
-	if _, err := NewRigidRunner(h.engine, h.svc, app.GadgetProfile(), 4, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: app.GadgetProfile(), Size: 4}}, Callbacks{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
 	prof := app.MoldableProfile("m", app.FTModel(), 2, 8)
-	if _, err := NewRigidRunner(h.engine, h.svc, prof, 16, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 16}}, Callbacks{}); err == nil {
 		t.Fatal("size beyond max should be rejected")
 	}
-	r, _ := NewRigidRunner(h.engine, h.svc, prof, 4, Callbacks{})
+	r, _ := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 4}}, Callbacks{})
 	if r.Nodes() != 0 {
 		t.Fatal("nodes before start should be 0")
 	}

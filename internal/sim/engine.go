@@ -14,9 +14,10 @@
 //
 // The kernel's hot path is allocation-free: fired and canceled Event structs
 // are recycled through a free list backed by a slab owned by the Engine
-// (whose memory Teardown hands to the next engine), and the Handler-based
-// scheduling methods (AtOp, AfterOp, ImmediatelyOp) let steady-state
-// callers avoid per-event closures entirely.
+// (whose memory Teardown hands to the next engine). Every event targets a
+// Handler with an op code (AtOp, AfterOp, ImmediatelyOp); the closure forms
+// (At, After, Immediately) are a thin adapter over them for tests and
+// callers outside the simulated world.
 package sim
 
 import (
@@ -51,8 +52,8 @@ type Stats interface {
 	EngineTotals(scheduled, fired, canceled uint64, pendingPeak int, now float64)
 }
 
-// Event is a scheduled callback. It is returned by the scheduling methods so
-// that callers may cancel it before it fires.
+// Event is a scheduled handler call. It is returned by the scheduling
+// methods so that callers may cancel it before it fires.
 //
 // Handles are valid only until the event fires or is canceled: the Engine
 // recycles the struct for later events, so a retained stale handle may refer
@@ -68,7 +69,6 @@ type Event struct {
 	// bucketNone while the event is not queued.
 	bucket   int32
 	pos      int32
-	fn       func()
 	h        Handler
 	op       int
 	canceled bool
@@ -189,11 +189,10 @@ func (e *Engine) alloc() *Event {
 }
 
 // recycle returns a fired or canceled event to the free list, dropping its
-// callback so the closure can be collected.
+// handler so the target can be collected.
 //
 //koalalint:hotpath
 func (e *Engine) recycle(ev *Event) {
-	ev.fn = nil
 	ev.h = nil
 	//koalalint:alloc amortized: the free list retains its capacity across events
 	e.free = append(e.free, ev)
@@ -221,26 +220,26 @@ func (e *Engine) schedule(t float64) *Event {
 	return ev
 }
 
+// funcHandler adapts a closure to Handler. A func value is pointer-shaped,
+// so boxing one in the interface allocates nothing.
+type funcHandler func()
+
+// OnEvent implements Handler.
+func (f funcHandler) OnEvent(int) { f() }
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality, which is always a bug in the
 // calling model.
-func (e *Engine) At(t float64, fn func()) *Event {
-	ev := e.schedule(t)
-	ev.fn = fn
-	return ev
-}
+func (e *Engine) At(t float64, fn func()) *Event { return e.AtOp(t, funcHandler(fn), 0) }
 
 // After schedules fn to run delay seconds from now. Negative delays panic.
 func (e *Engine) After(delay float64, fn func()) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
-	return e.At(e.now+delay, fn)
+	return e.AfterOp(delay, funcHandler(fn), 0)
 }
 
 // Immediately schedules fn at the current time, after all events already
 // scheduled for this instant.
-func (e *Engine) Immediately(fn func()) *Event { return e.At(e.now, fn) }
+func (e *Engine) Immediately(fn func()) *Event { return e.AtOp(e.now, funcHandler(fn), 0) }
 
 // AtOp schedules h.OnEvent(op) at absolute virtual time t without
 // allocating a closure.
@@ -287,12 +286,8 @@ func (e *Engine) step() bool {
 		}
 		e.now = ev.time
 		e.fired++
-		if ev.h != nil {
-			ev.h.OnEvent(ev.op)
-		} else {
-			ev.fn()
-		}
-		// Recycle only after the callback returns so a handle canceled
+		ev.h.OnEvent(ev.op)
+		// Recycle only after the handler returns so a handle canceled
 		// mid-fire never aliases a live event.
 		e.recycle(ev)
 		return true

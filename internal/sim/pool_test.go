@@ -185,11 +185,16 @@ func TestTeardownLeavesEngineEmpty(t *testing.T) {
 	b := New()
 	for i := 0; i < 2*warmEvents; i++ {
 		ev := b.AtOp(1, &opRecorder{}, i)
-		if ev.engine != b || ev.canceled || ev.fn != nil || ev.seq != uint64(i) {
+		if ev.engine != b || ev.canceled || ev.seq != uint64(i) {
 			t.Fatalf("event %d of a new engine carries stale state: %+v", i, *ev)
 		}
 	}
 	if b.Run() != 1 || b.Fired() != uint64(2*warmEvents) {
 		t.Fatalf("new engine fired %d events, want %d", b.Fired(), 2*warmEvents)
+	}
+	for i, ev := range b.free {
+		if ev.h != nil {
+			t.Fatalf("free event %d still holds its handler %v", i, ev.h)
+		}
 	}
 }

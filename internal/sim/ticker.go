@@ -5,13 +5,12 @@ package sim
 // polling the information service, §V-B) without each component having to
 // reimplement reschedule-on-fire logic.
 //
-// A running ticker costs no allocations: the reschedule closure is built
-// once and the Events it schedules come from the Engine's pool.
+// A running ticker costs no allocations: each fire is a handler event on
+// the ticker itself, drawn from the Engine's pool.
 type Ticker struct {
 	engine  *Engine
 	period  float64
 	fn      func()
-	tick    func()
 	next    *Event
 	stopped bool
 }
@@ -23,21 +22,23 @@ func NewTicker(e *Engine, period float64, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
-	t.tick = func() {
-		// The handle now refers to the event being fired; drop it before
-		// running the callback so a Stop from inside fn cannot cancel a
-		// recycled (and by then unrelated) event.
-		t.next = nil
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.next = t.engine.After(t.period, t.tick)
-		}
-	}
-	t.next = t.engine.After(t.period, t.tick)
+	t.next = e.AfterOp(period, t, 0)
 	return t
+}
+
+// OnEvent implements Handler: one period elapsed.
+func (t *Ticker) OnEvent(int) {
+	// The handle now refers to the event being fired; drop it before
+	// running the callback so a Stop from inside fn cannot cancel a
+	// recycled (and by then unrelated) event.
+	t.next = nil
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.next = t.engine.AfterOp(t.period, t, 0)
+	}
 }
 
 // Stop halts the ticker; the pending fire is canceled. Stop is idempotent

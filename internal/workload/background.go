@@ -40,22 +40,33 @@ type BackgroundLoad struct {
 	stopped  bool
 }
 
-// bgSite drives the sessions of one cluster. The arrival closure is built
-// once and every session-end event fires on the bgSite itself (the op code
-// carries the node count), so steady-state background load allocates
-// nothing per session.
+// bgSite drives the sessions of one cluster. Arrivals and session ends
+// both fire on the bgSite itself (a session end's op code carries its
+// node count), so steady-state background load allocates nothing per
+// session.
 type bgSite struct {
-	b      *BackgroundLoad
-	c      *cluster.Cluster
-	rng    *sim.RNG
-	arrive func()
+	b   *BackgroundLoad
+	c   *cluster.Cluster
+	rng *sim.RNG
 }
 
-// OnEvent implements sim.Handler: a session of op nodes ended — give the
-// nodes back. The cluster accounting guarantees this cannot release more
-// than is held.
+// opArrive is the bgSite's arrival op; every other op is a session end,
+// whose node count is at least 1.
+const opArrive = 0
+
+// OnEvent implements sim.Handler: a local user arrives, or a session of
+// op nodes ended and gives the nodes back. The cluster accounting
+// guarantees a session end cannot release more than is held.
 func (s *bgSite) OnEvent(op int) {
-	s.c.ReleaseBackground(op)
+	if op != opArrive {
+		s.c.ReleaseBackground(op)
+		return
+	}
+	if s.b.stopped {
+		return
+	}
+	s.b.runSession(s)
+	s.scheduleNext()
 }
 
 // StartBackground begins generating background sessions on all clusters.
@@ -66,13 +77,6 @@ func StartBackground(engine *sim.Engine, grid *cluster.Multicluster, spec Backgr
 	b := &BackgroundLoad{engine: engine, rng: sim.NewRNG(spec.Seed), spec: spec}
 	for _, c := range grid.Clusters() {
 		s := &bgSite{b: b, c: c, rng: b.rng.Split()}
-		s.arrive = func() {
-			if b.stopped {
-				return
-			}
-			b.runSession(s)
-			s.scheduleNext()
-		}
 		s.scheduleNext()
 	}
 	return b, nil
@@ -80,6 +84,10 @@ func StartBackground(engine *sim.Engine, grid *cluster.Multicluster, spec Backgr
 
 // Stop ends session generation (running sessions still terminate normally).
 func (b *BackgroundLoad) Stop() { b.stopped = true }
+
+// OnEvent implements sim.Handler: a scheduled stop, so a run can end the
+// background load at a virtual time without a closure.
+func (b *BackgroundLoad) OnEvent(int) { b.Stop() }
 
 // Sessions returns how many sessions started.
 func (b *BackgroundLoad) Sessions() uint64 { return b.sessions }
@@ -89,7 +97,7 @@ func (b *BackgroundLoad) Denied() uint64 { return b.denied }
 
 func (s *bgSite) scheduleNext() {
 	delay := s.rng.ExpFloat64() * s.b.spec.MeanInterArrival
-	s.b.engine.After(delay, s.arrive)
+	s.b.engine.AfterOp(delay, s, opArrive)
 }
 
 func (b *BackgroundLoad) runSession(s *bgSite) {
