@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -10,21 +11,20 @@ import (
 // placement policies.
 type Multicluster struct {
 	clusters []*Cluster
-	byName   map[string]*Cluster
 }
 
 // NewMulticluster assembles a grid from the given clusters. Duplicate names
-// panic: policies address clusters by name.
+// panic: a cluster's name identifies it in every job record, trace and
+// error.
 func NewMulticluster(clusters ...*Cluster) *Multicluster {
-	m := &Multicluster{byName: make(map[string]*Cluster, len(clusters))}
-	for _, c := range clusters {
-		if _, dup := m.byName[c.Name()]; dup {
-			panic(fmt.Sprintf("cluster: duplicate cluster name %q", c.Name()))
+	for i, c := range clusters {
+		for _, prev := range clusters[:i] {
+			if prev.Name() == c.Name() {
+				panic(fmt.Sprintf("cluster: duplicate cluster name %q", c.Name()))
+			}
 		}
-		m.clusters = append(m.clusters, c)
-		m.byName[c.Name()] = c
 	}
-	return m
+	return &Multicluster{clusters: slices.Clone(clusters)}
 }
 
 // Clusters returns the clusters in declaration order. The returned slice
@@ -32,7 +32,14 @@ func NewMulticluster(clusters ...*Cluster) *Multicluster {
 func (m *Multicluster) Clusters() []*Cluster { return m.clusters }
 
 // Get returns the cluster with the given name, or nil.
-func (m *Multicluster) Get(name string) *Cluster { return m.byName[name] }
+func (m *Multicluster) Get(name string) *Cluster {
+	for _, c := range m.clusters {
+		if c.Name() == name {
+			return c
+		}
+	}
+	return nil
+}
 
 // TotalNodes returns the node count across all clusters.
 func (m *Multicluster) TotalNodes() int {

@@ -76,35 +76,11 @@ func (PWA) OnProcessorsAvailable(m *Manager) {
 // with every running malleable job at its minimum, the running jobs are
 // grown instead (§V-B) and scanning continues.
 func (PWA) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
-	need := j.Spec.TotalSize()
-	snap := m.sched.KIS().Last()
-	// Choose the cluster where the fewest shrunk processors make the job
-	// fit: maximise idle+shrinkable headroom, then minimise shrink amount.
-	best := -1
-	bestShort := 0
-	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
-		short := need - idle
-		if short <= 0 {
-			// It already fits; the placement failure was transient (e.g.
-			// in-flight growth) — no shrinking needed.
-			return false
-		}
-		if m.shrinkableAt(i) >= short {
-			if best < 0 || short < bestShort {
-				best = i
-				bestShort = short
-			}
-		}
+	i, short, ok := m.blockedSite(j)
+	if ok {
+		m.shrinkSiteAt(i, short)
 	}
-	if best < 0 {
-		// Even shrinking everything to minimum sizes cannot host the job:
-		// grow the running applications instead.
-		m.growAll(snap)
-		return false
-	}
-	m.shrinkSiteAt(best, bestShort)
-	return true
+	return ok
 }
 
 // Manual is a degenerate approach for studies of application-initiated

@@ -79,7 +79,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 				if sys.Manager.Reserved(i) < 0 {
 					ok = false
 				}
-				for _, j := range sys.Scheduler.RunningMalleableJobs(site.Name()) {
+				for _, j := range sys.Scheduler.RunningMalleableJobsAt(site.Index()) {
 					if j.PlannedProcs() < j.MinProcs() || j.PlannedProcs() > j.MaxProcs() {
 						ok = false
 					}

@@ -234,6 +234,34 @@ func (m *Manager) shrinkSiteAt(i, need int) int {
 	return released
 }
 
+// blockedSite chooses where shrinks make room for the blocked queue head
+// j: the site where the fewest shrunk processors make it fit, and that
+// shortfall. It reports false when no shrink should run — either the job
+// already fits somewhere (the placement failure was transient, e.g.
+// in-flight growth), or not even every running malleable job at its
+// minimum size could host it, in which case it grows the running
+// applications instead (§V-B).
+func (m *Manager) blockedSite(j *koala.Job) (site, short int, ok bool) {
+	need := j.Spec.TotalSize()
+	snap := m.sched.KIS().Last()
+	best, bestShort := -1, 0
+	for i := range m.sched.Sites() {
+		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
+		short := need - idle
+		if short <= 0 {
+			return 0, 0, false
+		}
+		if m.shrinkableAt(i) >= short && (best < 0 || short < bestShort) {
+			best, bestShort = i, short
+		}
+	}
+	if best < 0 {
+		m.growAll(snap)
+		return 0, 0, false
+	}
+	return best, bestShort, true
+}
+
 // shrinkableAt returns how many processors the malleable jobs of site i
 // could still give back (planned minus minimum, summed).
 func (m *Manager) shrinkableAt(i int) int {

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/koala"
+import (
+	"slices"
+
+	"repro/internal/koala"
+)
 
 // This file implements the §VIII extensions on the manager side:
 // application-initiated grow requests and an incentive-style PWA variant
@@ -15,8 +19,8 @@ func (m *Manager) AppGrowRequest(site string, amount int) int {
 	if amount <= 0 {
 		return 0
 	}
-	i, ok := m.sched.SiteIndex(site)
-	if !ok {
+	i := slices.IndexFunc(m.sched.Sites(), func(s *koala.Site) bool { return s.Name() == site })
+	if i < 0 {
 		return 0
 	}
 	avail := m.availableForGrowth(m.sched.KIS().Refresh(), i)
@@ -39,22 +43,27 @@ func (m *Manager) AppGrowRequest(site string, amount int) int {
 func (m *Manager) AppGrowRequests() uint64 { return m.appGrowMsgs }
 
 // voluntaryShrinkSiteAt asks the malleable jobs of site i *politely* for
-// need processors, latest-started first (the FPSMA shrink order), and
-// returns how many they agreed to release. Jobs decline freely (§II-D).
+// need processors, latest-started first (the FPSMA shrink order), until
+// the need is met, and returns how many they agreed to release. Jobs
+// decline freely (§II-D). Every job asked counts as one shrink message.
 func (m *Manager) voluntaryShrinkSiteAt(i, need int) int {
 	jobs := m.sched.RunningMalleableJobsAt(i)
-	total := 0
-	for i := len(jobs) - 1; i >= 0 && need > 0; i-- {
-		mr := jobs[i].MRunner()
+	total, asked := 0, 0
+	for k := len(jobs) - 1; k >= 0 && need > 0; k-- {
+		mr := jobs[k].MRunner()
 		if mr == nil {
 			continue
 		}
 		released := mr.RequestVoluntaryShrink(need)
+		asked++
 		need -= released
 		total += released
 	}
-	if total > 0 {
-		m.shrinkMsgs.Inc(m.engine.Now(), len(jobs))
+	if asked > 0 {
+		m.shrinkMsgs.Inc(m.engine.Now(), asked)
+		if m.cfg.Stats != nil {
+			m.cfg.Stats.ShrinkDecisions(m.engine.Now(), asked)
+		}
 	}
 	return total
 }
@@ -81,32 +90,14 @@ func (PWAVoluntary) OnProcessorsAvailable(m *Manager) {
 }
 
 // OnPlacementBlocked implements Approach: voluntary first, mandatory for
-// the remainder.
+// the remainder, on the site PWA would shrink.
 func (PWAVoluntary) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
-	need := j.Spec.TotalSize()
-	snap := m.sched.KIS().Last()
-	best := -1
-	bestShort := 0
-	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
-		short := need - idle
-		if short <= 0 {
-			return false
-		}
-		if m.shrinkableAt(i) >= short {
-			if best < 0 || short < bestShort {
-				best = i
-				bestShort = short
-			}
-		}
-	}
-	if best < 0 {
-		m.growAll(snap)
+	i, short, ok := m.blockedSite(j)
+	if !ok {
 		return false
 	}
-	released := m.voluntaryShrinkSiteAt(best, bestShort)
-	if released < bestShort {
-		m.shrinkSiteAt(best, bestShort-released)
+	if released := m.voluntaryShrinkSiteAt(i, short); released < short {
+		m.shrinkSiteAt(i, short-released)
 	}
 	return true
 }

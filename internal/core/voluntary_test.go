@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/koala"
+	"repro/internal/obs"
 )
 
 func TestAppGrowRequestGrantedFromHeadroom(t *testing.T) {
@@ -94,5 +95,38 @@ func TestPWAVoluntaryRegistered(t *testing.T) {
 	a, ok := ApproachByName("PWAV")
 	if !ok || a.Name() != "PWAV" {
 		t.Fatalf("PWAV not registered: %v %v", a, ok)
+	}
+}
+
+// TestPWAVCountsOneShrinkMessagePerJobAsked pins Fig. 8f's operation
+// series under PWAV: the voluntary round stops asking once the need is
+// met and records one shrink message per job it asked, as PWA's
+// mandatory round does. An FT job at 32 and a GADGET2 job at 16 fill a
+// 48-node cluster; a 2-node rigid job then blocks, and both approaches
+// shrink only the later-started GADGET2 job, with one message.
+func TestPWAVCountsOneShrinkMessagePerJobAsked(t *testing.T) {
+	for _, apr := range []Approach{PWA{}, PWAVoluntary{}} {
+		t.Run(apr.Name(), func(t *testing.T) {
+			simStats := obs.NewSimStats()
+			sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: apr, Stats: simStats})
+			ft, _ := sys.SubmitMalleable("ft", app.FTProfile(), 2)
+			g, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+			sys.Engine.RunUntil(12) // the t=5 poll grows FT to 32, GADGET2 to 16
+			if ft.PlannedProcs() != 32 || g.PlannedProcs() != 16 {
+				t.Fatalf("before the rigid job: FT %d, GADGET2 %d; want 32 and 16", ft.PlannedProcs(), g.PlannedProcs())
+			}
+			sys.SubmitRigid("r", app.GadgetModel(), 2)
+			sys.Engine.RunUntil(20) // the t=15 poll shrinks for the blocked job
+			if ft.PlannedProcs() != 32 || g.PlannedProcs() != 14 {
+				t.Fatalf("after the shrink: FT %d, GADGET2 %d; want 32 and 14", ft.PlannedProcs(), g.PlannedProcs())
+			}
+			if got := sys.Manager.ShrinkOps().Total(); got != 1 {
+				t.Errorf("shrink messages = %g, want 1", got)
+			}
+			if got := simStats.Snapshot().ShrinkDecisions; got != 1 {
+				t.Errorf("SimStats shrink decisions = %d, want 1", got)
+			}
+			sys.Scheduler.Stop()
+		})
 	}
 }

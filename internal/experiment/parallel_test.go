@@ -145,11 +145,12 @@ func countingGrid(calls *atomic.Int64, panicAt int64) func() *cluster.Multiclust
 	}
 }
 
-// TestRunSetPreparesOncePerCombo pins the point driver's sharing: each
-// combo point is prepared once (one Grid probe) and its replications
-// reuse that setup (one Grid build each), so a sweep of C combos × R
-// runs builds C×(1+R) grids, not a Prepare per replication.
-func TestRunSetPreparesOncePerCombo(t *testing.T) {
+// TestRunSetBuildsOneGridPerReplication pins that a grid belongs to one
+// replication: every replication builds its own (one Grid call each) and
+// nothing else builds one, so a sweep of C combos × R runs makes exactly
+// C×R Grid calls. That each point is prepared once, not per replication,
+// is pinned by TestPreparedReplicationsAllocateLess.
+func TestRunSetBuildsOneGridPerReplication(t *testing.T) {
 	combos := []Combo{
 		{Policy: "FPSMA", Workload: smallWorkload("Wm", 6, 40, 1), Label: "FPSMA/Wm"},
 		{Policy: "EGS", Workload: smallWorkload("Wm", 6, 40, 1), Label: "EGS/Wm"},
@@ -161,28 +162,28 @@ func TestRunSetPreparesOncePerCombo(t *testing.T) {
 	if _, err := RunSet("PRA", combos, base); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := calls.Load(), int64(len(combos)*(1+runs)); got != want {
-		t.Fatalf("Grid called %d times, want %d (one probe per combo + one per replication)", got, want)
+	if got, want := calls.Load(), int64(len(combos)*runs); got != want {
+		t.Fatalf("Grid called %d times, want %d (one per replication)", got, want)
 	}
 }
 
 // TestReplicationPanicIsAnError pins the driver's recovery on the batch
 // path: a replication that panics fails Run and RunSet with an error
 // naming it, instead of unwinding a pool goroutine and killing the
-// process. Every probe precedes its own point's replications, so the
-// last Grid call of a sweep is always a replication's.
+// process. Only replications build grids, so the last Grid call of a
+// sweep is always a replication's.
 func TestReplicationPanicIsAnError(t *testing.T) {
 	const runs = 3
 	var calls atomic.Int64
 	cfg := Config{
 		Workload:    smallWorkload("small", 5, 60, 1)(1),
-		Grid:        countingGrid(&calls, 1+runs),
+		Grid:        countingGrid(&calls, runs),
 		Runs:        runs,
 		Seed:        3,
 		Parallelism: 1,
 	}
 	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "replication 2 panicked: grid call 4") {
+	if err == nil || !strings.Contains(err.Error(), "replication 2 panicked: grid call 3") {
 		t.Fatalf("Run err = %v, want replication 2's panic", err)
 	}
 
@@ -190,7 +191,7 @@ func TestReplicationPanicIsAnError(t *testing.T) {
 		{Policy: "FPSMA", Workload: smallWorkload("Wm", 5, 40, 1), Label: "FPSMA/Wm"},
 		{Policy: "EGS", Workload: smallWorkload("Wm", 5, 40, 1), Label: "EGS/Wm"},
 	}
-	last := int64(len(combos) * (1 + runs))
+	last := int64(len(combos) * runs)
 	calls.Store(0)
 	base := Config{Grid: countingGrid(&calls, last), Runs: runs, Seed: 3, Parallelism: 2}
 	_, err = RunSet("PRA", combos, base)

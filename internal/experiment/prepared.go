@@ -14,13 +14,13 @@ import (
 
 // Prepared is the share-once half of an experiment point: every piece of
 // RunOnce's setup that does not depend on the replication seed — resolved
-// policy/approach/placement lookups, the GRAM latency model, the prepared
-// workload spec (rendered IDs, resolved profiles) and the shared site
-// index table. One Prepared is built per sweep point and reused read-only
-// by all of its replications; per-replication state (engine, grid, sites,
-// scheduler, RNG streams) is still built fresh per seed, so results are
-// byte-identical to the single-shot RunOnce path — which is in fact the
-// same code: RunOnce is Prepare followed by one Prepared.RunOnce.
+// policy/approach/placement lookups, the GRAM latency model and the
+// prepared workload spec (rendered IDs, resolved profiles). One Prepared
+// is built per sweep point and reused read-only by all of its
+// replications; per-replication state (engine, grid, sites, scheduler, RNG
+// streams) is still built fresh per seed, so results are byte-identical to
+// the single-shot RunOnce path — which is in fact the same code: RunOnce
+// is Prepare followed by one Prepared.RunOnce.
 //
 // A Prepared is immutable after Prepare returns and safe for concurrent
 // use by parallel replication workers.
@@ -32,7 +32,6 @@ type Prepared struct {
 	place   koala.PlacementPolicy
 	gramCfg gram.Config
 	wl      *workload.PreparedSpec
-	idx     *koala.SharedIndex
 
 	// span is the measured workload's submission window, used to schedule
 	// the background-load stop.
@@ -69,15 +68,6 @@ func Prepare(cfg Config) (*Prepared, error) {
 		gramCfg = *cfg.GramOverride
 	}
 
-	// The site index depends only on the grid topology (cluster names, in
-	// order), which every cfg.Grid() call reproduces; one probe build here
-	// funds the shared name↔index table for all replications.
-	probe := cfg.Grid()
-	names := make([]string, 0, len(probe.Clusters()))
-	for _, c := range probe.Clusters() {
-		names = append(names, c.Name())
-	}
-
 	return &Prepared{
 		cfg:     cfg,
 		pol:     pol,
@@ -85,7 +75,6 @@ func Prepare(cfg Config) (*Prepared, error) {
 		place:   place,
 		gramCfg: gramCfg,
 		wl:      wl,
-		idx:     koala.PrepareIndex(names),
 		span:    float64(cfg.Workload.Jobs) * cfg.Workload.InterArrival,
 	}, nil
 }
@@ -111,7 +100,6 @@ func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 			Policy:        p.place,
 			PollInterval:  cfg.PollInterval,
 			MRunnerConfig: runner.DefaultMRunnerConfig(),
-			Index:         p.idx,
 		},
 		Manager: core.ManagerConfig{
 			Policy:        p.pol,

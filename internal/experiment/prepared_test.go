@@ -72,8 +72,8 @@ func marshalResult(t *testing.T, res *RunResult) []byte {
 // TestPreparedReplicationsAllocateLess pins the point of batching: a
 // replication through a shared Prepared must allocate strictly less
 // than a single-shot RunOnce, because the per-point setup (spec
-// validation, workload preparation with its rendered job IDs, the site
-// index) is paid once instead of per seed. A regression here means
+// validation, workload preparation with its rendered job IDs) is paid
+// once instead of per seed. A regression here means
 // setup work crept back into the per-seed path.
 func TestPreparedReplicationsAllocateLess(t *testing.T) {
 	if testing.Short() {

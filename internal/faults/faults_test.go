@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -226,6 +227,47 @@ func TestProxyFaults(t *testing.T) {
 	}
 	if proxy.Accepted() < 4 {
 		t.Fatalf("accepted = %d, want >= 4", proxy.Accepted())
+	}
+}
+
+// TestProxyStatusWaitsForRequest pins that a CODE step answers the
+// request, not the connection: no byte arrives before the client writes
+// a request, and a POST's body is read before the 5xx goes out.
+func TestProxyStatusWaitsForRequest(t *testing.T) {
+	sched, err := faults.ParseSchedule("503")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A CODE step never dials, so the target needs no listener.
+	proxy, err := faults.NewProxy("127.0.0.1:0", "127.0.0.1:1", sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	conn, err := net.Dial("tcp", proxy.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	var b [1]byte
+	conn.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+	n, err := conn.Read(b[:])
+	var ne net.Error
+	if n > 0 || !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("proxy sent %q (err %v) before any request", b[:n], err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	body := `{"runs":1}`
+	fmt.Fprintf(conn, "POST /v1/runs/execute HTTP/1.1\r\nHost: worker\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 503 {
+		t.Fatalf("status = %d, want 503", resp.StatusCode)
 	}
 }
 

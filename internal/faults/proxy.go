@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -26,8 +27,9 @@ import (
 //	             after N target->client bytes
 //	truncate@N   pipe, then close the client cleanly after N
 //	             target->client bytes
-//	CODE         write a raw HTTP CODE response and close, without
-//	             dialing the target (valid for HTTP traffic only)
+//	CODE         read the client's request (header and body), then write
+//	             a raw HTTP CODE response and close, without dialing
+//	             the target (valid for HTTP traffic only)
 type Proxy struct {
 	target   string
 	schedule *Schedule
@@ -89,6 +91,18 @@ func (p *Proxy) serve(client net.Conn) {
 	case Drop:
 		return
 	case Status:
+		// Answer the request, not the connection: a response written
+		// before the request arrives reaches an http.Client as an
+		// unsolicited response on an idle connection, which fails the
+		// request with a transport error instead of this 5xx. The
+		// response goes out whether or not the request read cleanly
+		// before the deadline.
+		if err := client.SetReadDeadline(time.Now().Add(5 * time.Second)); err == nil {
+			if req, err := http.ReadRequest(bufio.NewReader(client)); err == nil {
+				_, _ = io.Copy(io.Discard, req.Body)
+				req.Body.Close()
+			}
+		}
 		// A raw, well-formed HTTP response so an http.Client parses a
 		// real 5xx instead of a protocol error.
 		fmt.Fprintf(client, "HTTP/1.1 %d %s\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",

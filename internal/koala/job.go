@@ -133,10 +133,11 @@ type Job struct {
 	// inline backing for the common one- and two-component cases.
 	sites    []*Site
 	sitesBuf [2]*Site
-	// claims records the processors claimed per site (by the scheduler's
-	// dense site index) while GRAM submissions are in flight; returned to
-	// the scheduler's claims pool when the job starts.
-	claims []int
+	// claims records the processors claimed for each placement, parallel
+	// to sites, while GRAM submissions are in flight; claimsBuf is its
+	// inline backing. The scheduler drops them when the job starts.
+	claims    []int
+	claimsBuf [2]int
 
 	componentsRunning  int
 	componentsFinished int

@@ -8,16 +8,16 @@ import "testing"
 func TestRefreshDoesNotAliasPreviousSnapshot(t *testing.T) {
 	_, sites, kis := testbed(t, 20, 30)
 	snap1 := kis.Refresh()
-	if snap1.Idle("A") != 20 || snap1.Idle("B") != 30 {
+	if snap1.IdleAt(0) != 20 || snap1.IdleAt(1) != 30 {
 		t.Fatalf("snap1 = %+v", snap1)
 	}
 	sites[0].Cluster().SeizeBackground(8)
 	snap2 := kis.Refresh()
-	if snap2.Idle("A") != 12 {
-		t.Fatalf("snap2.Idle(A) = %d, want 12", snap2.Idle("A"))
+	if snap2.IdleAt(0) != 12 {
+		t.Fatalf("snap2.IdleAt(0) = %d, want 12", snap2.IdleAt(0))
 	}
 	// snap1 must be untouched by snap2's buffer reuse.
-	if snap1.Idle("A") != 20 || snap1.TotalIdle() != 50 {
+	if snap1.IdleAt(0) != 20 || snap1.TotalIdle() != 50 {
 		t.Fatalf("previous snapshot mutated by Refresh: %+v", snap1)
 	}
 }
@@ -33,31 +33,35 @@ func TestRefreshIsAllocationFree(t *testing.T) {
 }
 
 func TestSnapshotIndexAccessors(t *testing.T) {
-	snap := NewSnapshot(7, []string{"X", "Y"}, []ProcessorInfo{{Total: 8, Idle: 3}, {Total: 4, Idle: 4}})
+	snap := Snapshot{Time: 7, procs: []ProcessorInfo{{Total: 8, Idle: 3}, {Total: 4, Idle: 4}}}
 	if snap.Len() != 2 || snap.Time != 7 {
 		t.Fatalf("snapshot = %+v", snap)
 	}
-	if snap.SiteName(0) != "X" || snap.IdleAt(1) != 4 || snap.At(0).Total != 8 {
+	if snap.IdleAt(1) != 4 || snap.At(0).Total != 8 {
 		t.Fatal("index accessors wrong")
-	}
-	if snap.Idle("Y") != 4 || snap.Idle("nope") != 0 {
-		t.Fatal("name accessors wrong")
 	}
 	if snap.TotalIdle() != 7 {
 		t.Fatalf("TotalIdle = %d", snap.TotalIdle())
 	}
-	if (Snapshot{}).Idle("X") != 0 {
-		t.Fatal("zero snapshot should report 0 idle")
-	}
 }
 
-func TestNewSnapshotMismatchedLengthsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched names/infos did not panic")
+// TestBuildSitesIndexesClustersInOrder pins the one site key: cluster i
+// of the grid is the site with index i, and building a site makes no
+// replica set until a file is added.
+func TestBuildSitesIndexesClustersInOrder(t *testing.T) {
+	_, sites, _ := testbed(t, 10, 20, 30)
+	for i, s := range sites {
+		if s.Index() != i || s.Name() != string(rune('A'+i)) {
+			t.Fatalf("sites[%d] = %s with index %d", i, s.Name(), s.Index())
 		}
-	}()
-	NewSnapshot(0, []string{"A"}, nil)
+		if s.files != nil || s.HasFile("a") {
+			t.Fatalf("site %s has a replica set before any AddFile", s.Name())
+		}
+	}
+	sites[1].AddFile("a")
+	if !sites[1].HasFile("a") || sites[0].HasFile("a") {
+		t.Fatal("AddFile registered the replica at the wrong site")
+	}
 }
 
 // TestPlacementViewIsAllocationFree pins that a placement attempt's

@@ -17,15 +17,15 @@ type ComponentPlacement struct {
 
 // PlacementPolicy decides where job components run (§IV-A). Place returns
 // the placements and true on success, or nil and false when the job cannot
-// be placed under the current snapshot. snap must be indexed in sites
-// order (position i describes sites[i]), which is how the scheduler and
-// KIS always build snapshots. Policies must not mutate or retain the
+// be placed under the current snapshot. sites is the grid in site-index
+// order and snap is indexed by Site.Index, so position i of snap describes
+// sites[i]. Policies must not mutate or retain the
 // snapshot (it may be backed by reusable scratch) and must account for
 // their own placements when placing multiple components (a component
 // consumes idle processors for subsequent ones).
 type PlacementPolicy interface {
 	Name() string
-	Place(spec *JobSpec, snap Snapshot, kis *KIS, sites []*Site) ([]ComponentPlacement, bool)
+	Place(spec *JobSpec, snap Snapshot, sites []*Site) ([]ComponentPlacement, bool)
 }
 
 // siteView tracks remaining idle processors during a multi-component
@@ -53,7 +53,7 @@ type WorstFit struct{}
 func (WorstFit) Name() string { return "WF" }
 
 // Place implements PlacementPolicy.
-func (WorstFit) Place(spec *JobSpec, snap Snapshot, _ *KIS, sites []*Site) ([]ComponentPlacement, bool) {
+func (WorstFit) Place(spec *JobSpec, snap Snapshot, sites []*Site) ([]ComponentPlacement, bool) {
 	if len(spec.Components) == 1 {
 		// Single-component fast path (every job of the paper's malleable
 		// workloads): no mutable views needed, scan the snapshot directly.
@@ -113,7 +113,7 @@ func transferTime(comp ComponentSpec, v *siteView) float64 {
 }
 
 // Place implements PlacementPolicy.
-func (CloseToFiles) Place(spec *JobSpec, snap Snapshot, _ *KIS, sites []*Site) ([]ComponentPlacement, bool) {
+func (CloseToFiles) Place(spec *JobSpec, snap Snapshot, sites []*Site) ([]ComponentPlacement, bool) {
 	views := newViews(snap, sites)
 	placements := make([]ComponentPlacement, 0, len(spec.Components))
 	for ci, comp := range spec.Components {
@@ -152,7 +152,7 @@ type ClusterMinimization struct{}
 func (ClusterMinimization) Name() string { return "CM" }
 
 // Place implements PlacementPolicy.
-func (ClusterMinimization) Place(spec *JobSpec, snap Snapshot, _ *KIS, sites []*Site) ([]ComponentPlacement, bool) {
+func (ClusterMinimization) Place(spec *JobSpec, snap Snapshot, sites []*Site) ([]ComponentPlacement, bool) {
 	views := newViews(snap, sites)
 
 	order := make([]int, len(spec.Components))
@@ -203,10 +203,10 @@ type FlexibleClusterMinimization struct{}
 func (FlexibleClusterMinimization) Name() string { return "FCM" }
 
 // Place implements PlacementPolicy.
-func (FlexibleClusterMinimization) Place(spec *JobSpec, snap Snapshot, kis *KIS, sites []*Site) ([]ComponentPlacement, bool) {
+func (FlexibleClusterMinimization) Place(spec *JobSpec, snap Snapshot, sites []*Site) ([]ComponentPlacement, bool) {
 	splittable := len(spec.Components) == 1 && spec.Components[0].Profile.Min <= 1 && !spec.Malleable()
 	if !splittable {
-		return ClusterMinimization{}.Place(spec, snap, kis, sites)
+		return ClusterMinimization{}.Place(spec, snap, sites)
 	}
 	total := spec.Components[0].Size
 	views := newViews(snap, sites)

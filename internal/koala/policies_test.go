@@ -35,7 +35,7 @@ func malleableSpec(id string, prof *app.Profile, size int) JobSpec {
 func TestWorstFitPicksLargestIdle(t *testing.T) {
 	_, sites, kis := testbed(t, 10, 30, 20)
 	spec := rigidSpec("j", 5)
-	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), sites)
 	if !ok || len(pl) != 1 {
 		t.Fatalf("placement failed: %v %v", pl, ok)
 	}
@@ -51,7 +51,7 @@ func TestWorstFitAccountsForEarlierComponents(t *testing.T) {
 		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
 		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
 	}}
-	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), sites)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -68,7 +68,7 @@ func TestWorstFitAccountsForEarlierComponents(t *testing.T) {
 func TestWorstFitFailsWhenNothingFits(t *testing.T) {
 	_, sites, kis := testbed(t, 4, 4)
 	spec := rigidSpec("big", 8)
-	if _, ok := (WorstFit{}).Place(&spec, kis.Refresh(), kis, sites); ok {
+	if _, ok := (WorstFit{}).Place(&spec, kis.Refresh(), sites); ok {
 		t.Fatal("oversized placement should fail")
 	}
 }
@@ -81,7 +81,7 @@ func TestCloseToFilesPrefersReplicaSite(t *testing.T) {
 		Size:       4,
 		InputFiles: []File{{Name: "input.dat", Bytes: 10e9}},
 	}}}
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
 	if !ok || pl[0].Site.Name() != "C" {
 		t.Fatalf("CF chose %v, want C", pl)
 	}
@@ -97,7 +97,7 @@ func TestCloseToFilesPrefersFasterTransferAmongMisses(t *testing.T) {
 		Size:       4,
 		InputFiles: []File{{Name: "data", Bytes: 1e9}},
 	}}}
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
 	if !ok || pl[0].Site.Name() != "B" {
 		t.Fatalf("CF chose %v, want B", pl)
 	}
@@ -106,7 +106,7 @@ func TestCloseToFilesPrefersFasterTransferAmongMisses(t *testing.T) {
 func TestCloseToFilesWithoutFilesFallsBackToIdle(t *testing.T) {
 	_, sites, kis := testbed(t, 10, 30, 20)
 	spec := rigidSpec("nf", 5)
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
 	if !ok || pl[0].Site.Name() != "B" {
 		t.Fatalf("CF chose %v, want B (most idle)", pl)
 	}
@@ -118,7 +118,7 @@ func TestClusterMinimizationPacksOneCluster(t *testing.T) {
 		{Profile: app.RigidProfile("r", app.FTModel(), 10), Size: 10},
 		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
 	}}
-	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -137,7 +137,7 @@ func TestClusterMinimizationSpillsWhenNeeded(t *testing.T) {
 		{Profile: app.RigidProfile("r", app.FTModel(), 10), Size: 10},
 		{Profile: app.RigidProfile("r", app.FTModel(), 9), Size: 9},
 	}}
-	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -151,7 +151,7 @@ func TestFCMSplitsAcrossIdleClusters(t *testing.T) {
 	spec := JobSpec{ID: "fcm", Components: []ComponentSpec{{
 		Profile: app.MoldableProfile("m", app.FTModel(), 1, 64), Size: 18,
 	}}}
-	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
 	if !ok {
 		t.Fatal("placement failed")
 	}
@@ -173,7 +173,7 @@ func TestFCMSplitsAcrossIdleClusters(t *testing.T) {
 func TestFCMFallsBackToCMForUnsplittable(t *testing.T) {
 	_, sites, kis := testbed(t, 40, 20, 30)
 	spec := rigidSpec("r", 10) // profile Min > 1 → unsplittable
-	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), kis, sites)
+	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
 	if !ok || len(pl) != 1 {
 		t.Fatalf("fallback failed: %v", pl)
 	}
@@ -184,7 +184,7 @@ func TestFCMFailsWhenTotalUnavailable(t *testing.T) {
 	spec := JobSpec{ID: "fcm", Components: []ComponentSpec{{
 		Profile: app.MoldableProfile("m", app.FTModel(), 1, 64), Size: 18,
 	}}}
-	if _, ok := (FlexibleClusterMinimization{}).Place(&spec, kis.Refresh(), kis, sites); ok {
+	if _, ok := (FlexibleClusterMinimization{}).Place(&spec, kis.Refresh(), sites); ok {
 		t.Fatal("FCM should fail when total idle is insufficient")
 	}
 }
@@ -208,42 +208,17 @@ func TestPolicyByName(t *testing.T) {
 func TestKISSnapshotSeesBackgroundOnlyOnRefresh(t *testing.T) {
 	_, sites, kis := testbed(t, 20, 20)
 	snap := kis.Refresh()
-	if snap.Idle("A") != 20 || snap.TotalIdle() != 40 {
+	if snap.IdleAt(0) != 20 || snap.TotalIdle() != 40 {
 		t.Fatalf("fresh snapshot: %+v", snap)
 	}
 	sites[0].Cluster().SeizeBackground(8)
-	if kis.Last().Idle("A") != 20 {
+	if kis.Last().IdleAt(0) != 20 {
 		t.Fatal("stale snapshot should not see background load")
 	}
-	if kis.Refresh().Idle("A") != 12 {
+	if kis.Refresh().IdleAt(0) != 12 {
 		t.Fatal("refresh should discover background load")
 	}
 	if kis.Refreshes() < 3 {
 		t.Fatalf("refreshes = %d", kis.Refreshes())
-	}
-}
-
-func TestKISReplicaSites(t *testing.T) {
-	_, sites, kis := testbed(t, 10, 10, 10)
-	sites[0].AddFile("a")
-	sites[0].AddFile("b")
-	sites[1].AddFile("a")
-	got := kis.ReplicaSites([]string{"a", "b"})
-	if len(got) != 1 || got[0] != "A" {
-		t.Fatalf("ReplicaSites = %v", got)
-	}
-	if all := kis.ReplicaSites(nil); len(all) != 3 {
-		t.Fatalf("no-file query should return all sites: %v", all)
-	}
-}
-
-func TestKISNetworkInfo(t *testing.T) {
-	_, _, kis := testbed(t, 10)
-	kis.SetNetworkInfo("A", "B", NetworkInfo{LatencyMS: 2, BandwidthMBps: 1000})
-	if got := kis.Network("A", "B"); got.LatencyMS != 2 {
-		t.Fatalf("Network = %+v", got)
-	}
-	if got := kis.Network("B", "A"); got.LatencyMS != 0 {
-		t.Fatal("unknown pair should be zero")
 	}
 }

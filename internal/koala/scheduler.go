@@ -24,12 +24,12 @@ type Hooks interface {
 	// PWA it shrinks running malleable jobs to make room; it returns true
 	// when room is being made (so the scheduler stops scanning this round).
 	PlacementBlocked(j *Job) bool
-	// Reserved reports processors of the site with the given dense index
-	// (the scheduler's Sites() order) that the malleability manager has
-	// granted to growing jobs but that are not yet held (stub submissions
-	// in flight). The processor claimer subtracts them from every placement
-	// view so that newly arriving jobs cannot double-book processors
-	// already promised to running applications.
+	// Reserved reports processors of the site with the given index that
+	// the malleability manager has granted to growing jobs but that are
+	// not yet held (stub submissions in flight). The processor claimer
+	// subtracts them from every placement view so that newly arriving jobs
+	// cannot double-book processors already promised to running
+	// applications.
 	Reserved(siteIndex int) int
 }
 
@@ -49,12 +49,6 @@ type Config struct {
 	// the profile bounds and the idle processors of the chosen site; nil
 	// uses the requested size.
 	MoldableSizing func(min, max, idle int) int
-	// Index, when non-nil, is a shared immutable site index table built
-	// once per sweep point (PrepareIndex) and reused read-only by every
-	// replication's KIS, instead of each KIS rebuilding the name↔index
-	// map from scratch. It must match the sites handed to NewScheduler;
-	// a mismatch falls back to a freshly built index.
-	Index *SharedIndex
 }
 
 // DefaultConfig mirrors the experimental setup: Worst-Fit placement and a
@@ -80,10 +74,6 @@ type Scheduler struct {
 	queue []*Job
 	jobs  []*Job
 
-	// siteOf maps a site back to its dense index (the position in sites),
-	// which keys every per-site slice below.
-	siteOf map[*Site]int
-
 	// pending counts processors (by site index) claimed for placed jobs
 	// whose GRAM submissions are still in flight. The processor claimer
 	// subtracts them from every placement view so the submission latency
@@ -94,17 +84,13 @@ type Scheduler struct {
 	// running holds, per site index, the running malleable jobs sorted by
 	// (start time, submission order) — the order both malleability policies
 	// consume (§V-C). It is maintained incrementally on job start/finish so
-	// RunningMalleableJobs is O(jobs-on-site) instead of rescanning every
+	// RunningMalleableJobsAt is O(jobs-on-site) instead of rescanning every
 	// job ever submitted.
 	running [][]*Job
 
 	// viewBuf is the reusable scratch backing of placementView's adjusted
 	// snapshot; it is valid only for the duration of one placement attempt.
 	viewBuf []ProcessorInfo
-
-	// claimsPool recycles per-job claim vectors: claims live only from
-	// Placing to Running, so a small free list serves the whole run.
-	claimsPool [][]int
 
 	// jobMem hands out Job structs and runners holds the malleable
 	// runners; handles from either stay valid until Teardown.
@@ -125,7 +111,8 @@ type Scheduler struct {
 // jobPool holds the Job chunks of torn-down schedulers.
 var jobPool slab.Pool[Job]
 
-// NewScheduler assembles a scheduler over the given sites.
+// NewScheduler assembles a scheduler over the sites BuildSites made, in
+// site-index order.
 func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 	if cfg.Policy == nil {
 		cfg.Policy = WorstFit{}
@@ -136,26 +123,16 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 	s := &Scheduler{
 		engine:  engine,
 		sites:   sites,
-		kis:     newKIS(engine, sites, cfg.Index),
+		kis:     NewKIS(engine, sites),
 		cfg:     cfg,
-		siteOf:  make(map[*Site]int, len(sites)),
 		pending: make([]int, len(sites)),
 		running: make([][]*Job, len(sites)),
 		viewBuf: make([]ProcessorInfo, len(sites)),
 		jobMem:  slab.New(&jobPool),
 		runners: runner.NewSlabs(),
 	}
-	for i, site := range sites {
-		s.siteOf[site] = i
-	}
 	s.ticker = sim.NewTicker(engine, cfg.PollInterval, s.pollTick)
 	return s
-}
-
-// SiteIndex returns the dense index of the named site in Sites() order.
-func (s *Scheduler) SiteIndex(name string) (int, bool) {
-	i, ok := s.kis.idx.byName[name]
-	return i, ok
 }
 
 // KIS returns the scheduler's information service.
@@ -191,20 +168,11 @@ func (s *Scheduler) QueueLength() int { return len(s.queue) }
 // modified.
 func (s *Scheduler) QueuedJobs() []*Job { return s.queue }
 
-// RunningMalleableJobs returns the malleable jobs currently running on the
-// named site, sorted by increasing start time with ties in submission order
-// (the order both malleability policies consume, §V-C). The returned slice
-// is the scheduler's live index: callers must not modify it, and it is
-// valid only until the next job start or finish.
-func (s *Scheduler) RunningMalleableJobs(site string) []*Job {
-	i, ok := s.kis.idx.byName[site]
-	if !ok {
-		return nil
-	}
-	return s.running[i]
-}
-
-// RunningMalleableJobsAt is RunningMalleableJobs by dense site index.
+// RunningMalleableJobsAt returns the malleable jobs currently running on
+// the site with index i, sorted by increasing start time with ties in
+// submission order (the order both malleability policies consume, §V-C).
+// The returned slice is the scheduler's live index: callers must not
+// modify it, and it is valid only until the next job start or finish.
 func (s *Scheduler) RunningMalleableJobsAt(i int) []*Job { return s.running[i] }
 
 // insertRunning adds a just-started malleable job to its site's index,
@@ -319,17 +287,8 @@ func (s *Scheduler) ScanQueue() {
 	}
 }
 
-// PendingClaims returns the processors claimed on the named site for jobs
-// whose GRAM submissions are still in flight.
-func (s *Scheduler) PendingClaims(site string) int {
-	i, ok := s.kis.idx.byName[site]
-	if !ok {
-		return 0
-	}
-	return s.pending[i]
-}
-
-// PendingClaimsAt is PendingClaims by dense site index.
+// PendingClaimsAt returns the processors claimed on the site with index i
+// for jobs whose GRAM submissions are still in flight.
 func (s *Scheduler) PendingClaimsAt(i int) int { return s.pending[i] }
 
 // placementView returns a fresh snapshot with in-flight claims and the
@@ -349,7 +308,7 @@ func (s *Scheduler) placementView() Snapshot {
 		}
 		s.viewBuf[i] = info
 	}
-	return Snapshot{Time: snap.Time, procs: s.viewBuf, idx: s.kis.idx}
+	return Snapshot{Time: snap.Time, procs: s.viewBuf}
 }
 
 // tryPlace runs the placement policy against a claims-adjusted snapshot
@@ -360,29 +319,12 @@ func (s *Scheduler) tryPlace(j *Job) bool {
 		return false
 	}
 	j.tries++
-	placements, ok := s.cfg.Policy.Place(&j.Spec, s.placementView(), s.kis, s.sites)
+	placements, ok := s.cfg.Policy.Place(&j.Spec, s.placementView(), s.sites)
 	if !ok {
 		return false
 	}
 	s.claim(j, placements)
 	return true
-}
-
-// getClaims hands out a zeroed per-site claim vector from the pool.
-func (s *Scheduler) getClaims() []int {
-	if n := len(s.claimsPool); n > 0 {
-		c := s.claimsPool[n-1]
-		s.claimsPool = s.claimsPool[:n-1]
-		for i := range c {
-			c[i] = 0
-		}
-		return c
-	}
-	return make([]int, len(s.sites))
-}
-
-func (s *Scheduler) putClaims(c []int) {
-	s.claimsPool = append(s.claimsPool, c)
 }
 
 // claim is the processor claimer (PC): it turns placements into runners.
@@ -392,13 +334,12 @@ func (s *Scheduler) putClaims(c []int) {
 func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	j.state = Placing
 	j.placeTime = s.engine.Now()
-	j.claims = s.getClaims()
 	j.sites = j.sitesBuf[:0]
+	j.claims = j.claimsBuf[:0]
 	for _, p := range placements {
 		j.sites = append(j.sites, p.Site)
-		si := s.siteOf[p.Site]
-		j.claims[si] += p.Size
-		s.pending[si] += p.Size
+		j.claims = append(j.claims, p.Size)
+		s.pending[p.Site.Index()] += p.Size
 	}
 	cb := runner.Callbacks{Lifecycle: j}
 	if j.Malleable() {
@@ -425,12 +366,12 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	// Moldable sizing applies to single-placement jobs only.
 	if len(comps) == 1 && comps[0].Profile.Class == app.Moldable && s.cfg.MoldableSizing != nil {
 		c := &comps[0]
-		si := s.siteOf[placements[0].Site]
+		si := placements[0].Site.Index()
 		idle := s.kis.Last().IdleAt(si)
 		c.Size = clamp(s.cfg.MoldableSizing(c.Profile.Min, c.Profile.Max, idle+c.Size), c.Profile.Min, c.Profile.Max)
 		// Moldable sizing may differ from the placed size: keep the
 		// claim accounting in sync.
-		j.claims[si] += c.Size - placements[0].Size
+		j.claims[0] = c.Size
 		s.pending[si] += c.Size - placements[0].Size
 	}
 	rr, err := runner.NewRigidRunner(s.engine, comps, cb)
@@ -457,16 +398,13 @@ func (s *Scheduler) jobStarted(j *Job) {
 	j.state = Running
 	j.startTime = s.engine.Now()
 	// The job's processors are now held at the clusters; drop the claims.
-	for si, n := range j.claims {
-		if n != 0 {
-			s.pending[si] -= n
-		}
+	for k, n := range j.claims {
+		s.pending[j.sites[k].Index()] -= n
 	}
-	s.putClaims(j.claims)
 	j.claims = nil
 	if j.Malleable() {
 		if site := j.Site(); site != nil {
-			s.insertRunning(s.siteOf[site], j)
+			s.insertRunning(site.Index(), j)
 		}
 	}
 	if s.OnJobStarted != nil {
@@ -479,7 +417,7 @@ func (s *Scheduler) jobFinished(j *Job) {
 	j.endTime = s.engine.Now()
 	if j.Malleable() {
 		if site := j.Site(); site != nil {
-			s.removeRunning(s.siteOf[site], j)
+			s.removeRunning(site.Index(), j)
 		}
 	}
 	if s.OnJobFinished != nil {

@@ -1,9 +1,9 @@
 // Package koala reproduces the KOALA co-allocating multicluster scheduler of
 // §IV-A: execution sites backed by local resource managers and GRAM, the
-// KOALA information service (KIS) with its processor, network and replica
-// providers, the placement queue with its retry threshold, and the four
-// placement policies (Worst-Fit, Close-to-Files, Cluster Minimization and
-// Flexible Cluster Minimization).
+// KOALA information service (KIS) with its processor information provider,
+// the placement queue with its retry threshold, and the four placement
+// policies (Worst-Fit, Close-to-Files, Cluster Minimization and Flexible
+// Cluster Minimization).
 //
 // Malleability support (§V) lives in package core, which plugs into the
 // scheduler through the Hooks interface.
@@ -23,29 +23,32 @@ import (
 // policy consults (which input files are replicated here and how fast
 // transfers to this site are).
 type Site struct {
-	clus *cluster.Cluster
-	mgr  *lrm.Manager
-	svc  *gram.Service
+	clus  *cluster.Cluster
+	mgr   *lrm.Manager
+	svc   *gram.Service
+	index int
 
-	files        map[string]bool
-	transferRate float64 // bytes/second towards this site, for CF estimates
-}
-
-// NewSite assembles a site from its parts.
-func NewSite(clus *cluster.Cluster, mgr *lrm.Manager, svc *gram.Service) *Site {
-	return &Site{clus: clus, mgr: mgr, svc: svc, files: make(map[string]bool), transferRate: 100e6}
+	files        map[string]bool // made by the first AddFile
+	transferRate float64         // bytes/second towards this site, for CF estimates
 }
 
 // BuildSites creates one site per cluster of the multicluster, each with its
-// own LRM and GRAM service.
+// own LRM and GRAM service. Cluster i becomes the site with index i: the
+// returned slice is the grid in site-index order, which is the order the
+// KIS, the scheduler and the placement policies require.
 func BuildSites(engine *sim.Engine, mc *cluster.Multicluster, gramCfg gram.Config) []*Site {
-	sites := make([]*Site, 0, len(mc.Clusters()))
-	for _, c := range mc.Clusters() {
+	sites := make([]*Site, len(mc.Clusters()))
+	for i, c := range mc.Clusters() {
 		mgr := lrm.New(engine, c)
-		sites = append(sites, NewSite(c, mgr, gram.New(engine, mgr, gramCfg)))
+		sites[i] = &Site{clus: c, mgr: mgr, svc: gram.New(engine, mgr, gramCfg), index: i, transferRate: 100e6}
 	}
 	return sites
 }
+
+// Index returns the site's position in the grid. It is the only key for a
+// site inside the simulated world: snapshots and every per-site slice of
+// the scheduler and the malleability manager are indexed by it.
+func (s *Site) Index() int { return s.index }
 
 // Name returns the site (cluster) name.
 func (s *Site) Name() string { return s.clus.Name() }
@@ -59,8 +62,13 @@ func (s *Site) LRM() *lrm.Manager { return s.mgr }
 // Gram returns the site's GRAM service.
 func (s *Site) Gram() *gram.Service { return s.svc }
 
-// AddFile registers an input-file replica at this site (feeds the RLS).
-func (s *Site) AddFile(name string) { s.files[name] = true }
+// AddFile registers an input-file replica at this site.
+func (s *Site) AddFile(name string) {
+	if s.files == nil {
+		s.files = make(map[string]bool)
+	}
+	s.files[name] = true
+}
 
 // HasFile reports whether the named file is replicated at this site.
 func (s *Site) HasFile(name string) bool { return s.files[name] }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -277,9 +277,22 @@ func TestHealthzShape(t *testing.T) {
 // follower that leaves before the run's terminal event decrements the
 // attached-followers gauge and increments the disconnect counter.
 func TestFollowerDisconnectAccounting(t *testing.T) {
-	release := make(chan struct{})
-	s, ts := newTestServer(t, Options{})
-	s.blockRuns = release // pin the run in Running so the follower must wait
+	s, _ := newTestServer(t, Options{})
+	_, release := blockRuns(s) // pin the run in Running so the follower must wait
+	// A follower's accounting is final once its events handler returns;
+	// eventsDone reports that return.
+	eventsDone := make(chan struct{}, 1)
+	h := s.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/events") {
+			select {
+			case eventsDone <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
 
 	sr, code := postConfig(t, ts, tinyConfig)
 	if code != http.StatusAccepted {
@@ -300,19 +313,23 @@ func TestFollowerDisconnectAccounting(t *testing.T) {
 	if _, err := io.ReadFull(resp.Body, buf); err != nil {
 		t.Fatal(err) // the accepted event is already in the log
 	}
-	waitFor(t, "follower attached", func() bool { return s.followers.Value() == 1 })
+	// The handler counts the follower before it writes the first event.
+	if n := s.followers.Value(); n != 1 {
+		t.Fatalf("followers gauge = %d while attached, want 1", n)
+	}
 	cancel()
 	resp.Body.Close()
 
-	waitFor(t, "follower accounted", func() bool {
-		return s.followers.Value() == 0 && s.followerDisconnects.Value() == 1
-	})
+	<-eventsDone
+	if f, d := s.followers.Value(), s.followerDisconnects.Value(); f != 0 || d != 1 {
+		t.Fatalf("after hang-up: followers = %d, disconnects = %d; want 0 and 1", f, d)
+	}
 
 	// Release the run and drain cleanly; a clean follower then reads to
 	// the terminal event without touching the disconnect counter. The
-	// closed channel is left in place — clearing blockRuns here would
-	// race the execute goroutine's read, and receives from a closed
-	// channel fall through anyway.
+	// hook is left in place — clearing blockRuns here would race the
+	// execute goroutine's read, and receives from a closed channel fall
+	// through anyway.
 	close(release)
 	readEvents(t, ts, sr.ID)
 	if n := s.followerDisconnects.Value(); n != 1 {
@@ -332,19 +349,6 @@ func metric(t *testing.T, s *Server, name string) float64 {
 		t.Fatalf("no metric family %s", name)
 	}
 	return v
-}
-
-// waitFor polls cond for up to 5 seconds.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // TestTraceEndpoint pins the single-node trace: every lifecycle phase

@@ -154,10 +154,17 @@ type Server struct {
 	closed  atomic.Bool
 	started time.Time
 
-	// blockRuns, when non-nil, stalls every run after it turns Running
-	// until the channel closes. Tests use it to pin in-flight states
+	// blockRuns, when non-nil, parks every run once it turns Running:
+	// the run reports its ID on blockRuns.parked, then waits until
+	// blockRuns.release closes. Tests use it to pin in-flight states
 	// (coalescing, queue admission) that are otherwise too fast to race.
-	blockRuns chan struct{}
+	blockRuns *runBlock
+}
+
+// runBlock is the blockRuns test hook.
+type runBlock struct {
+	parked  chan string   // each run's ID as it parks
+	release chan struct{} // closed to let every parked run go on
 }
 
 // New assembles a server.
@@ -584,8 +591,9 @@ func (s *Server) execute(run *Run) {
 	s.queueWait.Observe(runStart.Sub(run.submittedAt).Seconds())
 	run.setStatus(StatusRunning)
 	s.journalAppend(store.Record{Op: store.OpStarted, ID: run.ID, Hash: run.Hash})
-	if s.blockRuns != nil {
-		<-s.blockRuns
+	if blk := s.blockRuns; blk != nil {
+		blk.parked <- run.ID
+		<-blk.release
 	}
 
 	// The dispatcher seam: queued runs flow to the configured backend

@@ -203,14 +203,13 @@ func TestEndToEndSubmitStreamAndCacheHit(t *testing.T) {
 // the stored events' shared backing arrays (caught by -race).
 func TestConcurrentEventSubscribers(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	release := make(chan struct{})
-	s.blockRuns = release
+	parked, release := blockRuns(s)
 
 	sr, code := postConfig(t, ts, tinyConfig)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status = %d", code)
 	}
-	waitStatus(t, s, sr.ID, StatusRunning)
+	awaitParked(t, parked, sr.ID)
 
 	// Raw line reader: t.Fatal is not legal off the test goroutine.
 	subscribe := func() ([]string, error) {
@@ -265,14 +264,13 @@ func TestConcurrentEventSubscribers(t *testing.T) {
 // which -race would catch) breaks this.
 func TestFollowersReceiveIdenticalBytes(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	release := make(chan struct{})
-	s.blockRuns = release
+	parked, release := blockRuns(s)
 
 	sr, code := postConfig(t, ts, tinyConfig)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST status = %d", code)
 	}
-	waitStatus(t, s, sr.ID, StatusRunning)
+	awaitParked(t, parked, sr.ID)
 
 	const followers = 8
 	var wg sync.WaitGroup
@@ -387,14 +385,13 @@ func TestGetDetailTimingsAndSource(t *testing.T) {
 
 func TestCoalescedSubmission(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	release := make(chan struct{})
-	s.blockRuns = release // pin the first run in Running
+	parked, release := blockRuns(s) // pin the first run in Running
 
 	sr1, code1 := postConfig(t, ts, tinyConfig)
 	if code1 != http.StatusAccepted {
 		t.Fatalf("POST status = %d", code1)
 	}
-	waitStatus(t, s, sr1.ID, StatusRunning)
+	awaitParked(t, parked, sr1.ID)
 	sr2, code2 := postConfig(t, ts, tinyConfig)
 	if code2 != http.StatusAccepted {
 		t.Fatalf("second POST status = %d", code2)
@@ -430,10 +427,9 @@ func TestListExperiments(t *testing.T) {
 		t.Fatalf("empty list = %+v", list.Experiments)
 	}
 
-	release := make(chan struct{})
-	s.blockRuns = release // pin the second run in Running for a mixed-status list
+	parked, release := blockRuns(s) // pin the runs in Running for a mixed-status list
 	sr1, _ := postConfig(t, ts, tinyConfig)
-	waitStatus(t, s, sr1.ID, StatusRunning)
+	awaitParked(t, parked, sr1.ID)
 	sr2, _ := postConfig(t, ts, strings.Replace(tinyConfig, `"seed": 1`, `"seed": 2`, 1))
 
 	if err := json.Unmarshal(mustGet(t, ts, "/v1/experiments"), &list); err != nil {
@@ -485,24 +481,29 @@ func mustGet(t *testing.T, ts *httptest.Server, path string) []byte {
 	return buf.Bytes()
 }
 
-// waitStatus polls until the run reaches the wanted state (transitions
-// happen in the execute goroutine just after POST returns).
-func waitStatus(t *testing.T, s *Server, id string, want Status) {
+// blockRuns parks every run of s once it turns Running, until release is
+// closed. Each run reports its ID on parked as it parks, so a test waits
+// on that report instead of polling the run's status. parked is buffered
+// because tests receive only the reports they wait for: a run whose
+// report nobody receives must still get past the block once released
+// (16 is more runs than any test starts on one server).
+func blockRuns(s *Server) (parked <-chan string, release chan struct{}) {
+	blk := &runBlock{parked: make(chan string, 16), release: make(chan struct{})}
+	s.blockRuns = blk
+	return blk.parked, blk.release
+}
+
+// awaitParked waits for the next run to park and requires it to be id.
+func awaitParked(t *testing.T, parked <-chan string, id string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.registry.Get(id).Status() == want {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	if got := <-parked; got != id {
+		t.Fatalf("run %s parked, want %s", got, id)
 	}
-	t.Fatalf("run %s never reached %s", id, want)
 }
 
 func TestAdmissionBound(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxConcurrent: 1, QueueDepth: 1, Parallelism: 1})
-	release := make(chan struct{})
-	s.blockRuns = release
+	parked, release := blockRuns(s)
 
 	mk := func(seed int) string {
 		return strings.Replace(tinyConfig, `"seed": 1`, fmt.Sprintf(`"seed": %d`, seed), 1)
@@ -513,7 +514,7 @@ func TestAdmissionBound(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("POST 1 status = %d", code)
 	}
-	waitStatus(t, s, sr1.ID, StatusRunning)
+	awaitParked(t, parked, sr1.ID)
 	sr2, code := postConfig(t, ts, mk(2))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST 2 status = %d", code)

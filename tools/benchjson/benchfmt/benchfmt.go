@@ -116,6 +116,15 @@ func exceeds(oldV, newV, threshold, slack float64) (float64, bool) {
 	return pct, pct > threshold && newV-oldV > slack
 }
 
+// beyondSpread reports whether the ns/op growth from oldR to newR, two
+// medians over several runs, exceeds each run's own quartile spread
+// (spread × median): a delta inside either recording's noise is not a
+// regression.
+func beyondSpread(oldR, newR Result) bool {
+	delta := newR.NsPerOp - oldR.NsPerOp
+	return delta > oldR.Spread["ns/op"]*oldR.NsPerOp && delta > newR.Spread["ns/op"]*newR.NsPerOp
+}
+
 // Compare diffs new against old benchmark by benchmark, returning a
 // human report and the regressions that should fail the gate.
 // Benchmarks present on only one side are reported but never fail —
@@ -137,7 +146,11 @@ func Compare(oldFile, newFile File, threshold float64) (report []string, regs []
 		// ns/op only means something when the run iterated: a
 		// -benchtime=1x smoke measures a single call, cold.
 		if oldR.NsPerOp > 0 && newR.NsPerOp > 0 && oldR.Iterations > 1 && newR.Iterations > 1 {
-			if pct, bad := exceeds(oldR.NsPerOp, newR.NsPerOp, threshold, nsSlack); bad {
+			pct, bad := exceeds(oldR.NsPerOp, newR.NsPerOp, threshold, nsSlack)
+			if bad && oldR.Samples > 1 && newR.Samples > 1 {
+				bad = beyondSpread(oldR, newR)
+			}
+			if bad {
 				regs = append(regs, Regression{name, "ns/op", oldR.NsPerOp, newR.NsPerOp, pct})
 				report = append(report, fmt.Sprintf("REG %-60s ns/op     %12.1f -> %12.1f (%+.1f%%)",
 					name, oldR.NsPerOp, newR.NsPerOp, pct))

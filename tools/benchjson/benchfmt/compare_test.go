@@ -106,3 +106,36 @@ func TestCompareZeroBaselineUsesAbsoluteSlack(t *testing.T) {
 		t.Fatalf("real growth over zero baseline missed: %+v", regs)
 	}
 }
+
+// sampled is a median over six runs with the given ns/op quartile spread.
+func sampled(ns, spread float64) Result {
+	r := bench(100, ns, 1000)
+	r.Samples = 6
+	r.Spread = map[string]float64{"ns/op": spread}
+	return r
+}
+
+// TestCompareNsGateRespectsSpread pins the spread-aware ns/op gate: when
+// both sides are medians over several runs, a delta must also exceed
+// each file's spread × median to count.
+func TestCompareNsGateRespectsSpread(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, new Result
+		flagged  bool
+	}{
+		{"2x slowdown, 5% spreads", sampled(10000, 0.05), sampled(20000, 0.05), true},
+		{"+15% inside a 20% spread", sampled(10000, 0.20), sampled(11500, 0.20), false},
+		{"+15% inside the new file's 20% spread", sampled(10000, 0.05), sampled(11500, 0.20), false},
+		{"unchanged", sampled(10000, 0.05), sampled(10000, 0.05), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, regs := Compare(file(map[string]Result{"BenchmarkHot": tc.old}),
+				file(map[string]Result{"BenchmarkHot": tc.new}), 10)
+			// allocs/op is equal on both sides, so only ns/op can regress.
+			if flagged := len(regs) == 1; flagged != tc.flagged {
+				t.Fatalf("regressions = %+v, want ns/op flagged: %v", regs, tc.flagged)
+			}
+		})
+	}
+}

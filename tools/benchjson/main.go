@@ -18,7 +18,10 @@
 // -threshold percent AND by an absolute slack (50 ns/op, 8 allocs/op)
 // that keeps tiny benchmarks from flaking the gate. ns/op is compared
 // only when both runs used more than one iteration — a -benchtime=1x
-// smoke run measures allocations reliably but not time. Any regression
+// smoke run measures allocations reliably but not time. When both files
+// recorded several runs of a benchmark, its ns/op growth must also
+// exceed each file's quartile spread (spread × median), so two noisy
+// recordings of unchanged code do not flag each other. Any regression
 // exits nonzero; added or removed benchmarks are reported but pass.
 package main
 
