@@ -206,6 +206,34 @@ func TestSystemRunUntilDone(t *testing.T) {
 	}
 }
 
+// TestRunUntilDoneStopsAtHorizon pins that RunUntilDone never advances
+// the clock past its horizon: a job still running there is reported, not
+// finished by a check window that overshoots.
+func TestRunUntilDoneStopsAtHorizon(t *testing.T) {
+	sys := NewSystem(SystemConfig{Grid: cluster.NewMulticluster(cluster.New("A", 8))})
+	flat := app.NewTableModel("flat", []app.TablePoint{{Procs: 1, Time: 100}})
+	j, err := sys.SubmitRigid("r", flat, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Submitted at 0, it starts after the 5 s GRAM latency and ends at 105.
+	if err := sys.RunUntilDone(90); err == nil {
+		t.Fatalf("RunUntilDone(90) returned nil; job %s is %v, ended at %g", j.Spec.ID, j.State(), j.EndTime())
+	}
+	if now := sys.Engine.Now(); now != 90 {
+		t.Fatalf("clock at %g after RunUntilDone(90), want 90", now)
+	}
+	if j.State() != koala.Running {
+		t.Fatalf("job state %v at the horizon, want running", j.State())
+	}
+	if err := sys.RunUntilDone(200); err != nil {
+		t.Fatal(err)
+	}
+	if j.EndTime() != 105 {
+		t.Fatalf("job ended at %g, want 105", j.EndTime())
+	}
+}
+
 func TestSystemDefaultsToDAS3(t *testing.T) {
 	sys := NewSystem(SystemConfig{})
 	if sys.Grid.TotalNodes() != 272 {

@@ -96,30 +96,24 @@ func (s *System) Teardown() {
 func (s *System) Run(horizon float64) { s.Engine.RunUntil(horizon) }
 
 // RunUntilDone drives the simulation until every submitted job reached a
-// terminal state, checking at the given period; it gives up at horizon and
-// returns an error listing the stuck jobs.
+// terminal state, checking every 60 simulated seconds. It never runs past
+// horizon: if jobs are still live there, it returns an error reporting
+// how many.
 func (s *System) RunUntilDone(horizon float64) error {
 	for s.Engine.Now() < horizon {
-		s.Engine.RunUntil(s.Engine.Now() + 60)
+		s.Engine.RunUntil(min(s.Engine.Now()+60, horizon))
 		if s.allDone() {
 			s.Scheduler.Stop()
 			return nil
 		}
 	}
-	stuck := 0
-	for _, j := range s.Scheduler.Jobs() {
-		if st := j.State(); st != koala.Finished && st != koala.Rejected {
-			stuck++
-		}
-	}
+	stuck := len(s.Scheduler.Jobs()) - s.Scheduler.Terminal()
 	return fmt.Errorf("core: %d jobs not terminal at horizon %g", stuck, horizon)
 }
 
+// allDone reports whether jobs were submitted and all of them are
+// terminal.
 func (s *System) allDone() bool {
-	for _, j := range s.Scheduler.Jobs() {
-		if st := j.State(); st != koala.Finished && st != koala.Rejected {
-			return false
-		}
-	}
-	return len(s.Scheduler.Jobs()) > 0
+	n := len(s.Scheduler.Jobs())
+	return n > 0 && s.Scheduler.Terminal() == n
 }

@@ -87,6 +87,9 @@ type Job struct {
 	svc       *Service
 	activator Activator
 	released  bool // release requested (possibly while still in flight)
+	// next links the members of the arrive or release-done batch the
+	// job's event belongs to (see Service.arrivals).
+	next *Job
 }
 
 // ID returns the job's identifier. It is formatted lazily: the hot path
@@ -103,19 +106,52 @@ const (
 )
 
 // OnEvent implements sim.Handler: the job's latency events fire on the job
-// itself, so the gatekeeper and release paths schedule no closures.
+// itself, so the gatekeeper and release paths schedule no closures. The
+// event runs the whole batch it heads, member by member, each exactly as
+// its own event would have.
 func (j *Job) OnEvent(op int) {
+	s := j.svc
 	switch op {
 	case opArrive:
-		s := j.svc
-		s.inFlight--
-		s.arriveAtLRM(j)
-		s.drainBacklog()
+		s.arrivals.Close(s.engine)
+		for j != nil {
+			next := j.next
+			j.next = nil
+			s.inFlight--
+			s.arriveAtLRM(j)
+			s.drainBacklog()
+			j = next
+		}
 	case opReleaseDone:
-		if j.lrmJob.State() == lrm.Running {
-			j.svc.mgr.Finish(j.lrmJob)
+		s.releasesDone.Close(s.engine)
+		for j != nil {
+			next := j.next
+			j.next = nil
+			if j.lrmJob.State() == lrm.Running {
+				s.mgr.Finish(j.lrmJob)
+			}
+			j = next
 		}
 	}
+}
+
+// stubBatch is a sim.Batch of one GRAM event kind whose members are
+// linked through Job.next; tail is the last member of the open batch.
+type stubBatch struct {
+	sim.Batch
+	tail *Job
+}
+
+// schedule fires j's op event delay seconds from now, as a member of the
+// open batch when nothing can sort between them.
+func (b *stubBatch) schedule(e *sim.Engine, delay float64, j *Job, op int) {
+	t := e.Now() + delay
+	if b.Join(e, t) {
+		b.tail.next = j
+	} else {
+		b.Open(e, t, j, op)
+	}
+	b.tail = j
 }
 
 // Service is the GRAM endpoint of one execution site.
@@ -133,6 +169,11 @@ type Service struct {
 	submitted   uint64
 	activated   uint64
 	releases    uint64
+
+	// arrivals and releasesDone batch the arrive and release-done events
+	// that the runners' submit and release loops schedule back to back,
+	// one per size-1 stub.
+	arrivals, releasesDone stubBatch
 
 	// jobs hands out Job structs; a handle stays valid until the service
 	// is torn down.
@@ -204,7 +245,7 @@ func (s *Service) Submit(nodes int, a Activator) (*Job, error) {
 // beginSubmission occupies a gatekeeper slot for SubmitLatency.
 func (s *Service) beginSubmission(j *Job) {
 	s.inFlight++
-	s.engine.AfterOp(s.cfg.SubmitLatency, j, opArrive)
+	s.arrivals.schedule(s.engine, s.cfg.SubmitLatency, j, opArrive)
 }
 
 func (s *Service) drainBacklog() {
@@ -272,7 +313,7 @@ func (s *Service) Release(j *Job) error {
 	s.releases++
 	switch j.state {
 	case Active:
-		s.engine.AfterOp(s.cfg.ReleaseLatency, j, opReleaseDone)
+		s.releasesDone.schedule(s.engine, s.cfg.ReleaseLatency, j, opReleaseDone)
 		j.state = Released
 	case Pending:
 		if err := s.mgr.Cancel(j.lrmJob); err == nil {

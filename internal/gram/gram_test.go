@@ -182,3 +182,66 @@ func TestDefaultConfigSane(t *testing.T) {
 		t.Fatal("release should be cheaper than submission (§V-A)")
 	}
 }
+
+// BenchmarkStubChurn is the Malleable Runner's grow-then-shrink cycle in
+// miniature: one site submits 8 size-1 stubs, runs until they are active,
+// releases them all and runs until the nodes are back. It reports the
+// engine events each cycle fires (events/op), so a change that splits
+// the same-instant stub batches again shows up here first. The world is
+// rebuilt, untimed, every 1024 cycles to keep its job slabs small.
+func BenchmarkStubChurn(b *testing.B) {
+	const stubs, rebuild = 8, 1024
+	var (
+		e     *sim.Engine
+		c     *cluster.Cluster
+		mgr   *lrm.Manager
+		s     *Service
+		fired uint64
+	)
+	build := func() {
+		e = sim.New()
+		c = cluster.New("site", 64)
+		mgr = lrm.New(e, c)
+		s = New(e, mgr, DefaultConfig())
+	}
+	teardown := func() {
+		fired += e.Fired()
+		s.Teardown()
+		mgr.Teardown()
+		c.Teardown()
+		e.Teardown()
+	}
+	jobs := make([]*Job, stubs)
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%rebuild == 0 {
+			b.StopTimer()
+			teardown()
+			build()
+			b.StartTimer()
+		}
+		for k := range jobs {
+			j, err := s.Submit(1, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs[k] = j
+		}
+		e.Run()
+		for _, j := range jobs {
+			if j.State() != Active {
+				b.Fatalf("stub %s is %v after the submit run", j.ID(), j.State())
+			}
+			s.Release(j)
+		}
+		e.Run()
+		if c.Used() != 0 {
+			b.Fatalf("%d nodes still held after the release run", c.Used())
+		}
+	}
+	b.StopTimer()
+	teardown()
+	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+}

@@ -73,6 +73,8 @@ type Scheduler struct {
 
 	queue []*Job
 	jobs  []*Job
+	// terminal counts the jobs that finished or were rejected.
+	terminal int
 
 	// pending counts processors (by site index) claimed for placed jobs
 	// whose GRAM submissions are still in flight. The processor claimer
@@ -161,6 +163,10 @@ func (s *Scheduler) Teardown() {
 // Jobs returns every job ever submitted, in submission order.
 func (s *Scheduler) Jobs() []*Job { return s.jobs }
 
+// Terminal returns how many submitted jobs reached a terminal state
+// (Finished or Rejected).
+func (s *Scheduler) Terminal() int { return s.terminal }
+
 // QueueLength returns the number of jobs waiting for placement.
 func (s *Scheduler) QueueLength() int { return len(s.queue) }
 
@@ -245,6 +251,7 @@ func (s *Scheduler) rejectIfOverThreshold(j *Job) bool {
 	}
 	s.removeFromQueue(j)
 	j.state = Rejected
+	s.terminal++
 	if s.OnJobRejected != nil {
 		s.OnJobRejected(j)
 	}
@@ -414,6 +421,7 @@ func (s *Scheduler) jobStarted(j *Job) {
 
 func (s *Scheduler) jobFinished(j *Job) {
 	j.state = Finished
+	s.terminal++
 	j.endTime = s.engine.Now()
 	if j.Malleable() {
 		if site := j.Site(); site != nil {

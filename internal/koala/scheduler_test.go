@@ -122,6 +122,38 @@ func TestPlacementTriesThresholdRejects(t *testing.T) {
 	s.Stop()
 }
 
+// TestTerminalMatchesStateScan pins the scheduler's terminal-job count
+// against a scan of every job's state, through a run that both finishes
+// and rejects jobs.
+func TestTerminalMatchesStateScan(t *testing.T) {
+	cfg := fastCfg()
+	cfg.MaxPlacementTries = 3
+	e, _, s := newSched(t, cfg, 4)
+	s.Submit(rigidSpec("short", 2))
+	s.Submit(rigidSpec("big", 4)) // cannot fit while short runs: rejected
+	s.Submit(rigidSpec("small", 2))
+	var finished, rejected int
+	for _, h := range []float64{0, 10, 50, 100, 200, 400} {
+		e.RunUntil(h)
+		finished, rejected = 0, 0
+		for _, j := range s.Jobs() {
+			switch j.State() {
+			case Finished:
+				finished++
+			case Rejected:
+				rejected++
+			}
+		}
+		if got := s.Terminal(); got != finished+rejected {
+			t.Fatalf("t=%g: Terminal() = %d, state scan finds %d finished + %d rejected", h, got, finished, rejected)
+		}
+	}
+	if finished != 2 || rejected != 1 {
+		t.Fatalf("run ended with %d finished, %d rejected; want 2 and 1", finished, rejected)
+	}
+	s.Stop()
+}
+
 func TestJobSpecValidation(t *testing.T) {
 	_, _, s := newSched(t, fastCfg(), 8)
 	bad := []JobSpec{

@@ -62,6 +62,9 @@ type Job struct {
 	alloc   *cluster.Allocation
 	starter Starter
 	mgr     *Manager
+	// next links the members of the start batch the job's event belongs
+	// to (see Manager.starts).
+	next *Job
 }
 
 // ID returns the job's identifier. It is formatted lazily: the hot path
@@ -75,8 +78,17 @@ func (j *Job) State() State { return j.state }
 const opStart = 0
 
 // OnEvent implements sim.Handler: the deferred start notification fires on
-// the job itself, so dispatch schedules no closures.
-func (j *Job) OnEvent(int) { j.starter.JobStarted(j) }
+// the job itself, so dispatch schedules no closures. The event delivers
+// the whole batch it heads, in dispatch order.
+func (j *Job) OnEvent(int) {
+	j.mgr.starts.Close(j.mgr.engine)
+	for j != nil {
+		next := j.next
+		j.next = nil
+		j.starter.JobStarted(j)
+		j = next
+	}
+}
 
 // SchedulingInterval is the period at which a non-empty queue is rescanned
 // even without submissions or completions — the SGE scheduler run interval.
@@ -98,6 +110,11 @@ type Manager struct {
 	retry       *sim.Event
 	seq         int
 	running     int
+
+	// starts batches the start notifications one dispatch pass defers
+	// back to back; startTail is the last member of the open batch.
+	starts    sim.Batch
+	startTail *Job
 
 	// jobs hands out Job structs; a handle stays valid until the manager
 	// is torn down.
@@ -229,9 +246,21 @@ func (m *Manager) dispatch() {
 		head.alloc = alloc
 		m.running++
 		if head.starter != nil {
-			m.engine.ImmediatelyOp(head, opStart)
+			m.deferStart(head)
 		}
 	}
+}
+
+// deferStart schedules j's start notification for the current instant,
+// as a member of the open start batch when nothing can sort between them.
+func (m *Manager) deferStart(j *Job) {
+	now := m.engine.Now()
+	if m.starts.Join(m.engine, now) {
+		m.startTail.next = j
+	} else {
+		m.starts.Open(m.engine, now, j, opStart)
+	}
+	m.startTail = j
 }
 
 // armRetry schedules the next periodic scheduling pass while jobs wait.

@@ -30,7 +30,7 @@ type SimStats struct {
 	scheduled atomic.Int64
 	fired     atomic.Int64
 	canceled  atomic.Int64
-	peak      atomic.Int64 // highest queue length of any single engine
+	peak      atomic.Int64 // highest Pending() of any single engine
 
 	grows   atomic.Int64
 	shrinks atomic.Int64
@@ -80,7 +80,7 @@ type SimStatsSnapshot struct {
 	EventsScheduled int64   `json:"events_scheduled"`
 	EventsFired     int64   `json:"events_fired"`
 	EventsCanceled  int64   `json:"events_canceled"`
-	PendingPeak     int64   `json:"pending_peak"` // highest queue length of any single engine
+	PendingPeak     int64   `json:"pending_peak"` // highest Pending() of any single engine
 	GrowDecisions   int64   `json:"grow_decisions"`
 	ShrinkDecisions int64   `json:"shrink_decisions"`
 	SimHorizon      float64 `json:"sim_horizon"` // furthest virtual time reached (sim seconds)

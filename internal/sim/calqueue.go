@@ -252,13 +252,14 @@ func (q *calQueue) head() *Event {
 	}
 }
 
-// popMin removes and returns the earliest event. The caller guarantees
-// the queue is non-empty.
+// take removes the earliest event, which the caller has just read with
+// head: nothing may change the queue between the two calls, so the scan
+// already sits on it.
 //
 //koalalint:hotpath
-func (q *calQueue) popMin() *Event {
-	ev := q.head()
+func (q *calQueue) take() {
 	s := q.buckets[q.cur]
+	ev := s[q.cursor]
 	s[q.cursor] = nil
 	q.cursor++
 	if q.cursor == len(s) {
@@ -269,8 +270,7 @@ func (q *calQueue) popMin() *Event {
 	ev.bucket = bucketNone
 	q.pops++
 	q.lastPop = ev.time
-	q.check("popMin")
-	return ev
+	q.check("take")
 }
 
 // remove deletes a queued event in place (eager cancel): an O(1)
@@ -356,8 +356,8 @@ func (q *calQueue) migrate() {
 func (q *calQueue) advanceYear() {
 	// The current bucket can be left holding only its consumed-nil
 	// prefix when the year's last event is canceled rather than popped
-	// (remove truncates but only popMin reclaims). Reclaim it before
-	// the cursor resets so the new year starts from clean buckets.
+	// (remove truncates but only head and take reclaim). Reclaim it
+	// before the cursor resets so the new year starts from clean buckets.
 	if q.cur < len(q.buckets) {
 		if s := q.buckets[q.cur]; len(s) > 0 {
 			q.buckets[q.cur] = s[:0]

@@ -39,6 +39,13 @@ func (r *refQueue) remove(ev *Event) {
 
 func (r *refQueue) len() int { return len(r.events) }
 
+// popMin is the engine's pop, head then take, for the queue-level tests.
+func (q *calQueue) popMin() *Event {
+	ev := q.head()
+	q.take()
+	return ev
+}
+
 // pattern generates the time of the next insert for one of the insert
 // regimes the queue is tuned for.
 type pattern func(rng *RNG, now float64) float64

@@ -4,13 +4,21 @@
 // runs: clusters, local resource managers, the GRAM service, applications and
 // the KOALA scheduler all advance by scheduling events on a shared Engine.
 //
-// Determinism is guaranteed by (a) an event queue popped in strict
+// Determinism is guaranteed by (a) firing everything in strict
 // (time, insertion sequence) order so simultaneous events fire in scheduling
 // order, and (b) the SplitMix64-based RNG in rng.go, seeded explicitly by
-// every experiment. The queue is a calendar queue with an unsorted overflow
-// rung (calqueue.go): amortized O(1) insert and pop for the mostly-monotonic
-// event streams the simulator produces, with a pop order byte-identical to a
-// (time, seq) min-heap's.
+// every experiment. Events wait in a calendar queue with an unsorted
+// overflow rung (calqueue.go): amortized O(1) insert and pop for the
+// mostly-monotonic event streams the simulator produces, with a pop order
+// byte-identical to a (time, seq) min-heap's. Periodic sources (Ticker)
+// stay out of the queue: each keeps its next (time, seq) beside it, and
+// every step fires whichever comes first of the earliest armed ticker and
+// the queue head, by the same rule.
+//
+// A model that schedules several events of one kind back to back for the
+// same instant may fire them as one event through a Batch: nothing can
+// sort between such events, so one event running them in order is
+// indistinguishable from the run of consecutive seqs it stands for.
 //
 // The kernel's hot path is allocation-free: fired and canceled Event structs
 // are recycled through a free list backed by a slab owned by the Engine
@@ -46,9 +54,10 @@ type Handler interface {
 type Stats interface {
 	// EngineTotals folds one Run/RunUntil stretch into the collector.
 	// scheduled, fired and canceled are deltas since this engine's
-	// previous flush; pendingPeak (this engine's high-water queue
-	// length) and now (its virtual clock) are absolutes a collector
-	// should fold in as maxima.
+	// previous flush, counting ticker armings, fires and stops like
+	// events (a Batch's event counts once); pendingPeak (this engine's
+	// high-water Pending count) and now (its virtual clock) are
+	// absolutes a collector should fold in as maxima.
 	EngineTotals(scheduled, fired, canceled uint64, pendingPeak int, now float64)
 }
 
@@ -111,12 +120,20 @@ type Engine struct {
 	stopped bool
 	fired   uint64
 
+	// tickers holds every ticker made on this engine, registered once by
+	// NewTicker; tick is the earliest armed one (nil when none is armed)
+	// and armed counts the armed ones, so Pending stays exact.
+	tickers []*Ticker
+	tick    *Ticker
+	armed   int
+
 	// Kernel accounting for the stats sink: plain counters kept
 	// unconditionally (integer arithmetic, no branches on e.stats), so
 	// observability costs the event hot path nothing. canceled counts
-	// Cancel calls that removed a queued event; pendingPeak is the
-	// high-water queue length. flushedSched/Fired/Canceled mark what the
-	// sink has already been told, so repeated flushes report deltas.
+	// Cancel calls that removed a queued event and Stops that disarmed a
+	// ticker; pendingPeak is the high-water Pending count.
+	// flushedSched/Fired/Canceled mark what the sink has already been
+	// told, so repeated flushes report deltas.
 	canceled                                  uint64
 	pendingPeak                               int
 	flushedSched, flushedFired, flushedCancel uint64
@@ -156,9 +173,10 @@ func (e *Engine) Teardown() {
 	e.events.Release()
 	// The free list and the queue point into the released memory: drop
 	// them, so a stray use of this engine cannot reach another engine's
-	// events.
+	// events. The tickers go with them.
 	e.free = nil
 	e.q = calQueue{}
+	e.tickers, e.tick, e.armed = nil, nil, 0
 }
 
 // Now returns the current virtual time in seconds.
@@ -168,9 +186,20 @@ func (e *Engine) Now() float64 { return e.now }
 // benchmarks as a proxy for simulation work).
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued. Canceled events are
-// removed from the queue eagerly, so the count is exact.
-func (e *Engine) Pending() int { return e.q.pending() }
+// Pending returns the number of fires still due: queued events plus armed
+// tickers. Canceled events are removed from the queue eagerly and a
+// stopped ticker is disarmed at once, so the count is exact. A Batch's
+// event counts once, however many members it carries.
+func (e *Engine) Pending() int { return e.q.pending() + e.armed }
+
+// notePending folds the current pending count into the high-water mark.
+//
+//koalalint:hotpath
+func (e *Engine) notePending() {
+	if n := e.Pending(); n > e.pendingPeak {
+		e.pendingPeak = n
+	}
+}
 
 // alloc hands out an Event from the free list, refilling from the slab
 // when it runs dry.
@@ -214,9 +243,7 @@ func (e *Engine) schedule(t float64) *Event {
 	ev.canceled = false
 	e.seq++
 	e.q.push(ev)
-	if n := e.q.pending(); n > e.pendingPeak {
-		e.pendingPeak = n
-	}
+	e.notePending()
 	return ev
 }
 
@@ -269,39 +296,42 @@ func (e *Engine) ImmediatelyOp(h Handler, op int) *Event { return e.AtOp(e.now, 
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the earliest pending event. It reports false when the queue is
-// empty.
+// step fires the earliest due event or ticker if it is due no later than
+// horizon. It reports false when nothing is due by then.
 //
 //koalalint:hotpath
-func (e *Engine) step() bool {
-	for e.q.pending() > 0 {
-		ev := e.q.popMin()
-		if ev.canceled {
-			// Cancel removes events eagerly; this is defensive only.
-			e.recycle(ev)
-			continue
+func (e *Engine) step(horizon float64) bool {
+	ev := e.q.head()
+	if tk := e.tick; tk != nil && (ev == nil || tk.at < ev.time || tk.at == ev.time && tk.seq < ev.seq) {
+		if tk.at > horizon {
+			return false
 		}
-		if ev.time < e.now {
-			panic("sim: event queue returned an event from the past")
-		}
-		e.now = ev.time
-		e.fired++
-		ev.h.OnEvent(ev.op)
-		// Recycle only after the handler returns so a handle canceled
-		// mid-fire never aliases a live event.
-		e.recycle(ev)
+		e.fireTicker(tk)
 		return true
 	}
-	return false
+	if ev == nil || ev.time > horizon {
+		return false
+	}
+	e.q.take()
+	if ev.time < e.now {
+		panic("sim: event queue returned an event from the past")
+	}
+	e.now = ev.time
+	e.fired++
+	ev.h.OnEvent(ev.op)
+	// Recycle only after the handler returns so a handle canceled
+	// mid-fire never aliases a live event.
+	e.recycle(ev)
+	return true
 }
 
-// Run executes events until the queue is empty or Stop is called. It returns
+// Run executes events until nothing is due or Stop is called. It returns
 // the final virtual time.
 //
 //koalalint:hotpath
 func (e *Engine) Run() float64 {
 	e.stopped = false
-	for !e.stopped && e.step() {
+	for !e.stopped && e.step(math.Inf(1)) {
 	}
 	e.flushStats()
 	return e.now
@@ -319,19 +349,14 @@ func (e *Engine) flushStats() {
 	}
 }
 
-// RunUntil executes events with time ≤ horizon, then advances the clock to
-// horizon (if the simulation has not already passed it) and returns. Events
-// scheduled beyond horizon remain queued.
+// RunUntil executes events and ticker fires with time ≤ horizon, then
+// advances the clock to horizon (if the simulation has not already passed
+// it) and returns. Everything due beyond horizon stays pending.
 //
 //koalalint:hotpath
 func (e *Engine) RunUntil(horizon float64) float64 {
 	e.stopped = false
-	for !e.stopped {
-		head := e.q.head()
-		if head == nil || head.time > horizon {
-			break
-		}
-		e.step()
+	for !e.stopped && e.step(horizon) {
 	}
 	if e.now < horizon {
 		e.now = horizon

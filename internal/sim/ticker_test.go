@@ -19,9 +19,9 @@ func TestTickerStopBeforeFirstFire(t *testing.T) {
 	}
 }
 
-// TestTickerStopInsideCallbackLeavesOtherEventsAlone guards the event-pool
-// hazard: the event that just fired the tick is recycled, so a Stop from
-// inside the callback must not cancel whatever event reused that struct.
+// TestTickerStopInsideCallbackLeavesOtherEventsAlone guards Stop from
+// inside the callback: the fire in progress is no longer pending, so the
+// Stop must cancel nothing, least of all an event the callback scheduled.
 func TestTickerStopInsideCallbackLeavesOtherEventsAlone(t *testing.T) {
 	e := New()
 	otherFired := false
@@ -36,14 +36,14 @@ func TestTickerStopInsideCallbackLeavesOtherEventsAlone(t *testing.T) {
 	}
 }
 
-// TestTickerStopTwiceAfterReuse guards the same hazard for repeated Stops:
-// once stopped, a second Stop must not touch the (recycled, reused) event.
+// TestTickerStopTwiceAfterReuse guards repeated Stops: once stopped, a
+// second Stop must not touch an event scheduled in between.
 func TestTickerStopTwiceAfterReuse(t *testing.T) {
 	e := New()
 	tk := NewTicker(e, 1, func() {})
 	tk.Stop()
 	fired := false
-	e.After(1, func() { fired = true }) // reuses the canceled tick event
+	e.After(1, func() { fired = true })
 	tk.Stop()
 	e.RunUntil(5)
 	if !fired {
@@ -62,5 +62,32 @@ func TestTickerSteadyStateIsAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("warm ticker allocates %.2f objects per 10 fires, want 0", allocs)
+	}
+}
+
+// TestTickerFiresInSeqOrderAmongEvents pins the merge rule: arming takes
+// the next seq, so a fire sorts exactly where an event scheduled at the
+// arming would. Equal-time events queued before and after NewTicker fire
+// on either side of the tick.
+func TestTickerFiresInSeqOrderAmongEvents(t *testing.T) {
+	e := New()
+	var order []string
+	e.At(10, func() { order = append(order, "before") })
+	tk := NewTicker(e, 10, func() { order = append(order, "tick") })
+	e.At(10, func() { order = append(order, "after") })
+	if e.Pending() != 3 {
+		t.Fatalf("Pending() = %d, want 3 (two events and the armed ticker)", e.Pending())
+	}
+	e.RunUntil(10)
+	if len(order) != 3 || order[0] != "before" || order[1] != "tick" || order[2] != "after" {
+		t.Fatalf("fire order %v, want [before tick after]", order)
+	}
+	// The re-armed fire at 20 lies beyond the horizon and stays pending.
+	if e.Now() != 10 || e.Pending() != 1 {
+		t.Fatalf("after RunUntil(10): now %g, pending %d; want 10 and 1", e.Now(), e.Pending())
+	}
+	tk.Stop()
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0", e.Pending())
 	}
 }
