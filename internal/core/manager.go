@@ -40,11 +40,9 @@ type Manager struct {
 	sched  *koala.Scheduler
 	cfg    ManagerConfig
 
-	growMsgs      *stats.Counter // grow messages over time (Fig. 7f)
-	shrinkMsgs    *stats.Counter // shrink messages over time (Fig. 8f)
-	declined      uint64
-	blockedEvents uint64
-	appGrowMsgs   uint64
+	growMsgs    *stats.Counter // grow messages over time (Fig. 7f)
+	shrinkMsgs  *stats.Counter // shrink messages over time (Fig. 8f)
+	appGrowMsgs uint64
 
 	// prevAvail remembers the last observed growth headroom per site (by
 	// dense site index), with prevSeen marking sites observed at least
@@ -91,9 +89,6 @@ func (m *Manager) GrowOps() *stats.Counter { return m.growMsgs }
 // ShrinkOps returns the cumulative count of shrink operations.
 func (m *Manager) ShrinkOps() *stats.Counter { return m.shrinkMsgs }
 
-// Declined returns the number of management rounds that produced no change.
-func (m *Manager) Declined() uint64 { return m.declined }
-
 // Poll implements koala.Hooks: one management round per scheduler poll.
 func (m *Manager) Poll(snap koala.Snapshot) {
 	m.cfg.Approach.OnPoll(m, snap)
@@ -106,13 +101,8 @@ func (m *Manager) ProcessorsAvailable() {
 
 // PlacementBlocked implements koala.Hooks.
 func (m *Manager) PlacementBlocked(j *koala.Job) bool {
-	m.blockedEvents++
 	return m.cfg.Approach.OnPlacementBlocked(m, j)
 }
-
-// BlockedEvents returns how many head-of-queue placement failures were
-// reported to the manager.
-func (m *Manager) BlockedEvents() uint64 { return m.blockedEvents }
 
 // Reserved implements koala.Hooks: processors granted to growing jobs whose
 // stub submissions are still in flight. The scheduler subtracts them from
@@ -140,19 +130,6 @@ func (m *Manager) availableForGrowth(snap koala.Snapshot, i int) int {
 		m.inflightGrowthAt(i) - m.cfg.GrowthReserve
 }
 
-// totalMsgs sums the grow and shrink messages received so far by the
-// malleable runners of the given jobs.
-func totalMsgs(jobs []*koala.Job) (grow, shrink uint64) {
-	for _, j := range jobs {
-		if mr := j.MRunner(); mr != nil {
-			g, s := mr.Stats()
-			grow += g
-			shrink += s
-		}
-	}
-	return grow, shrink
-}
-
 // growSiteAt runs one grow round on the site with dense index i, with the
 // given number of available processors as the grow value, counting the grow
 // messages the policy sent (the paper's Fig. 7f metric). Jobs at their
@@ -163,17 +140,14 @@ func (m *Manager) growSiteAt(i, avail int) int {
 	if len(jobs) == 0 || avail <= 0 {
 		return 0
 	}
-	before, _ := totalMsgs(jobs)
+	before, _ := m.sched.Messages()
 	accepted := m.cfg.Policy.Grow(jobs, avail)
-	after, _ := totalMsgs(jobs)
+	after, _ := m.sched.Messages()
 	if sent := int(after - before); sent > 0 {
 		m.growMsgs.Inc(m.engine.Now(), sent)
 		if m.cfg.Stats != nil {
 			m.cfg.Stats.GrowDecisions(m.engine.Now(), sent)
 		}
-	}
-	if accepted == 0 {
-		m.declined++
 	}
 	return accepted
 }
@@ -219,17 +193,14 @@ func (m *Manager) shrinkSiteAt(i, need int) int {
 	if len(jobs) == 0 || need <= 0 {
 		return 0
 	}
-	_, before := totalMsgs(jobs)
+	_, before := m.sched.Messages()
 	released := m.cfg.Policy.Shrink(jobs, need)
-	_, after := totalMsgs(jobs)
+	_, after := m.sched.Messages()
 	if sent := int(after - before); sent > 0 {
 		m.shrinkMsgs.Inc(m.engine.Now(), sent)
 		if m.cfg.Stats != nil {
 			m.cfg.Stats.ShrinkDecisions(m.engine.Now(), sent)
 		}
-	}
-	if released == 0 {
-		m.declined++
 	}
 	return released
 }

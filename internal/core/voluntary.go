@@ -50,11 +50,7 @@ func (m *Manager) voluntaryShrinkSiteAt(i, need int) int {
 	jobs := m.sched.RunningMalleableJobsAt(i)
 	total, asked := 0, 0
 	for k := len(jobs) - 1; k >= 0 && need > 0; k-- {
-		mr := jobs[k].MRunner()
-		if mr == nil {
-			continue
-		}
-		released := mr.RequestVoluntaryShrink(need)
+		released := jobs[k].RequestVoluntaryShrink(need)
 		asked++
 		need -= released
 		total += released

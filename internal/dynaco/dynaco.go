@@ -1,20 +1,16 @@
 // Package dynaco reproduces the DYNACO framework for dynamic adaptability
 // ([2], §IV-B): a control loop of four components — observe, decide, plan,
 // execute — specialised per application. In this reproduction DYNACO runs
-// inside the Malleable Runner on a per-application basis (§V-A): the
-// runner's frontend is reflected as a *monitor* that turns the scheduler's
-// grow/shrink messages into events; the *decide* component applies the
-// application's strategy (e.g. FT's power-of-two rule); the *plan* component
-// expands the decision into an action list; and the *execute* component —
-// AFPAC for SPMD applications [26] — schedules the actions consistently with
-// the running application, one adaptation at a time.
+// inside the Malleable Runner on a per-application basis (§V-A), and the
+// decide step lives in the runner: the runner's answer to the scheduler's
+// grow or shrink message is the application's decision (e.g. FT's
+// power-of-two rule), given synchronously as the protocol reply (§V-C).
+// The runner then delivers the accepted amount as an Event; this package
+// plans it (a grow acquires processors, then recruits what it obtained; a
+// shrink releases) and executes the plan — AFPAC for SPMD applications
+// [26] — consistently with the running application, one adaptation at a
+// time.
 package dynaco
-
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
 
 // EventKind classifies monitor events.
 type EventKind int
@@ -26,101 +22,24 @@ const (
 	ShrinkRequest
 )
 
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case GrowRequest:
-		return "grow"
-	case ShrinkRequest:
-		return "shrink"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
-// Event is one monitored environment change delivered to the framework.
+// Event is one decided adaptation delivered to the framework.
 type Event struct {
 	Kind   EventKind
-	Amount int // processors offered (grow) or requested back (shrink)
+	Amount int // processors accepted (grow) or agreed to release (shrink)
 }
 
-// Strategy is the application-specific decision procedure that developers
-// provide when specialising DYNACO (§IV-B). Given the current size it
-// answers how many of the offered/requested processors the application
-// adopts.
-type Strategy interface {
-	// DecideGrow returns how many of the offered processors to accept.
-	DecideGrow(current, offer int) int
-	// DecideShrink returns how many processors to release for a request.
-	DecideShrink(current, request int) int
-}
-
-// Op is one kind of adaptation action.
-type Op int
-
-const (
-	// OpAcquire submits requests for new processors (GRAM stubs) and waits
-	// until all of them are held.
-	OpAcquire Op = iota
-	// OpRecruit turns held stubs into application processes (fast, §V-A).
-	OpRecruit
-	// OpRelease waits for a safe point and hands processors back.
-	OpRelease
-)
-
-// String implements fmt.Stringer.
-func (o Op) String() string {
-	switch o {
-	case OpAcquire:
-		return "acquire"
-	case OpRecruit:
-		return "recruit"
-	case OpRelease:
-		return "release"
-	default:
-		return fmt.Sprintf("op(%d)", int(o))
-	}
-}
-
-// Action is one step of an adaptation plan.
-type Action struct {
-	Op Op
-	N  int
-}
-
-// maxPlanActions bounds the in-place action buffer of the framework: the
-// longest plan the plan component produces is a grow (acquire, recruit);
-// a shrink is a single release.
-const maxPlanActions = 2
-
-// Handler executes individual actions on behalf of the framework. The
+// Handler executes the actions of a plan on behalf of the framework. The
 // Malleable Runner implements it against GRAM and the application process;
-// tests implement it directly. Each method resumes the framework exactly
-// once when the action completes — Acquire through fw.AcquireDone with how
-// many processors were actually obtained (the environment may deliver
-// fewer than asked), Recruit and Release through fw.StepDone. The framework
-// passes itself instead of per-action callbacks so the §V-C hot path
-// allocates no bound-method closures.
+// tests implement it directly. Acquire resumes the framework exactly once
+// through AcquireDone with how many processors were actually obtained (the
+// environment may deliver fewer than asked); Recruit and Release resume it
+// through StepDone. Done reports every executed event with the processors
+// actually adopted or released.
 type Handler interface {
-	Acquire(n int, fw *Framework)
-	Recruit(n int, fw *Framework)
-	Release(n int, fw *Framework)
-}
-
-// Frontend is the runner-side monitor the framework reports into: Size
-// returns the application's current processor count, and AdaptationDone
-// receives an acknowledgment for every processed event. It is an interface
-// rather than a pair of funcs so that one frontend object serves every
-// adaptation without per-framework closure allocations.
-type Frontend interface {
-	Size() int
-	AdaptationDone(Result)
-}
-
-// Result reports a completed adaptation back to the monitor's frontend.
-type Result struct {
-	Event    Event
-	Accepted int // processors actually adopted/released (0 = declined)
+	Acquire(n int)
+	Recruit(n int)
+	Release(n int)
+	Done(ev Event, accepted int)
 }
 
 // Framework is one per-application DYNACO instance. Adaptations are
@@ -128,10 +47,7 @@ type Result struct {
 // consistency guarantee that an SPMD application adapts at one safe point at
 // a time.
 type Framework struct {
-	engine   *sim.Engine
-	strategy Strategy
-	handler  Handler
-	front    Frontend
+	handler Handler
 
 	busy bool
 	// pending is a head-indexed FIFO of queued events (re-slicing from the
@@ -141,52 +57,26 @@ type Framework struct {
 	pendingHead int
 	pendingBuf  [4]Event
 
-	// Current adaptation, executed as a small state machine: the action
-	// list lives in a fixed buffer and the handler resumes the plan by
-	// calling AcquireDone/StepDone on the framework itself — the §V-C hot
-	// path allocates neither plans nor per-action closures.
-	curEv       Event
-	curActions  [maxPlanActions]Action
-	curLen      int
-	curIdx      int
-	curAccepted int
-
-	adaptations uint64
+	// cur is the executing adaptation and held what its acquisition
+	// obtained; the handler resumes the plan through AcquireDone/StepDone,
+	// so the §V-C hot path allocates neither plans nor per-action closures.
+	cur  Event
+	held int
 }
 
-// New assembles a framework over the given frontend (which reports the
-// application's current processor count and receives adaptation results).
-func New(engine *sim.Engine, strategy Strategy, handler Handler, front Frontend) *Framework {
-	f := &Framework{}
-	f.Init(engine, strategy, handler, front)
-	return f
-}
-
-// Init initialises a zero Framework in place — the allocation-free form of
-// New for owners that embed the framework by value.
-func (f *Framework) Init(engine *sim.Engine, strategy Strategy, handler Handler, front Frontend) {
-	if strategy == nil || handler == nil || front == nil {
-		panic("dynaco: nil component")
+// Init readies a zero Framework, embedded by value in its owner, to
+// execute through h.
+func (f *Framework) Init(h Handler) {
+	if h == nil {
+		panic("dynaco: nil handler")
 	}
-	f.engine = engine
-	f.strategy = strategy
-	f.handler = handler
-	f.front = front
+	f.handler = h
 	f.pending = f.pendingBuf[:0]
 }
 
-// Adaptations returns how many adaptations have completed (grow or shrink,
-// including declined ones).
-func (f *Framework) Adaptations() uint64 { return f.adaptations }
-
-// Busy reports whether an adaptation is currently executing.
-func (f *Framework) Busy() bool { return f.busy }
-
-// PendingEvents returns the number of queued, unprocessed events.
-func (f *Framework) PendingEvents() int { return len(f.pending) - f.pendingHead }
-
-// Notify is the observe component's entry point: the monitor delivers an
-// event, and the control loop runs decide → plan → execute.
+// Notify is the observe component's entry point: the monitor delivers a
+// decided event, and the loop plans and executes it once every earlier
+// event has been.
 func (f *Framework) Notify(ev Event) {
 	f.pending = append(f.pending, ev)
 	f.drain()
@@ -202,119 +92,34 @@ func (f *Framework) drain() {
 		f.pending = f.pending[:0]
 		f.pendingHead = 0
 	}
-	f.process(ev)
-}
-
-func (f *Framework) process(ev Event) {
-	current := f.front.Size()
-	var accepted int
-	switch ev.Kind {
-	case GrowRequest:
-		accepted = f.strategy.DecideGrow(current, ev.Amount)
-	case ShrinkRequest:
-		accepted = f.strategy.DecideShrink(current, ev.Amount)
-	default:
-		panic(fmt.Sprintf("dynaco: unknown event kind %v", ev.Kind))
-	}
-	if accepted <= 0 {
-		f.finish(ev, 0)
-		return
-	}
-	f.curEv = ev
-	f.curIdx = 0
-	f.curAccepted = accepted
-	if ev.Kind == GrowRequest {
-		f.curActions[0] = Action{OpAcquire, accepted}
-		f.curActions[1] = Action{OpRecruit, accepted}
-		f.curLen = 2
-	} else {
-		f.curActions[0] = Action{OpRelease, accepted}
-		f.curLen = 1
-	}
+	f.cur = ev
+	f.held = ev.Amount
 	f.busy = true
-	f.step()
+	if ev.Kind == GrowRequest {
+		f.handler.Acquire(ev.Amount)
+	} else {
+		f.handler.Release(ev.Amount)
+	}
 }
 
-// step runs the current action; each action's completion re-enters through
-// AcquireDone/StepDone, so one adaptation executes as a closure-free state
-// machine.
-func (f *Framework) step() {
-	if f.curIdx >= f.curLen {
-		f.busy = false
-		f.finish(f.curEv, f.curAccepted)
-		f.drain()
+// AcquireDone resumes a grow after the handler completed its acquisition:
+// it recruits what the environment actually delivered, and a grow that
+// obtained nothing ends.
+func (f *Framework) AcquireDone(held int) {
+	f.held = min(held, f.cur.Amount)
+	if f.held == 0 {
+		f.end()
 		return
 	}
-	act := f.curActions[f.curIdx]
-	switch act.Op {
-	case OpAcquire:
-		f.handler.Acquire(act.N, f)
-	case OpRecruit:
-		f.handler.Recruit(act.N, f)
-	case OpRelease:
-		f.handler.Release(act.N, f)
-	default:
-		panic(fmt.Sprintf("dynaco: unknown op %v", act.Op))
-	}
+	f.handler.Recruit(f.held)
 }
 
-// AcquireDone resumes the plan after the handler completed an acquisition,
-// adapting the remainder to what the environment actually delivered.
-func (f *Framework) AcquireDone(held int) {
-	if held < f.curActions[f.curIdx].N {
-		f.curAccepted = held
-		if held == 0 {
-			f.busy = false
-			f.finish(f.curEv, 0)
-			f.drain()
-			return
-		}
-		f.curActions[f.curIdx+1].N = held
-	}
-	f.curIdx++
-	f.step()
-}
-
-// StepDone resumes the plan after the handler completed a recruit or
+// StepDone ends the adaptation after the handler completed a recruit or a
 // release.
-func (f *Framework) StepDone() {
-	f.curIdx++
-	f.step()
-}
+func (f *Framework) StepDone() { f.end() }
 
-func (f *Framework) finish(ev Event, accepted int) {
-	f.adaptations++
-	f.front.AdaptationDone(Result{Event: ev, Accepted: accepted})
-}
-
-// PreDecided is the strategy for frontends that already ran the decide step
-// during the scheduler protocol exchange (the runner answers the scheduler's
-// grow/shrink message with the accepted amount, then hands the pre-decided
-// event to the framework for planning and execution).
-type PreDecided struct{}
-
-// DecideGrow implements Strategy by accepting the full (pre-decided) offer.
-func (PreDecided) DecideGrow(current, offer int) int { return offer }
-
-// DecideShrink implements Strategy by releasing the full (pre-decided)
-// request.
-func (PreDecided) DecideShrink(current, request int) int { return request }
-
-// ProfileStrategy adapts any object exposing the AcceptGrow/AcceptShrink
-// protocol (such as *app.Profile) into a Strategy.
-type ProfileStrategy struct {
-	Acceptor interface {
-		AcceptGrow(current, offer int) int
-		AcceptShrink(current, request int) int
-	}
-}
-
-// DecideGrow implements Strategy.
-func (s ProfileStrategy) DecideGrow(current, offer int) int {
-	return s.Acceptor.AcceptGrow(current, offer)
-}
-
-// DecideShrink implements Strategy.
-func (s ProfileStrategy) DecideShrink(current, request int) int {
-	return s.Acceptor.AcceptShrink(current, request)
+func (f *Framework) end() {
+	f.busy = false
+	f.handler.Done(f.cur, f.held)
+	f.drain()
 }

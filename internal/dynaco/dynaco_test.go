@@ -1,199 +1,117 @@
 package dynaco
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/sim"
 )
 
-// fakeHandler records actions and completes them after fixed delays.
+// fakeHandler records actions, completes them after fixed delays, and
+// records every finished adaptation.
 type fakeHandler struct {
 	engine       *sim.Engine
+	fw           *Framework
 	acquireDelay float64
-	actions      []Action
+	actions      []string
 	heldOverride func(n int) int // optional: deliver fewer than asked
+	done         []string
 }
 
-func (h *fakeHandler) Acquire(n int, fw *Framework) {
-	h.actions = append(h.actions, Action{OpAcquire, n})
+func (h *fakeHandler) Acquire(n int) {
+	h.actions = append(h.actions, fmt.Sprintf("acquire %d", n))
 	held := n
 	if h.heldOverride != nil {
 		held = h.heldOverride(n)
 	}
-	h.engine.After(h.acquireDelay, func() { fw.AcquireDone(held) })
+	h.engine.After(h.acquireDelay, func() { h.fw.AcquireDone(held) })
 }
 
-func (h *fakeHandler) Recruit(n int, fw *Framework) {
-	h.actions = append(h.actions, Action{OpRecruit, n})
-	h.engine.After(1, fw.StepDone)
+func (h *fakeHandler) Recruit(n int) {
+	h.actions = append(h.actions, fmt.Sprintf("recruit %d", n))
+	h.engine.After(1, h.fw.StepDone)
 }
 
-func (h *fakeHandler) Release(n int, fw *Framework) {
-	h.actions = append(h.actions, Action{OpRelease, n})
-	h.engine.After(2, fw.StepDone)
+func (h *fakeHandler) Release(n int) {
+	h.actions = append(h.actions, fmt.Sprintf("release %d", n))
+	h.engine.After(2, h.fw.StepDone)
 }
 
-// fakeFrontend reports a fixed size and records results.
-type fakeFrontend struct {
-	size    int
-	results []Result
+func (h *fakeHandler) Done(ev Event, accepted int) {
+	h.done = append(h.done, fmt.Sprintf("%d/%d: %d", ev.Kind, ev.Amount, accepted))
 }
 
-func (f *fakeFrontend) Size() int               { return f.size }
-func (f *fakeFrontend) AdaptationDone(r Result) { f.results = append(f.results, r) }
-
-type fixedStrategy struct{ grow, shrink int }
-
-func (s fixedStrategy) DecideGrow(current, offer int) int     { return min(s.grow, offer) }
-func (s fixedStrategy) DecideShrink(current, request int) int { return min(s.shrink, request) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func setup(strategy Strategy) (*sim.Engine, *fakeHandler, *Framework, *fakeFrontend) {
+func setup() (*sim.Engine, *fakeHandler, *Framework) {
 	e := sim.New()
-	h := &fakeHandler{engine: e, acquireDelay: 5}
-	fr := &fakeFrontend{size: 4}
-	f := New(e, strategy, h, fr)
-	return e, h, f, fr
+	f := new(Framework)
+	h := &fakeHandler{engine: e, fw: f, acquireDelay: 5}
+	f.Init(h)
+	return e, h, f
+}
+
+func check(t *testing.T, what string, got []string, want ...string) {
+	t.Helper()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s = %q, want %q", what, got, want)
+	}
 }
 
 func TestGrowRunsAcquireThenRecruit(t *testing.T) {
-	e, h, f, fr := setup(fixedStrategy{grow: 8, shrink: 8})
+	e, h, f := setup()
 	f.Notify(Event{Kind: GrowRequest, Amount: 3})
 	e.Run()
-	if len(h.actions) != 2 || h.actions[0].Op != OpAcquire || h.actions[1].Op != OpRecruit {
-		t.Fatalf("actions = %v", h.actions)
-	}
-	if h.actions[0].N != 3 || h.actions[1].N != 3 {
-		t.Fatalf("action sizes = %v", h.actions)
-	}
-	if len(fr.results) != 1 || fr.results[0].Accepted != 3 {
-		t.Fatalf("results = %v", fr.results)
-	}
-	if f.Adaptations() != 1 {
-		t.Fatalf("adaptations = %d", f.Adaptations())
-	}
+	check(t, "actions", h.actions, "acquire 3", "recruit 3")
+	check(t, "done", h.done, "0/3: 3")
 }
 
 func TestShrinkRunsRelease(t *testing.T) {
-	e, h, _, _ := setup(fixedStrategy{grow: 8, shrink: 8})
-	fr := &fakeFrontend{size: 10}
-	fw := New(e, fixedStrategy{shrink: 8}, h, fr)
-	fw.Notify(Event{Kind: ShrinkRequest, Amount: 4})
+	e, h, f := setup()
+	f.Notify(Event{Kind: ShrinkRequest, Amount: 4})
 	e.Run()
-	if len(h.actions) != 1 || h.actions[0].Op != OpRelease || h.actions[0].N != 4 {
-		t.Fatalf("actions = %v", h.actions)
-	}
-	if len(fr.results) != 1 || fr.results[0].Accepted != 4 {
-		t.Fatalf("results = %v", fr.results)
-	}
-}
-
-func TestDeclinedEventReportsZero(t *testing.T) {
-	e, h, f, fr := setup(fixedStrategy{grow: 0, shrink: 0})
-	f.Notify(Event{Kind: GrowRequest, Amount: 5})
-	e.Run()
-	if len(h.actions) != 0 {
-		t.Fatalf("declined grow ran actions: %v", h.actions)
-	}
-	if len(fr.results) != 1 || fr.results[0].Accepted != 0 {
-		t.Fatalf("results = %v", fr.results)
-	}
+	check(t, "actions", h.actions, "release 4")
+	check(t, "done", h.done, "1/4: 4")
 }
 
 func TestAdaptationsSerialize(t *testing.T) {
-	e, h, f, fr := setup(fixedStrategy{grow: 8, shrink: 8})
+	e, h, f := setup()
 	f.Notify(Event{Kind: GrowRequest, Amount: 2})
+	f.Notify(Event{Kind: ShrinkRequest, Amount: 1})
 	f.Notify(Event{Kind: GrowRequest, Amount: 1})
-	if !f.Busy() {
-		t.Fatal("framework should be busy")
-	}
-	if f.PendingEvents() != 1 {
-		t.Fatalf("pending = %d", f.PendingEvents())
-	}
+	// Only the first adaptation has started; the others wait in order.
+	check(t, "actions before running", h.actions, "acquire 2")
 	e.Run()
-	// Both processed, in order, never interleaved: acquire,recruit,acquire,recruit.
-	wantOps := []Op{OpAcquire, OpRecruit, OpAcquire, OpRecruit}
-	if len(h.actions) != 4 {
-		t.Fatalf("actions = %v", h.actions)
-	}
-	for i, a := range h.actions {
-		if a.Op != wantOps[i] {
-			t.Fatalf("actions = %v", h.actions)
-		}
-	}
-	if len(fr.results) != 2 {
-		t.Fatalf("results = %v", fr.results)
-	}
-	if f.Busy() || f.PendingEvents() != 0 {
-		t.Fatal("framework should be idle at the end")
-	}
+	check(t, "actions", h.actions, "acquire 2", "recruit 2", "release 1", "acquire 1", "recruit 1")
+	check(t, "done", h.done, "0/2: 2", "1/1: 1", "0/1: 1")
+	// Idle again: a later event starts at once.
+	f.Notify(Event{Kind: ShrinkRequest, Amount: 3})
+	check(t, "actions after idle", h.actions[len(h.actions)-1:], "release 3")
 }
 
 func TestPartialAcquisitionShrinksPlan(t *testing.T) {
-	e, h, _, _ := setup(fixedStrategy{})
+	e, h, f := setup()
 	h.heldOverride = func(n int) int { return 1 } // environment yields just 1
-	fr := &fakeFrontend{size: 2}
-	fw := New(e, fixedStrategy{grow: 8}, h, fr)
-	fw.Notify(Event{Kind: GrowRequest, Amount: 4})
+	f.Notify(Event{Kind: GrowRequest, Amount: 4})
 	e.Run()
-	if len(h.actions) != 2 || h.actions[1].Op != OpRecruit || h.actions[1].N != 1 {
-		t.Fatalf("actions = %v", h.actions)
-	}
-	if len(fr.results) != 1 || fr.results[0].Accepted != 1 {
-		t.Fatalf("results = %v", fr.results)
-	}
+	check(t, "actions", h.actions, "acquire 4", "recruit 1")
+	check(t, "done", h.done, "0/4: 1")
 }
 
 func TestZeroAcquisitionAbortsPlan(t *testing.T) {
-	e, h, _, _ := setup(fixedStrategy{})
+	e, h, f := setup()
 	h.heldOverride = func(n int) int { return 0 }
-	fr := &fakeFrontend{size: 2}
-	fw := New(e, fixedStrategy{grow: 8}, h, fr)
-	fw.Notify(Event{Kind: GrowRequest, Amount: 4})
+	f.Notify(Event{Kind: GrowRequest, Amount: 4})
+	f.Notify(Event{Kind: ShrinkRequest, Amount: 2})
 	e.Run()
-	if len(h.actions) != 1 {
-		t.Fatalf("actions = %v (recruit should not run)", h.actions)
-	}
-	if len(fr.results) != 1 || fr.results[0].Accepted != 0 {
-		t.Fatalf("results = %v", fr.results)
-	}
-	if fw.Busy() {
-		t.Fatal("framework stuck busy")
-	}
-}
-
-func TestProfileStrategyAdaptsFT(t *testing.T) {
-	s := ProfileStrategy{Acceptor: app.FTProfile()}
-	if got := s.DecideGrow(2, 5); got != 2 {
-		t.Fatalf("DecideGrow = %d, want 2 (power-of-two rule)", got)
-	}
-	if got := s.DecideShrink(16, 3); got != 8 {
-		t.Fatalf("DecideShrink = %d, want 8", got)
-	}
+	// The grow ends without recruiting, and the queued shrink still runs.
+	check(t, "actions", h.actions, "acquire 4", "release 2")
+	check(t, "done", h.done, "0/4: 0", "1/2: 2")
 }
 
 func TestNilComponentPanics(t *testing.T) {
-	e := sim.New()
 	defer func() {
 		if recover() == nil {
-			t.Error("nil component did not panic")
+			t.Error("nil handler did not panic")
 		}
 	}()
-	New(e, nil, nil, nil)
-}
-
-func TestStringers(t *testing.T) {
-	if GrowRequest.String() != "grow" || ShrinkRequest.String() != "shrink" || EventKind(9).String() == "" {
-		t.Fatal("EventKind strings")
-	}
-	if OpAcquire.String() != "acquire" || OpRecruit.String() != "recruit" || OpRelease.String() != "release" || Op(9).String() == "" {
-		t.Fatal("Op strings")
-	}
+	new(Framework).Init(nil)
 }

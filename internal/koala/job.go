@@ -116,8 +116,9 @@ type Job struct {
 	// seq is the submission sequence number (position in Scheduler.Jobs());
 	// it breaks start-time ties in the running-malleable-job order.
 	seq int
-	// sched owns the job; runner lifecycle notifications route back
-	// through it (see JobStarted/JobFinished).
+	// sched owns the job; runner lifecycle notifications and the
+	// malleability message counts route back through it (see
+	// JobStarted/JobFinished and RequestGrow/RequestShrink).
 	sched *Scheduler
 
 	submitTime float64
@@ -182,10 +183,6 @@ func (j *Job) Site() *Site {
 // Malleable reports whether this is a malleable job.
 func (j *Job) Malleable() bool { return j.Spec.Malleable() }
 
-// MRunner exposes the malleable runner (nil for rigid jobs or before
-// placement).
-func (j *Job) MRunner() *runner.MRunner { return j.mrunner }
-
 // Execution returns the job's application execution (nil before it
 // starts).
 func (j *Job) Execution() *app.Execution {
@@ -229,20 +226,25 @@ func (j *Job) PlannedProcs() int {
 }
 
 // RequestGrow offers additional processors to a running malleable job and
-// returns the accepted amount (§V-C protocol).
+// returns the accepted amount (§V-C protocol). Every policy sends its grow
+// messages through here, and each one that reaches a running malleable
+// job counts in Scheduler.Messages, declined or not.
 func (j *Job) RequestGrow(offer int) int {
 	if j.mrunner == nil || j.state != Running {
 		return 0
 	}
+	j.sched.growMsgs++
 	return j.mrunner.RequestGrow(offer)
 }
 
 // RequestShrink asks a running malleable job to give processors back and
-// returns the amount it will release.
+// returns the amount it will release. Like RequestGrow, it counts each
+// message that reaches a running malleable job in Scheduler.Messages.
 func (j *Job) RequestShrink(request int) int {
 	if j.mrunner == nil || j.state != Running {
 		return 0
 	}
+	j.sched.shrinkMsgs++
 	return j.mrunner.RequestShrink(request)
 }
 

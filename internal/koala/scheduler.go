@@ -75,6 +75,9 @@ type Scheduler struct {
 	jobs  []*Job
 	// terminal counts the jobs that finished or were rejected.
 	terminal int
+	// growMsgs and shrinkMsgs count the grow and shrink messages that
+	// reached running malleable jobs (Job.RequestGrow/RequestShrink).
+	growMsgs, shrinkMsgs uint64
 
 	// pending counts processors (by site index) claimed for placed jobs
 	// whose GRAM submissions are still in flight. The processor claimer
@@ -166,6 +169,11 @@ func (s *Scheduler) Jobs() []*Job { return s.jobs }
 // Terminal returns how many submitted jobs reached a terminal state
 // (Finished or Rejected).
 func (s *Scheduler) Terminal() int { return s.terminal }
+
+// Messages returns how many grow and shrink messages reached running
+// malleable jobs so far, declined ones included. The malleability manager
+// records the difference across each policy round (Figs. 7f and 8f).
+func (s *Scheduler) Messages() (grow, shrink uint64) { return s.growMsgs, s.shrinkMsgs }
 
 // QueueLength returns the number of jobs waiting for placement.
 func (s *Scheduler) QueueLength() int { return len(s.queue) }
@@ -348,10 +356,9 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 		j.claims = append(j.claims, p.Size)
 		s.pending[p.Site.Index()] += p.Size
 	}
-	cb := runner.Callbacks{Lifecycle: j}
 	if j.Malleable() {
 		comp := j.Spec.Components[0]
-		mr, err := s.runners.NewMRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, s.cfg.MRunnerConfig, cb)
+		mr, err := s.runners.NewMRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, s.cfg.MRunnerConfig, j)
 		if err != nil {
 			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 		}
@@ -381,7 +388,7 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 		j.claims[0] = c.Size
 		s.pending[si] += c.Size - placements[0].Size
 	}
-	rr, err := runner.NewRigidRunner(s.engine, comps, cb)
+	rr, err := runner.NewRigidRunner(s.engine, comps, j)
 	if err != nil {
 		panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 	}

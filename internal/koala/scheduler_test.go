@@ -65,8 +65,8 @@ func TestSubmitMalleableJobUsesMRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntil(100)
-	if j.MRunner() == nil || j.State() != Running {
-		t.Fatalf("mrunner=%v state=%v", j.MRunner(), j.State())
+	if j.State() != Running || j.HeldProcs() != 2 || j.PlannedProcs() != 2 {
+		t.Fatalf("state=%v held=%d planned=%d", j.State(), j.HeldProcs(), j.PlannedProcs())
 	}
 	if j.CurrentProcs() != 2 {
 		t.Fatalf("procs = %d", j.CurrentProcs())
@@ -78,6 +78,50 @@ func TestSubmitMalleableJobUsesMRunner(t *testing.T) {
 	if j.CurrentProcs() != 12 {
 		t.Fatalf("procs = %d after grow", j.CurrentProcs())
 	}
+	s.Stop()
+}
+
+// TestMessagesCountOffersToRunningMalleableJobs pins Scheduler.Messages:
+// every grow or shrink message that reaches a running malleable job
+// counts, declined ones included; messages to a waiting, rigid or
+// finished job do not.
+func TestMessagesCountOffersToRunningMalleableJobs(t *testing.T) {
+	e, _, s := newSched(t, fastCfg(), 6)
+	fin, _ := s.Submit(malleableSpec("fin", app.FTProfile(), 2)) // runs 5..125
+	m, _ := s.Submit(malleableSpec("m", app.GadgetProfile(), 2))
+	r, _ := s.Submit(rigidSpec("r", 2))
+	w, _ := s.Submit(malleableSpec("w", app.GadgetProfile(), 2))
+	e.RunUntil(50)
+	if m.State() != Running || r.State() != Running || w.State() != Waiting {
+		t.Fatalf("m=%v r=%v w=%v, want running, running, waiting", m.State(), r.State(), w.State())
+	}
+	msgs := func(wantGrow, wantShrink uint64) {
+		t.Helper()
+		if g, sh := s.Messages(); g != wantGrow || sh != wantShrink {
+			t.Fatalf("messages = %d grow, %d shrink; want %d, %d", g, sh, wantGrow, wantShrink)
+		}
+	}
+	msgs(0, 0)
+	if got := m.RequestShrink(4); got != 0 { // at its minimum: declined
+		t.Fatalf("m released %d at its minimum", got)
+	}
+	msgs(0, 1)
+	if got := m.RequestGrow(2); got != 2 {
+		t.Fatalf("m accepted %d, want 2", got)
+	}
+	msgs(1, 1)
+	r.RequestGrow(2)
+	r.RequestShrink(1)
+	w.RequestGrow(2)
+	w.RequestShrink(1)
+	msgs(1, 1)
+	e.RunUntil(200)
+	if fin.State() != Finished {
+		t.Fatalf("fin = %v, want finished", fin.State())
+	}
+	fin.RequestGrow(2)
+	fin.RequestShrink(1)
+	msgs(1, 1)
 	s.Stop()
 }
 

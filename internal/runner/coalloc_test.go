@@ -30,7 +30,7 @@ func TestCoRunnerSpansComponents(t *testing.T) {
 	r, err := NewRigidRunner(e, []Component{
 		{Svc: svcs[0], Profile: prof, Size: 8},
 		{Svc: svcs[1], Profile: prof, Size: 8},
-	}, Callbacks{Lifecycle: lc})
+	}, lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestCoRunnerWaitsForAllComponents(t *testing.T) {
 	r, _ := NewRigidRunner(e, []Component{
 		{Svc: svcs[0], Profile: app.RigidProfile("co", app.FTModel(), 4), Size: 4},
 		{Svc: svcs[1], Profile: app.RigidProfile("co", app.FTModel(), 8), Size: 8},
-	}, Callbacks{Lifecycle: lc})
+	}, lc)
 	r.Start()
 	e.RunUntil(50)
 	if lc.started {
@@ -86,20 +86,20 @@ func TestCoRunnerWaitsForAllComponents(t *testing.T) {
 
 func TestCoRunnerValidation(t *testing.T) {
 	e, _, svcs := coHarness(8)
-	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: app.GadgetProfile(), Size: 2}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: app.GadgetProfile(), Size: 2}}, ignore{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
 	prof := app.RigidProfile("r", app.FTModel(), 4)
-	if _, err := NewRigidRunner(e, nil, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, nil, ignore{}); err == nil {
 		t.Fatal("empty components should be rejected")
 	}
-	if _, err := NewRigidRunner(e, []Component{{Svc: nil, Profile: prof, Size: 4}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: nil, Profile: prof, Size: 4}}, ignore{}); err == nil {
 		t.Fatal("nil service should be rejected")
 	}
-	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 0}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 0}}, ignore{}); err == nil {
 		t.Fatal("zero size should be rejected")
 	}
-	r, _ := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 4}}, Callbacks{})
+	r, _ := NewRigidRunner(e, []Component{{Svc: svcs[0], Profile: prof, Size: 4}}, ignore{})
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func (r *MRunner) SetAppGrowHandler(h AppGrowHandler) { r.appGrow = h }
 // scheduler may grant less than asked, and the application's own
 // constraints apply on top.
 func (r *MRunner) AppRequestGrow(amount int) int {
-	if !r.running || r.finished || amount <= 0 || r.appGrow == nil {
+	if !r.running || amount <= 0 || r.appGrow == nil {
 		return 0
 	}
 	granted := r.appGrow.AppGrowRequest(r.Site(), amount)
@@ -40,40 +40,15 @@ func (r *MRunner) AppRequestGrow(amount int) int {
 	return r.RequestGrow(granted)
 }
 
-// VoluntaryShrinkPolicy decides, on the application's behalf, how many of
-// the requested processors to give back when the scheduler asks *politely*
-// (a voluntary change, §II-D). progress is the completed fraction in [0,1].
-// The default declines once the application is past halfway — late in the
-// run the remaining work no longer amortises the reconfiguration cost.
-type VoluntaryShrinkPolicy func(progress float64, current, request int) int
-
-// DefaultVoluntaryShrinkPolicy accepts voluntary shrinks during the first
-// half of the execution and declines afterwards.
-func DefaultVoluntaryShrinkPolicy(progress float64, current, request int) int {
-	if progress >= 0.5 {
-		return 0
-	}
-	return request
-}
-
 // RequestVoluntaryShrink delivers a voluntary shrink request: the
-// application may satisfy it partially or not at all ("it is merely a
-// guideline", §II-D). It returns the number of processors the application
-// agreed to release; the release itself proceeds like a mandatory shrink.
+// application may decline it ("it is merely a guideline", §II-D). It
+// accepts during the first half of its execution and declines afterwards,
+// when the remaining work no longer amortises the reconfiguration cost. It
+// returns the number of processors the application agreed to release; the
+// release itself proceeds like a mandatory shrink.
 func (r *MRunner) RequestVoluntaryShrink(request int) int {
-	if !r.running || r.finished || request <= 0 || r.exec == nil {
+	if !r.running || request <= 0 || r.exec.Progress() >= 0.5 {
 		return 0
 	}
-	policy := r.cfg.VoluntaryShrink
-	if policy == nil {
-		policy = DefaultVoluntaryShrinkPolicy
-	}
-	willing := policy(r.exec.Progress(), r.planned, request)
-	if willing <= 0 {
-		return 0
-	}
-	if willing > request {
-		willing = request
-	}
-	return r.RequestShrink(willing)
+	return r.RequestShrink(request)
 }

@@ -20,7 +20,7 @@ func (g *grantAll) AppGrowRequest(site string, amount int) int {
 
 func TestAppRequestGrowObtainsProcessors(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	r.SetAppGrowHandler(&grantAll{budget: 100})
 	r.Start()
 	h.engine.RunUntil(20)
@@ -36,7 +36,7 @@ func TestAppRequestGrowObtainsProcessors(t *testing.T) {
 
 func TestAppRequestGrowSchedulerMayGrantLess(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	r.SetAppGrowHandler(&grantAll{budget: 3})
 	r.Start()
 	h.engine.RunUntil(20)
@@ -52,7 +52,7 @@ func TestAppRequestGrowAppliesAppConstraints(t *testing.T) {
 	// FT asks for 5 while at 2; scheduler grants 5, but the power-of-two
 	// rule means the application adopts only 2 (2→4).
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), ignore{})
 	r.SetAppGrowHandler(&grantAll{budget: 100})
 	r.Start()
 	h.engine.RunUntil(20)
@@ -63,7 +63,7 @@ func TestAppRequestGrowAppliesAppConstraints(t *testing.T) {
 
 func TestAppRequestGrowWithoutHandlerDeclines(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(20)
 	if got := r.AppRequestGrow(5); got != 0 {
@@ -76,7 +76,7 @@ func TestAppRequestGrowWithoutHandlerDeclines(t *testing.T) {
 
 func TestVoluntaryShrinkAcceptedEarly(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(30) // progress ≈ 25/240 ≈ 10% — early
 	if got := r.RequestVoluntaryShrink(10); got != 10 {
@@ -90,7 +90,7 @@ func TestVoluntaryShrinkAcceptedEarly(t *testing.T) {
 
 func TestVoluntaryShrinkDeclinedLate(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(200) // progress ≈ 195/240 ≈ 80% — late
 	if got := r.RequestVoluntaryShrink(10); got != 0 {
@@ -98,27 +98,5 @@ func TestVoluntaryShrinkDeclinedLate(t *testing.T) {
 	}
 	if r.Execution().Procs() != 46 {
 		t.Fatalf("procs = %d, want 46", r.Execution().Procs())
-	}
-}
-
-func TestVoluntaryShrinkCustomPolicy(t *testing.T) {
-	h := newHarness(48)
-	cfg := zeroCosts()
-	// A miserly application: gives back at most 1 processor, ever.
-	cfg.VoluntaryShrink = func(progress float64, current, request int) int { return 1 }
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, cfg, Callbacks{})
-	r.Start()
-	h.engine.RunUntil(30)
-	if got := r.RequestVoluntaryShrink(10); got != 1 {
-		t.Fatalf("released %d, want 1", got)
-	}
-}
-
-func TestDefaultVoluntaryShrinkPolicy(t *testing.T) {
-	if got := DefaultVoluntaryShrinkPolicy(0.2, 10, 4); got != 4 {
-		t.Fatalf("early: %d", got)
-	}
-	if got := DefaultVoluntaryShrinkPolicy(0.7, 10, 4); got != 0 {
-		t.Fatalf("late: %d", got)
 	}
 }

@@ -28,7 +28,7 @@ type Component struct {
 type RigidRunner struct {
 	engine *sim.Engine
 	comps  []Component
-	cb     Callbacks
+	lc     Lifecycle
 
 	// jobs[i] is component i's GRAM job; jobsBuf backs the
 	// single-component case.
@@ -48,11 +48,11 @@ type RigidRunner struct {
 	finished bool
 }
 
-// NewRigidRunner builds a runner for the given components; it keeps comps.
-// Each component's size must lie within its profile's bounds: moldable
-// profiles may pick any size in their range, rigid profiles must use
-// their fixed size.
-func NewRigidRunner(engine *sim.Engine, comps []Component, cb Callbacks) (*RigidRunner, error) {
+// NewRigidRunner builds a runner for the given components; it keeps comps,
+// and lc receives the job's start and finish. Each component's size must
+// lie within its profile's bounds: moldable profiles may pick any size in
+// their range, rigid profiles must use their fixed size.
+func NewRigidRunner(engine *sim.Engine, comps []Component, lc Lifecycle) (*RigidRunner, error) {
 	if len(comps) == 0 {
 		return nil, fmt.Errorf("runner: a rigid job needs at least one component")
 	}
@@ -72,7 +72,7 @@ func NewRigidRunner(engine *sim.Engine, comps []Component, cb Callbacks) (*Rigid
 				i, c.Size, c.Profile.Min, c.Profile.Max, c.Profile.Name)
 		}
 	}
-	r := &RigidRunner{engine: engine, comps: comps, cb: cb}
+	r := &RigidRunner{engine: engine, comps: comps, lc: lc}
 	r.jobs = r.jobsBuf[:0]
 	return r, nil
 }
@@ -87,7 +87,8 @@ func (r *RigidRunner) TotalSize() int {
 	return total
 }
 
-// Nodes implements Runner.
+// Nodes returns the processors of the components whose GRAM jobs are
+// active.
 func (r *RigidRunner) Nodes() int {
 	total := 0
 	for _, j := range r.jobs {
@@ -98,16 +99,16 @@ func (r *RigidRunner) Nodes() int {
 	return total
 }
 
-// Running implements Runner.
+// Running reports whether the application is currently executing.
 func (r *RigidRunner) Running() bool { return r.running }
 
-// Finished implements Runner.
+// Finished reports whether the application has completed.
 func (r *RigidRunner) Finished() bool { return r.finished }
 
 // Execution exposes the application execution (nil before start).
 func (r *RigidRunner) Execution() *app.Execution { return r.exec }
 
-// Start implements Runner: it submits one GRAM job per component.
+// Start submits one GRAM job per component.
 func (r *RigidRunner) Start() error {
 	if r.started {
 		return fmt.Errorf("runner: rigid %s started twice", r.comps[0].Profile.Name)
@@ -136,7 +137,7 @@ func (r *RigidRunner) JobActive(*gram.Job) {
 	r.pinned = app.Profile{Name: p.Name, Class: p.Class, Model: p.Model, Min: size, Max: size}
 	r.exec = &r.execVal
 	r.exec.Start(r.engine, &r.pinned, size, r.onAppFinished)
-	r.cb.notifyStarted()
+	r.lc.JobStarted()
 }
 
 func (r *RigidRunner) onAppFinished() {
@@ -145,5 +146,5 @@ func (r *RigidRunner) onAppFinished() {
 	for i, j := range r.jobs {
 		r.comps[i].Svc.Release(j)
 	}
-	r.cb.notifyFinished()
+	r.lc.JobFinished()
 }

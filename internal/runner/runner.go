@@ -1,9 +1,12 @@
 // Package runner reproduces KOALA's runners framework (§IV-A) and the
 // Malleable Runner of §V-A. Runners are the auxiliary tools that interface
 // applications of different types to the centralised scheduler: they submit
-// the actual GRAM jobs, monitor progress, and — for the MRunner — carry a
-// complete per-application DYNACO instance that translates the scheduler's
-// grow and shrink messages into GRAM submissions and releases.
+// the actual GRAM jobs, monitor progress, and report the application's
+// start and finish through one Lifecycle. The MRunner also answers the
+// scheduler's grow and shrink messages: its reply is the application's
+// decision (the DYNACO decide step, §V-C), and the complete per-application
+// DYNACO instance it embeds plans and executes the accepted change as GRAM
+// submissions and releases.
 package runner
 
 import (
@@ -27,52 +30,6 @@ type Lifecycle interface {
 	JobFinished()
 }
 
-// Callbacks connect a runner to the scheduler frontend. All callbacks are
-// optional.
-type Callbacks struct {
-	// Lifecycle, when non-nil, receives the started/finished
-	// notifications.
-	Lifecycle Lifecycle
-	// OnGrowAck acknowledges a RequestGrow with the number of processors
-	// actually adopted (0 = declined). It fires once the new processors are
-	// recruited into the application.
-	OnGrowAck func(accepted int)
-	// OnShrinkAck acknowledges a RequestShrink with the number of
-	// processors the application released. It fires once the release is
-	// under way at GRAM (the nodes come back after the GRAM release
-	// latency).
-	OnShrinkAck func(released int)
-	// OnVoluntaryShrink notifies the scheduler that the application
-	// voluntarily gave back processors beyond what was requested (§V-A),
-	// e.g. stubs abandoned after an acquisition timeout.
-	OnVoluntaryShrink func(released int)
-}
-
-func (cb *Callbacks) notifyStarted() {
-	if cb.Lifecycle != nil {
-		cb.Lifecycle.JobStarted()
-	}
-}
-
-func (cb *Callbacks) notifyFinished() {
-	if cb.Lifecycle != nil {
-		cb.Lifecycle.JobFinished()
-	}
-}
-
-// Runner is the common behaviour of all runner kinds.
-type Runner interface {
-	// Start begins resource acquisition and, once ready, execution.
-	Start() error
-	// Nodes returns the number of processors currently held on behalf of
-	// the application (stubs included).
-	Nodes() int
-	// Running reports whether the application is currently executing.
-	Running() bool
-	// Finished reports whether the application has completed.
-	Finished() bool
-}
-
 // MRunnerConfig carries the MRunner's tunables.
 type MRunnerConfig struct {
 	// Costs are the application-side reconfiguration costs.
@@ -81,9 +38,6 @@ type MRunnerConfig struct {
 	// active before proceeding with what is held (pending stubs are
 	// voluntarily abandoned). Zero disables the timeout.
 	AcquireTimeout float64
-	// VoluntaryShrink decides how the application answers voluntary shrink
-	// requests (§II-D); nil uses DefaultVoluntaryShrinkPolicy.
-	VoluntaryShrink VoluntaryShrinkPolicy
 }
 
 // DefaultMRunnerConfig returns sensible defaults. The acquisition timeout is
@@ -104,7 +58,7 @@ type MRunner struct {
 	svc     *gram.Service
 	profile *app.Profile
 	cfg     MRunnerConfig
-	cb      Callbacks
+	lc      Lifecycle
 
 	initial int
 	stubs   []*gram.Job
@@ -112,10 +66,9 @@ type MRunner struct {
 	// is embedded by value, so it lives wherever the runner does.
 	exec    *app.Execution
 	execVal app.Execution
-	// fw points at fwVal: the per-job DYNACO instance is embedded by value
-	// so claiming a malleable job heap-allocates one object fewer.
-	fw    *dynaco.Framework
-	fwVal dynaco.Framework
+	// fw is the per-job DYNACO instance, embedded by value so claiming a
+	// malleable job heap-allocates one object fewer.
+	fw dynaco.Framework
 
 	// planned is the processor count after all queued adaptations complete;
 	// the decide step of the protocol (§V-C: "get accepted number of
@@ -128,8 +81,8 @@ type MRunner struct {
 	finished bool
 
 	// One in-flight release staged by mrunnerHandler.Release while its
-	// safe-point delay elapses (DYNACO serializes adaptation actions, so
-	// one slot is enough).
+	// safe-point delay elapses (DYNACO serializes adaptations, so one slot
+	// is enough).
 	relN int
 
 	// acq is the single reusable acquisition slot: DYNACO executes one
@@ -139,9 +92,6 @@ type MRunner struct {
 	acq acquisition
 
 	appGrow AppGrowHandler
-
-	growMsgs   uint64
-	shrinkMsgs uint64
 }
 
 // Slabs is the memory a scheduler's malleable runners are built in: each
@@ -172,14 +122,15 @@ func (m *Slabs) Release() {
 
 // NewMRunner builds an MRunner for one malleable application instance to be
 // executed at the given site, starting at initial processors, in fresh
-// memory. A scheduler builds its runners in its Slabs instead.
-func NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, cb Callbacks) (*MRunner, error) {
-	return new(Slabs).NewMRunner(engine, svc, profile, initial, cfg, cb)
+// memory; lc receives its start and finish. A scheduler builds its runners
+// in its Slabs instead.
+func NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, lc Lifecycle) (*MRunner, error) {
+	return new(Slabs).NewMRunner(engine, svc, profile, initial, cfg, lc)
 }
 
 // NewMRunner is the package-level NewMRunner with the runner built in m;
 // it stays valid until m is released.
-func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, cb Callbacks) (*MRunner, error) {
+func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, lc Lifecycle) (*MRunner, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
@@ -194,7 +145,7 @@ func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.P
 	r.svc = svc
 	r.profile = profile
 	r.cfg = cfg
-	r.cb = cb
+	r.lc = lc
 	r.initial = initial
 	r.planned = initial
 	r.acq.r = r
@@ -206,12 +157,10 @@ func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.P
 	r.acq.newStubs = buf[profile.Max:profile.Max]
 	// The complete DYNACO instance embedded in the MRunner (§V-A). The
 	// decide step runs synchronously in RequestGrow/RequestShrink (it is
-	// the protocol reply to the scheduler), so the framework executes
-	// pre-decided events. The handler doubles as the framework's frontend
-	// (Size/AdaptationDone), so assembling the instance allocates no
-	// closures.
-	r.fw = &r.fwVal
-	r.fw.Init(engine, dynaco.PreDecided{}, (*mrunnerHandler)(r), (*mrunnerHandler)(r))
+	// the protocol reply to the scheduler); the framework plans and
+	// executes the decided events through the runner's handler, so
+	// assembling the instance allocates no closures.
+	r.fw.Init((*mrunnerHandler)(r))
 	return r, nil
 }
 
@@ -221,31 +170,29 @@ func (r *MRunner) Site() string { return r.svc.SiteName() }
 // Profile returns the application profile.
 func (r *MRunner) Profile() *app.Profile { return r.profile }
 
-// Nodes implements Runner.
+// Nodes returns the processors currently held on behalf of the
+// application, stubs not yet recruited included.
 func (r *MRunner) Nodes() int { return len(r.stubs) }
 
-// Running implements Runner.
+// Running reports whether the application is currently executing.
 func (r *MRunner) Running() bool { return r.running }
 
-// Finished implements Runner.
+// Finished reports whether the application has completed.
 func (r *MRunner) Finished() bool { return r.finished }
 
 // Execution exposes the application execution (nil before start).
 func (r *MRunner) Execution() *app.Execution { return r.exec }
 
-// Stats returns the number of grow and shrink messages received.
-func (r *MRunner) Stats() (growMsgs, shrinkMsgs uint64) { return r.growMsgs, r.shrinkMsgs }
-
-// Start implements Runner: it submits the initial collection of size-1 GRAM
-// stub jobs; execution begins when all are active. The batch runs through
-// the shared acquisition slot (without a timeout: the initial submission
-// claims processors the scheduler already granted).
+// Start submits the initial collection of size-1 GRAM stub jobs; execution
+// begins when all are active. The batch runs through the shared
+// acquisition slot (without a timeout: the initial submission claims
+// processors the scheduler already granted).
 func (r *MRunner) Start() error {
 	if r.started {
 		return fmt.Errorf("runner: %s started twice", r.profile.Name)
 	}
 	r.started = true
-	if err := r.acquire(r.initial, nil, true, 0); err != nil {
+	if err := r.acquire(r.initial, true, 0); err != nil {
 		return fmt.Errorf("runner: initial submission failed: %w", err)
 	}
 	return nil
@@ -255,7 +202,7 @@ func (r *MRunner) beginExecution() {
 	r.running = true
 	r.exec = &r.execVal
 	r.exec.Start(r.engine, r.profile, r.initial, r.onAppFinished)
-	r.cb.notifyStarted()
+	r.lc.JobStarted()
 }
 
 func (r *MRunner) onAppFinished() {
@@ -267,7 +214,7 @@ func (r *MRunner) onAppFinished() {
 		}
 	}
 	r.stubs = nil
-	r.cb.notifyFinished()
+	r.lc.JobFinished()
 }
 
 // PlannedProcs returns the processor count the application will have once
@@ -278,20 +225,13 @@ func (r *MRunner) PlannedProcs() int { return r.planned }
 // returned value is the application's immediate protocol reply — how many of
 // the offered processors it accepts (the DYNACO decide step, e.g. FT's
 // power-of-two rule). The adaptation itself (stub submission, recruitment)
-// proceeds asynchronously; Callbacks.OnGrowAck fires on completion.
+// proceeds asynchronously.
 func (r *MRunner) RequestGrow(offer int) int {
-	if !r.running || r.finished {
-		if r.cb.OnGrowAck != nil {
-			r.cb.OnGrowAck(0)
-		}
+	if !r.running {
 		return 0
 	}
-	r.growMsgs++
 	accepted := r.profile.AcceptGrow(r.planned, offer)
 	if accepted <= 0 {
-		if r.cb.OnGrowAck != nil {
-			r.cb.OnGrowAck(0)
-		}
 		return 0
 	}
 	r.planned += accepted
@@ -301,21 +241,14 @@ func (r *MRunner) RequestGrow(offer int) int {
 
 // RequestShrink delivers a mandatory shrink request. The returned value is
 // the number of processors the application agrees to release (possibly more
-// than requested when a structural constraint forces a bigger step, §VI-A).
-// Callbacks.OnShrinkAck fires once the release is under way.
+// than requested when a structural constraint forces a bigger step, §VI-A);
+// the release itself proceeds asynchronously.
 func (r *MRunner) RequestShrink(request int) int {
-	if !r.running || r.finished {
-		if r.cb.OnShrinkAck != nil {
-			r.cb.OnShrinkAck(0)
-		}
+	if !r.running {
 		return 0
 	}
-	r.shrinkMsgs++
 	released := r.profile.AcceptShrink(r.planned, request)
 	if released <= 0 {
-		if r.cb.OnShrinkAck != nil {
-			r.cb.OnShrinkAck(0)
-		}
 		return 0
 	}
 	r.planned -= released
@@ -323,37 +256,17 @@ func (r *MRunner) RequestShrink(request int) int {
 	return released
 }
 
-// mrunnerHandler implements dynaco.Handler and dynaco.Frontend on the
-// MRunner. It is a separate named type so these methods do not pollute
-// MRunner's public API.
+// mrunnerHandler implements dynaco.Handler on the MRunner. It is a
+// separate named type so these methods do not pollute MRunner's public
+// API.
 type mrunnerHandler MRunner
 
-// Size implements dynaco.Frontend.
-func (h *mrunnerHandler) Size() int {
-	r := (*MRunner)(h)
-	if r.exec == nil {
-		return r.initial
-	}
-	return r.exec.Procs()
-}
-
-// AdaptationDone implements dynaco.Frontend.
-func (h *mrunnerHandler) AdaptationDone(res dynaco.Result) {
-	r := (*MRunner)(h)
-	switch res.Event.Kind {
-	case dynaco.GrowRequest:
-		// The environment may have delivered fewer processors than the
-		// application accepted (acquisition timeout): reconcile the plan.
-		if res.Accepted < res.Event.Amount {
-			r.planned -= res.Event.Amount - res.Accepted
-		}
-		if r.cb.OnGrowAck != nil {
-			r.cb.OnGrowAck(res.Accepted)
-		}
-	case dynaco.ShrinkRequest:
-		if r.cb.OnShrinkAck != nil {
-			r.cb.OnShrinkAck(res.Accepted)
-		}
+// Done implements dynaco.Handler. The environment may have delivered
+// fewer processors than the application accepted (acquisition timeout):
+// reconcile the plan.
+func (h *mrunnerHandler) Done(ev dynaco.Event, accepted int) {
+	if ev.Kind == dynaco.GrowRequest && accepted < ev.Amount {
+		h.planned -= ev.Amount - accepted
 	}
 }
 
@@ -373,16 +286,15 @@ type acquisition struct {
 	initial  bool
 	newStubs []*gram.Job
 	timeout  *sim.Event
-	fw       *dynaco.Framework
 }
 
 // acquire submits n size-1 stubs through the reusable acquisition slot.
-// For grow batches (initial false) the plan resumes via fw once all stubs
-// are active or the timeout expires; Start's initial batch (initial true,
-// no timeout) begins execution instead.
-func (r *MRunner) acquire(n int, fw *dynaco.Framework, initial bool, timeout float64) error {
+// For grow batches (initial false) the plan resumes once all stubs are
+// active or the timeout expires; Start's initial batch (initial true, no
+// timeout) begins execution instead.
+func (r *MRunner) acquire(n int, initial bool, timeout float64) error {
 	a := &r.acq
-	a.n, a.held, a.finished, a.initial, a.fw = n, 0, false, initial, fw
+	a.n, a.held, a.finished, a.initial = n, 0, false, initial
 	a.newStubs = a.newStubs[:0]
 	a.timeout = nil
 	if timeout > 0 {
@@ -419,15 +331,10 @@ func (a *acquisition) OnEvent(int) {
 		return
 	}
 	r := a.r
-	abandoned := 0
 	for _, s := range a.newStubs {
 		if s.State() != gram.Active && s.State() != gram.Released {
 			r.svc.Release(s)
-			abandoned++
 		}
-	}
-	if abandoned > 0 && r.cb.OnVoluntaryShrink != nil {
-		r.cb.OnVoluntaryShrink(abandoned)
 	}
 	a.complete()
 }
@@ -445,7 +352,7 @@ func (a *acquisition) complete() {
 		a.r.beginExecution()
 		return
 	}
-	a.fw.AcquireDone(a.held)
+	a.r.fw.AcquireDone(a.held)
 }
 
 // JobActive implements gram.Activator: one stub of the batch holds its
@@ -456,9 +363,6 @@ func (a *acquisition) JobActive(j *gram.Job) {
 		// Too late — the acquisition timed out, or the application itself
 		// already finished: give the node straight back.
 		r.svc.Release(j)
-		if r.cb.OnVoluntaryShrink != nil {
-			r.cb.OnVoluntaryShrink(1)
-		}
 		return
 	}
 	r.stubs = append(r.stubs, j)
@@ -471,9 +375,9 @@ func (a *acquisition) JobActive(j *gram.Job) {
 // Acquire implements dynaco.Handler: submit n size-1 stubs and resume the
 // plan once all are active (or the acquisition timeout expires, in which
 // case pending stubs are abandoned).
-func (h *mrunnerHandler) Acquire(n int, fw *dynaco.Framework) {
+func (h *mrunnerHandler) Acquire(n int) {
 	r := (*MRunner)(h)
-	r.acquire(n, fw, false, r.cfg.AcquireTimeout)
+	r.acquire(n, false, r.cfg.AcquireTimeout)
 }
 
 // Event op codes for the mrunnerHandler's sim.Handler implementation.
@@ -485,10 +389,10 @@ const (
 // Recruit implements dynaco.Handler: turn held stubs into application
 // processes — a short suspension while processes are spawned and data is
 // redistributed, then the application computes at its new size.
-func (h *mrunnerHandler) Recruit(n int, fw *dynaco.Framework) {
+func (h *mrunnerHandler) Recruit(n int) {
 	r := (*MRunner)(h)
 	if !r.running || r.exec == nil || r.exec.Done() {
-		fw.StepDone()
+		r.fw.StepDone()
 		return
 	}
 	target := r.exec.Procs() + n
@@ -505,12 +409,12 @@ func (h *mrunnerHandler) Recruit(n int, fw *dynaco.Framework) {
 // and release the corresponding GRAM jobs.
 //
 // The safe-point wait is scheduled as a handler op on the MRunner rather
-// than a closure; DYNACO executes one adaptation action at a time
-// (Framework.Busy), so a single pending-release slot suffices.
-func (h *mrunnerHandler) Release(n int, fw *dynaco.Framework) {
+// than a closure; DYNACO executes one adaptation at a time, so a single
+// pending-release slot suffices.
+func (h *mrunnerHandler) Release(n int) {
 	r := (*MRunner)(h)
 	if !r.running || r.exec == nil || r.exec.Done() {
-		fw.StepDone()
+		r.fw.StepDone()
 		return
 	}
 	r.relN = n

@@ -33,6 +33,12 @@ type lifecycle struct {
 func (l *lifecycle) JobStarted()  { l.started, l.startAt = true, l.engine.Now() }
 func (l *lifecycle) JobFinished() { l.finished, l.finishAt = true, l.engine.Now() }
 
+// ignore is the Lifecycle of tests that do not watch start and finish.
+type ignore struct{}
+
+func (ignore) JobStarted()  {}
+func (ignore) JobFinished() {}
+
 func zeroCosts() MRunnerConfig {
 	return MRunnerConfig{Costs: app.ReconfigCosts{}, AcquireTimeout: 0}
 }
@@ -40,7 +46,7 @@ func zeroCosts() MRunnerConfig {
 func TestMRunnerLifecycle(t *testing.T) {
 	h := newHarness(48)
 	lc := &lifecycle{engine: h.engine}
-	r, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{Lifecycle: lc})
+	r, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +72,15 @@ func TestMRunnerLifecycle(t *testing.T) {
 
 func TestMRunnerGrow(t *testing.T) {
 	h := newHarness(48)
-	var acks []int
 	lc := &lifecycle{engine: h.engine}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{
-		Lifecycle: lc,
-		OnGrowAck: func(n int) { acks = append(acks, n) },
-	})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
 	r.Start()
 	// At t=305 (300 s of execution → half done) offer 44 more processors.
-	h.engine.At(305, func() { r.RequestGrow(44) })
+	accepted := -1
+	h.engine.At(305, func() { accepted = r.RequestGrow(44) })
 	h.engine.Run()
-	if len(acks) != 1 || acks[0] != 44 {
-		t.Fatalf("acks = %v", acks)
+	if accepted != 44 {
+		t.Fatalf("accepted %d, want 44", accepted)
 	}
 	// Stub submission takes 5 s (overlapped), so the rate switches at 310:
 	// progress 305/600 at old rate... execution started at t=5, so by t=310
@@ -86,40 +89,33 @@ func TestMRunnerGrow(t *testing.T) {
 	if math.Abs(lc.finishAt-want) > 1e-6 {
 		t.Fatalf("finishAt = %g, want %g", lc.finishAt, want)
 	}
-	g, s := r.Stats()
-	if g != 1 || s != 0 {
-		t.Fatalf("stats = %d/%d", g, s)
-	}
 }
 
 func TestMRunnerGrowRespectsFTPow2(t *testing.T) {
 	h := newHarness(48)
-	var acks []int
-	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), Callbacks{
-		OnGrowAck: func(n int) { acks = append(acks, n) },
-	})
+	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), ignore{})
 	r.Start()
-	h.engine.At(20, func() { r.RequestGrow(5) }) // 2+5=7 → FT accepts 2 (→4)
-	h.engine.Run()
-	if len(acks) != 1 || acks[0] != 2 {
-		t.Fatalf("acks = %v", acks)
+	h.engine.RunUntil(20)
+	if got := r.RequestGrow(5); got != 2 { // 2+5=7 → FT accepts 2 (→4)
+		t.Fatalf("accepted %d, want 2", got)
+	}
+	h.engine.RunUntil(40)
+	if r.Execution().Procs() != 4 {
+		t.Fatalf("procs = %d, want 4", r.Execution().Procs())
 	}
 }
 
 func TestMRunnerShrink(t *testing.T) {
 	h := newHarness(48)
-	var acks []int
 	lc := &lifecycle{engine: h.engine}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{
-		Lifecycle:   lc,
-		OnShrinkAck: func(n int) { acks = append(acks, n) },
-	})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), lc)
 	r.Start()
 	// Execution starts at t=5 with T(46)=240. At t=125 progress is 0.5.
-	h.engine.At(125, func() { r.RequestShrink(44) })
+	released := -1
+	h.engine.At(125, func() { released = r.RequestShrink(44) })
 	h.engine.Run()
-	if len(acks) != 1 || acks[0] != 44 {
-		t.Fatalf("acks = %v", acks)
+	if released != 44 {
+		t.Fatalf("released %d, want 44", released)
 	}
 	// Remaining half at T(2)=600 → 300 s → finish at 425.
 	if math.Abs(lc.finishAt-425) > 1e-6 {
@@ -134,7 +130,7 @@ func TestMRunnerShrink(t *testing.T) {
 
 func TestMRunnerShrinkFreesNodesDuringRun(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.At(100, func() { r.RequestShrink(20) })
 	h.engine.RunUntil(110)
@@ -148,17 +144,13 @@ func TestMRunnerShrinkFreesNodesDuringRun(t *testing.T) {
 
 func TestMRunnerGrowShrinkSequence(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.At(50, func() { r.RequestGrow(10) })
 	h.engine.At(100, func() { r.RequestShrink(5) })
 	h.engine.RunUntil(150)
-	if r.Execution().Procs() != 7 {
-		t.Fatalf("procs = %d, want 7", r.Execution().Procs())
-	}
-	g, s := r.Stats()
-	if g != 1 || s != 1 {
-		t.Fatalf("stats = %d/%d", g, s)
+	if r.Execution().Procs() != 7 || r.PlannedProcs() != 7 {
+		t.Fatalf("procs = %d, planned = %d; want 7 and 7", r.Execution().Procs(), r.PlannedProcs())
 	}
 }
 
@@ -167,7 +159,7 @@ func TestMRunnerReconfigCostsDelayCompletion(t *testing.T) {
 	base := func(cfg MRunnerConfig) float64 {
 		h := newHarness(48)
 		lc := &lifecycle{engine: h.engine}
-		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, Callbacks{Lifecycle: lc})
+		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, lc)
 		r.Start()
 		h.engine.At(50, func() { r.RequestGrow(44) })
 		h.engine.Run()
@@ -185,27 +177,27 @@ func TestMRunnerReconfigCostsDelayCompletion(t *testing.T) {
 
 func TestMRunnerGrowAfterFinishAcksZero(t *testing.T) {
 	h := newHarness(48)
-	var acks []int
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), Callbacks{
-		OnGrowAck: func(n int) { acks = append(acks, n) },
-	})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
-	h.engine.At(1000, func() { r.RequestGrow(10) }) // long finished
+	h.engine.RunUntil(1000) // long finished
+	if got := r.RequestGrow(10); got != 0 {
+		t.Fatalf("accepted %d after finish, want 0", got)
+	}
 	h.engine.Run()
-	if len(acks) != 1 || acks[0] != 0 {
-		t.Fatalf("acks = %v", acks)
+	if sub, _, _ := h.svc.Stats(); sub != 46 || h.clus.Used() != 0 {
+		t.Fatalf("submitted %d stubs, used %d; want 46 and 0", sub, h.clus.Used())
 	}
 }
 
 func TestMRunnerValidation(t *testing.T) {
 	h := newHarness(8)
-	if _, err := NewMRunner(h.engine, h.svc, app.RigidProfile("r", app.FTModel(), 2), 2, zeroCosts(), Callbacks{}); err == nil {
+	if _, err := NewMRunner(h.engine, h.svc, app.RigidProfile("r", app.FTModel(), 2), 2, zeroCosts(), ignore{}); err == nil {
 		t.Fatal("rigid profile should be rejected")
 	}
-	if _, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 1, zeroCosts(), Callbacks{}); err == nil {
+	if _, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 1, zeroCosts(), ignore{}); err == nil {
 		t.Fatal("size below min should be rejected")
 	}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), Callbacks{})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,26 +210,22 @@ func TestMRunnerAcquireTimeoutAbandonsPendingStubs(t *testing.T) {
 	// Cluster of 4: the app starts at 2; a grow of 2 more can only get 2…
 	// but background seizes them first so stubs stay pending. With a
 	// timeout the grow completes with 0 held and the pending stubs are
-	// abandoned (voluntary shrink).
+	// abandoned (voluntary shrink) and the plan falls back to 2.
 	h := newHarness(4)
-	var acks, voluntary []int
 	cfg := MRunnerConfig{Costs: app.ReconfigCosts{}, AcquireTimeout: 30}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, Callbacks{
-		OnGrowAck:         func(n int) { acks = append(acks, n) },
-		OnVoluntaryShrink: func(n int) { voluntary = append(voluntary, n) },
-	})
+	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, ignore{})
 	r.Start()
 	h.engine.At(10, func() { h.clus.SeizeBackground(2) })
-	h.engine.At(20, func() { r.RequestGrow(2) })
+	h.engine.RunUntil(20)
+	if got := r.RequestGrow(2); got != 2 {
+		t.Fatalf("accepted %d, want 2", got)
+	}
 	h.engine.RunUntil(120)
-	if len(acks) != 1 || acks[0] != 0 {
-		t.Fatalf("acks = %v, want [0]", acks)
+	if sub, act, rel := h.svc.Stats(); sub != 4 || act != 2 || rel != 2 {
+		t.Fatalf("stubs submitted/activated/released = %d/%d/%d, want 4/2/2", sub, act, rel)
 	}
-	if len(voluntary) != 1 || voluntary[0] != 2 {
-		t.Fatalf("voluntary = %v, want [2]", voluntary)
-	}
-	if r.Execution().Procs() != 2 {
-		t.Fatalf("procs = %d, want 2", r.Execution().Procs())
+	if r.Execution().Procs() != 2 || r.PlannedProcs() != 2 || r.Nodes() != 2 {
+		t.Fatalf("procs = %d, planned = %d, nodes = %d; want 2, 2, 2", r.Execution().Procs(), r.PlannedProcs(), r.Nodes())
 	}
 }
 
@@ -245,7 +233,7 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 	h := newHarness(8)
 	lc := &lifecycle{engine: h.engine}
 	prof := app.RigidProfile("FT-rigid", app.FTModel(), 2)
-	r, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 2}}, Callbacks{Lifecycle: lc})
+	r, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 2}}, lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +254,14 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 
 func TestRigidRunnerValidation(t *testing.T) {
 	h := newHarness(8)
-	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: app.GadgetProfile(), Size: 4}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: app.GadgetProfile(), Size: 4}}, ignore{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
 	prof := app.MoldableProfile("m", app.FTModel(), 2, 8)
-	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 16}}, Callbacks{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 16}}, ignore{}); err == nil {
 		t.Fatal("size beyond max should be rejected")
 	}
-	r, _ := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 4}}, Callbacks{})
+	r, _ := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 4}}, ignore{})
 	if r.Nodes() != 0 {
 		t.Fatal("nodes before start should be 0")
 	}
