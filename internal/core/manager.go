@@ -130,8 +130,34 @@ func (m *Manager) availableForGrowth(snap koala.Snapshot, i int) int {
 		m.inflightGrowthAt(i) - m.cfg.GrowthReserve
 }
 
+// record adds grow and shrink messages to the Fig. 7f/8f series and to
+// the run's SimStats.
+func (m *Manager) record(grow, shrink int) {
+	now := m.engine.Now()
+	if grow > 0 {
+		m.growMsgs.Inc(now, grow)
+		if m.cfg.Stats != nil {
+			m.cfg.Stats.GrowDecisions(now, grow)
+		}
+	}
+	if shrink > 0 {
+		m.shrinkMsgs.Inc(now, shrink)
+		if m.cfg.Stats != nil {
+			m.cfg.Stats.ShrinkDecisions(now, shrink)
+		}
+	}
+}
+
+// recordSince records the messages the scheduler counted since it read
+// (grow, shrink) from Scheduler.Messages: everything one policy round
+// sent, whichever kind (Equipartition's grow round also shrinks).
+func (m *Manager) recordSince(grow, shrink uint64) {
+	g, s := m.sched.Messages()
+	m.record(int(g-grow), int(s-shrink))
+}
+
 // growSiteAt runs one grow round on the site with dense index i, with the
-// given number of available processors as the grow value, counting the grow
+// given number of available processors as the grow value, recording the
 // messages the policy sent (the paper's Fig. 7f metric). Jobs at their
 // maximum still receive offers, as in the Fig. 4/5 pseudo-code — they
 // simply decline.
@@ -140,15 +166,9 @@ func (m *Manager) growSiteAt(i, avail int) int {
 	if len(jobs) == 0 || avail <= 0 {
 		return 0
 	}
-	before, _ := m.sched.Messages()
+	g, s := m.sched.Messages()
 	accepted := m.cfg.Policy.Grow(jobs, avail)
-	after, _ := m.sched.Messages()
-	if sent := int(after - before); sent > 0 {
-		m.growMsgs.Inc(m.engine.Now(), sent)
-		if m.cfg.Stats != nil {
-			m.cfg.Stats.GrowDecisions(m.engine.Now(), sent)
-		}
-	}
+	m.recordSince(g, s)
 	return accepted
 }
 
@@ -187,21 +207,15 @@ func (m *Manager) growAll(snap koala.Snapshot) int {
 }
 
 // shrinkSiteAt requests need processors back from the malleable jobs of the
-// site with dense index i, counting the shrink messages the policy sent.
+// site with dense index i, recording the messages the policy sent.
 func (m *Manager) shrinkSiteAt(i, need int) int {
 	jobs := m.sched.RunningMalleableJobsAt(i)
 	if len(jobs) == 0 || need <= 0 {
 		return 0
 	}
-	_, before := m.sched.Messages()
+	g, s := m.sched.Messages()
 	released := m.cfg.Policy.Shrink(jobs, need)
-	_, after := m.sched.Messages()
-	if sent := int(after - before); sent > 0 {
-		m.shrinkMsgs.Inc(m.engine.Now(), sent)
-		if m.cfg.Stats != nil {
-			m.cfg.Stats.ShrinkDecisions(m.engine.Now(), sent)
-		}
-	}
+	m.recordSince(g, s)
 	return released
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gram"
 	"repro/internal/koala"
+	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -244,6 +245,39 @@ func TestSystemDefaultsToDAS3(t *testing.T) {
 	}
 	if len(sys.Sites) != 5 {
 		t.Fatalf("sites = %d", len(sys.Sites))
+	}
+	sys.Scheduler.Stop()
+}
+
+// TestEquipartitionGrowRoundCountsItsShrinks pins that a grow round
+// records every message its policy sends: Equipartition shrinks the jobs
+// above the fair share before it grows the rest, and those shrinks count
+// in ShrinkOps and SimStats like a shrink round's.
+func TestEquipartitionGrowRoundCountsItsShrinks(t *testing.T) {
+	simStats := obs.NewSimStats()
+	sys := managedSystem(48, ManagerConfig{Policy: Equipartition{}, Approach: Manual{}, Stats: simStats})
+	a, _ := sys.SubmitMalleable("a", app.GadgetProfile(), 2)
+	sys.Engine.RunUntil(3)
+	if got := a.RequestGrow(20); got != 20 {
+		t.Fatalf("a accepted %d, want 20", got)
+	}
+	b, _ := sys.SubmitMalleable("b", app.GadgetProfile(), 2)
+	sys.Engine.RunUntil(10)
+	if b.State() != koala.Running {
+		t.Fatalf("b = %v, want running", b.State())
+	}
+	// Pool 22+2+2 = 26, fair share 13: a gives back 9, b is offered 11.
+	if got := sys.Manager.growSiteAt(0, 2); got != 11 {
+		t.Fatalf("round accepted %d, want 11", got)
+	}
+	if a.PlannedProcs() != 13 || b.PlannedProcs() != 13 {
+		t.Fatalf("planned a=%d b=%d, want 13 and 13", a.PlannedProcs(), b.PlannedProcs())
+	}
+	if g, s := sys.Manager.GrowOps().Total(), sys.Manager.ShrinkOps().Total(); g != 1 || s != 1 {
+		t.Errorf("recorded %g grow and %g shrink messages, want 1 and 1", g, s)
+	}
+	if snap := simStats.Snapshot(); snap.GrowDecisions != 1 || snap.ShrinkDecisions != 1 {
+		t.Errorf("SimStats %d grow and %d shrink decisions, want 1 and 1", snap.GrowDecisions, snap.ShrinkDecisions)
 	}
 	sys.Scheduler.Stop()
 }

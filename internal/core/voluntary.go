@@ -55,12 +55,7 @@ func (m *Manager) voluntaryShrinkSiteAt(i, need int) int {
 		need -= released
 		total += released
 	}
-	if asked > 0 {
-		m.shrinkMsgs.Inc(m.engine.Now(), asked)
-		if m.cfg.Stats != nil {
-			m.cfg.Stats.ShrinkDecisions(m.engine.Now(), asked)
-		}
-	}
+	m.record(0, asked)
 	return total
 }
 
