@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 )
 
 // Result is one benchmark's measurement. From several runs of the same
@@ -128,7 +129,12 @@ func beyondSpread(oldR, newR Result) bool {
 // Compare diffs new against old benchmark by benchmark, returning a
 // human report and the regressions that should fail the gate.
 // Benchmarks present on only one side are reported but never fail —
-// suites legitimately grow and shrink across PRs.
+// suites legitimately grow and shrink across PRs. Besides ns/op and
+// allocs/op, every custom metric whose unit ends in "/op" (such as
+// events/op) gates as lower-is-better on the relative threshold alone:
+// these are exact per-operation counts, the same in a 1x smoke run as in
+// a full one, so no absolute slack is needed. Other custom metrics
+// (speedup, mean-exec-s, ...) are recorded but never gated.
 func Compare(oldFile, newFile File, threshold float64) (report []string, regs []Regression) {
 	names := make([]string, 0, len(oldFile.Benchmarks))
 	for name := range oldFile.Benchmarks {
@@ -166,6 +172,24 @@ func Compare(oldFile, newFile File, threshold float64) (report []string, regs []
 		} else if oldR.AllocsPerOp > 0 || newR.AllocsPerOp > 0 {
 			report = append(report, fmt.Sprintf("  %-60s allocs/op %12.0f -> %12.0f (%+.1f%%)",
 				name, oldR.AllocsPerOp, newR.AllocsPerOp, pct))
+		}
+		units := make([]string, 0, len(oldR.Metrics))
+		for unit := range oldR.Metrics {
+			if _, ok := newR.Metrics[unit]; ok && strings.HasSuffix(unit, "/op") {
+				units = append(units, unit)
+			}
+		}
+		sort.Strings(units)
+		for _, unit := range units {
+			oldV, newV := oldR.Metrics[unit], newR.Metrics[unit]
+			pct, bad := exceeds(oldV, newV, threshold, 0)
+			line := fmt.Sprintf("%-60s %-9s %12.0f -> %12.0f (%+.1f%%)", name, unit, oldV, newV, pct)
+			if bad {
+				regs = append(regs, Regression{name, unit, oldV, newV, pct})
+				report = append(report, "REG "+line)
+			} else {
+				report = append(report, "  "+line)
+			}
 		}
 	}
 	added := make([]string, 0)

@@ -139,3 +139,40 @@ func TestCompareNsGateRespectsSpread(t *testing.T) {
 		})
 	}
 }
+
+// withMetrics is a 1x smoke result carrying custom metrics.
+func withMetrics(metrics map[string]float64) Result {
+	r := bench(1, 5000, 10)
+	r.Metrics = metrics
+	return r
+}
+
+// TestCompareGatesCustomPerOpCounts pins the custom-metric rule: a unit
+// ending in "/op" is an exact per-operation count, lower is better, and
+// gates on the relative threshold alone — in a 1x smoke run too. Other
+// custom metrics are recorded, never gated.
+func TestCompareGatesCustomPerOpCounts(t *testing.T) {
+	oldF := file(map[string]Result{
+		"BenchmarkStubChurn": withMetrics(map[string]float64{"events/op": 3}),
+		"BenchmarkSweep":     withMetrics(map[string]float64{"speedup": 2, "mean-exec-s": 100}),
+	})
+	newF := file(map[string]Result{
+		"BenchmarkStubChurn": withMetrics(map[string]float64{"events/op": 24}), // the batches split again
+		"BenchmarkSweep":     withMetrics(map[string]float64{"speedup": 0.5, "mean-exec-s": 900}),
+	})
+	report, regs := Compare(oldF, newF, 10)
+	if len(regs) != 1 || regs[0].Name != "BenchmarkStubChurn" || regs[0].Metric != "events/op" ||
+		regs[0].Old != 3 || regs[0].New != 24 {
+		t.Fatalf("regressions = %+v, want only events/op 3 -> 24 of BenchmarkStubChurn", regs)
+	}
+	if joined := strings.Join(report, "\n"); !strings.Contains(joined, "REG BenchmarkStubChurn") {
+		t.Fatalf("report does not flag events/op:\n%s", joined)
+	}
+	// Unchanged or lower counts pass; so does growth within the threshold.
+	for _, v := range []float64{3, 1, 3.2} {
+		same := file(map[string]Result{"BenchmarkStubChurn": withMetrics(map[string]float64{"events/op": v})})
+		if _, regs := Compare(oldF, same, 10); len(regs) != 0 {
+			t.Fatalf("events/op 3 -> %g flagged: %+v", v, regs)
+		}
+	}
+}

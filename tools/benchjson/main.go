@@ -21,8 +21,11 @@
 // smoke run measures allocations reliably but not time. When both files
 // recorded several runs of a benchmark, its ns/op growth must also
 // exceed each file's quartile spread (spread × median), so two noisy
-// recordings of unchanged code do not flag each other. Any regression
-// exits nonzero; added or removed benchmarks are reported but pass.
+// recordings of unchanged code do not flag each other. A custom metric
+// whose unit ends in "/op" (events/op, msgs/op) is an exact count and
+// gates on the threshold alone; other custom metrics are not gated. Any
+// regression exits nonzero; added or removed benchmarks are reported but
+// pass.
 package main
 
 import (
@@ -37,7 +40,7 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
-	compare := flag.Bool("compare", false, "diff mode: benchjson -compare old.json new.json; exits 1 on ns/op or allocs/op regressions")
+	compare := flag.Bool("compare", false, "diff mode: benchjson -compare old.json new.json; exits 1 on ns/op, allocs/op or custom */op regressions")
 	threshold := flag.Float64("threshold", 10, "with -compare: regression threshold in percent")
 	flag.Parse()
 
