@@ -122,7 +122,6 @@ type Job struct {
 	sched *Scheduler
 
 	submitTime float64
-	placeTime  float64
 	startTime  float64
 	endTime    float64
 
@@ -139,9 +138,6 @@ type Job struct {
 	// inline backing. The scheduler drops them when the job starts.
 	claims    []int
 	claimsBuf [2]int
-
-	componentsRunning  int
-	componentsFinished int
 }
 
 // JobStarted implements runner.Lifecycle: every runner of the job reports
@@ -159,9 +155,6 @@ func (j *Job) Tries() int { return j.tries }
 
 // SubmitTime returns when the job entered the system.
 func (j *Job) SubmitTime() float64 { return j.submitTime }
-
-// PlaceTime returns when placement succeeded (undefined before Placing).
-func (j *Job) PlaceTime() float64 { return j.placeTime }
 
 // StartTime returns when execution began (undefined before Running).
 func (j *Job) StartTime() float64 { return j.startTime }

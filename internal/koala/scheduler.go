@@ -3,7 +3,6 @@ package koala
 import (
 	"fmt"
 
-	"repro/internal/app"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/slab"
@@ -45,10 +44,6 @@ type Config struct {
 	PollInterval float64
 	// MRunnerConfig configures the malleable runners the scheduler spawns.
 	MRunnerConfig runner.MRunnerConfig
-	// MoldableSizing picks the start size for moldable components given
-	// the profile bounds and the idle processors of the chosen site; nil
-	// uses the requested size.
-	MoldableSizing func(min, max, idle int) int
 }
 
 // DefaultConfig mirrors the experimental setup: Worst-Fit placement and a
@@ -348,7 +343,6 @@ func (s *Scheduler) tryPlace(j *Job) bool {
 // degenerates to claiming at placement time in this model.
 func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	j.state = Placing
-	j.placeTime = s.engine.Now()
 	j.sites = j.sitesBuf[:0]
 	j.claims = j.claimsBuf[:0]
 	for _, p := range placements {
@@ -377,17 +371,6 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	for i, p := range placements {
 		comps[i] = runner.Component{Svc: p.Site.Gram(), Profile: j.Spec.Components[p.Component].Profile, Size: p.Size}
 	}
-	// Moldable sizing applies to single-placement jobs only.
-	if len(comps) == 1 && comps[0].Profile.Class == app.Moldable && s.cfg.MoldableSizing != nil {
-		c := &comps[0]
-		si := placements[0].Site.Index()
-		idle := s.kis.Last().IdleAt(si)
-		c.Size = clamp(s.cfg.MoldableSizing(c.Profile.Min, c.Profile.Max, idle+c.Size), c.Profile.Min, c.Profile.Max)
-		// Moldable sizing may differ from the placed size: keep the
-		// claim accounting in sync.
-		j.claims[0] = c.Size
-		s.pending[si] += c.Size - placements[0].Size
-	}
 	rr, err := runner.NewRigidRunner(s.engine, comps, j)
 	if err != nil {
 		panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
@@ -396,16 +379,6 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 	if err := rr.Start(); err != nil {
 		panic(fmt.Sprintf("koala: start failed for %s: %v", j.Spec.ID, err))
 	}
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 func (s *Scheduler) jobStarted(j *Job) {

@@ -300,17 +300,21 @@ func TestRunningIndexTieBreaksBySubmissionOrder(t *testing.T) {
 	s.Stop()
 }
 
+// TestMoldableSizing pins that a moldable job starts at the size it was
+// placed with: its requested size, not a bound of its range, however many
+// processors sit idle.
 func TestMoldableSizing(t *testing.T) {
-	cfg := fastCfg()
-	cfg.MoldableSizing = func(min, max, idle int) int { return max }
-	e, _, s := newSched(t, cfg, 64)
+	e, _, s := newSched(t, fastCfg(), 64)
 	spec := JobSpec{ID: "mold", Components: []ComponentSpec{{
-		Profile: app.MoldableProfile("m", app.GadgetModel(), 2, 16), Size: 2,
+		Profile: app.MoldableProfile("m", app.GadgetModel(), 2, 16), Size: 6,
 	}}}
 	j, _ := s.Submit(spec)
 	e.RunUntil(50)
-	if j.CurrentProcs() != 16 {
-		t.Fatalf("moldable started at %d, want 16", j.CurrentProcs())
+	if j.State() != Running || j.CurrentProcs() != 6 || j.HeldProcs() != 6 {
+		t.Fatalf("moldable %v at %d procs, holding %d; want running at 6", j.State(), j.CurrentProcs(), j.HeldProcs())
+	}
+	if s.PendingClaimsAt(0) != 0 {
+		t.Fatalf("pending claims = %d after start", s.PendingClaimsAt(0))
 	}
 	s.Stop()
 }

@@ -136,46 +136,3 @@ func TestPropertyIntegralAdditive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0, 1, 2.5, 9.9, 11, -3} {
-		h.Add(v)
-	}
-	if h.N() != 6 {
-		t.Fatalf("N = %d", h.N())
-	}
-	// -3 clamps into bin 0; 11 clamps into bin 4.
-	if h.Bin(0) != 3 {
-		t.Fatalf("bin0 = %d, want 3", h.Bin(0))
-	}
-	if h.Bin(4) != 2 {
-		t.Fatalf("bin4 = %d, want 2", h.Bin(4))
-	}
-	lo, hi := h.BinRange(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BinRange(1) = [%g,%g)", lo, hi)
-	}
-	if h.Bins() != 5 {
-		t.Fatalf("Bins = %d", h.Bins())
-	}
-	if h.Render(20) == "" {
-		t.Fatal("Render should produce output")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(5, 5, 3) },
-		func() { NewHistogram(0, 10, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -36,7 +36,6 @@ type BackgroundLoad struct {
 	spec   BackgroundSpec
 
 	sessions uint64
-	denied   uint64
 	stopped  bool
 }
 
@@ -92,9 +91,6 @@ func (b *BackgroundLoad) OnEvent(int) { b.Stop() }
 // Sessions returns how many sessions started.
 func (b *BackgroundLoad) Sessions() uint64 { return b.sessions }
 
-// Denied returns how many sessions found no free nodes and gave up.
-func (b *BackgroundLoad) Denied() uint64 { return b.denied }
-
 func (s *bgSite) scheduleNext() {
 	delay := s.rng.ExpFloat64() * s.b.spec.MeanInterArrival
 	s.b.engine.AfterOp(delay, s, opArrive)
@@ -106,12 +102,7 @@ func (b *BackgroundLoad) runSession(s *bgSite) {
 	if want > c.Idle() {
 		want = c.Idle()
 	}
-	if want <= 0 {
-		b.denied++
-		return
-	}
-	if err := c.SeizeBackground(want); err != nil {
-		b.denied++
+	if want <= 0 || c.SeizeBackground(want) != nil {
 		return
 	}
 	b.sessions++
