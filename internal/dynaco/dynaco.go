@@ -102,16 +102,16 @@ func (f *Framework) drain() {
 	}
 }
 
-// AcquireDone resumes a grow after the handler completed its acquisition:
-// it recruits what the environment actually delivered, and a grow that
-// obtained nothing ends.
+// AcquireDone resumes a grow after the handler completed its acquisition
+// with held of the accepted processors: it recruits what the environment
+// actually delivered, and a grow that obtained nothing ends.
 func (f *Framework) AcquireDone(held int) {
-	f.held = min(held, f.cur.Amount)
-	if f.held == 0 {
+	f.held = held
+	if held == 0 {
 		f.end()
 		return
 	}
-	f.handler.Recruit(f.held)
+	f.handler.Recruit(held)
 }
 
 // StepDone ends the adaptation after the handler completed a recruit or a

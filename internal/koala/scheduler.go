@@ -141,9 +141,6 @@ func (s *Scheduler) KIS() *KIS { return s.kis }
 // Sites returns the execution sites.
 func (s *Scheduler) Sites() []*Site { return s.sites }
 
-// Config returns the scheduler configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // SetHooks installs the malleability manager's hooks.
 func (s *Scheduler) SetHooks(h Hooks) { s.hooks = h }
 

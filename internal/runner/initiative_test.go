@@ -100,3 +100,21 @@ func TestVoluntaryShrinkDeclinedLate(t *testing.T) {
 		t.Fatalf("procs = %d, want 46", r.Execution().Procs())
 	}
 }
+
+// TestDefaultVoluntaryShrinkPolicy pins where the application's answer
+// to a voluntary shrink flips: it accepts until half of its execution is
+// done and declines from then on.
+func TestDefaultVoluntaryShrinkPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		at   float64
+		want int
+	}{{120, 4}, {130, 0}} {
+		h := newHarness(48)
+		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+		r.Start()
+		h.engine.RunUntil(tc.at) // started at 5 with T(46)=240: half done at 125
+		if got := r.RequestVoluntaryShrink(4); got != tc.want {
+			t.Errorf("at %g s released %d, want %d", tc.at, got, tc.want)
+		}
+	}
+}

@@ -167,9 +167,6 @@ func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.P
 // Site returns the execution site name.
 func (r *MRunner) Site() string { return r.svc.SiteName() }
 
-// Profile returns the application profile.
-func (r *MRunner) Profile() *app.Profile { return r.profile }
-
 // Nodes returns the processors currently held on behalf of the
 // application, stubs not yet recruited included.
 func (r *MRunner) Nodes() int { return len(r.stubs) }
