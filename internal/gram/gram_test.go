@@ -184,13 +184,24 @@ func TestDefaultConfigSane(t *testing.T) {
 }
 
 // BenchmarkStubChurn is the Malleable Runner's grow-then-shrink cycle in
-// miniature: one site submits 8 size-1 stubs, runs until they are active,
-// releases them all and runs until the nodes are back. It reports the
-// engine events each cycle fires (events/op), so a change that splits
-// the same-instant stub batches again shows up here first. The world is
-// rebuilt, untimed, every 1024 cycles to keep its job slabs small.
-func BenchmarkStubChurn(b *testing.B) {
-	const stubs, rebuild = 8, 1024
+// miniature: one site submits 8 size-1 stubs, exactly the gatekeeper's
+// concurrency, runs until they are active, releases them all and runs
+// until the nodes are back. It reports the engine events each cycle fires
+// (events/op), so a change that splits the same-instant stub batches
+// again shows up here first.
+func BenchmarkStubChurn(b *testing.B) { benchStubChurn(b, 8) }
+
+// BenchmarkStubChurnBacklog is the same cycle with 32 stubs, so the
+// gatekeeper's backlog drains one submission per arrival: each arrival
+// batch interleaves the LRM start notifications with the next arrivals,
+// and both must still batch.
+func BenchmarkStubChurnBacklog(b *testing.B) { benchStubChurn(b, 32) }
+
+// benchStubChurn runs the grow-then-shrink cycle with the given number of
+// stubs. The world is rebuilt, untimed, every 1024 cycles to keep its job
+// slabs small.
+func benchStubChurn(b *testing.B, stubs int) {
+	const rebuild = 1024
 	var (
 		e     *sim.Engine
 		c     *cluster.Cluster

@@ -1,15 +1,20 @@
 package sim
 
-// Batch lets a model fire events of one kind that it schedules back to
-// back for the same instant as a single event. A GRAM gatekeeper that
-// submits k stubs in a loop, say, would otherwise queue k events at one
-// time with consecutive seqs.
+// Batch lets a model fire events of one kind that it schedules for the
+// same instant as a single event. A GRAM gatekeeper that submits k stubs
+// in a loop, say, would otherwise queue k events at one time with
+// consecutive seqs.
 //
 // Two events may share a firing only if nothing can sort between them:
-// the second is due at the same time as the first, and nothing was
-// scheduled on the engine since the first (no event, no ticker arming),
-// so it would have taken the very next seq. Join tests exactly that
-// against the engine's seq counter, so no model reads seqs itself.
+// the second is due at the same time as the first, and nothing queued or
+// armed at that time sorts after the first. The second would have taken
+// a seq above every seq so far, so only an event or ticker due at the
+// batch's time with a seq in between could fire between the two: queued
+// ones and armed tickers are checked, later schedules take higher seqs,
+// none has fired (the batch's own event has not), and canceled ones never
+// fire. Join tests exactly that against the engine, so no model reads
+// seqs itself. When nothing was scheduled since the batch's event, its
+// answer is immediate.
 //
 // The model links the members through a field of its own (the batch's
 // event targets the first member), and its handler calls Close before it
@@ -20,15 +25,16 @@ type Batch struct {
 	open bool
 	at   float64
 	seq  uint64 // the engine's seq counter just after the batch's event
+	ev   *Event // the batch's event, queued while the batch is open
 }
 
 // Join reports whether an event due at t can ride on the open batch
 // instead of being scheduled: the batch's event is due at t and nothing
-// has been scheduled on e since it.
+// queued or armed at t sorts after it.
 //
 //koalalint:hotpath
 func (b *Batch) Join(e *Engine, t float64) bool {
-	return b.open && b.at == t && b.seq == e.seq
+	return b.open && b.at == t && (b.seq == e.seq || e.lastAt(b.ev))
 }
 
 // Open schedules h.OnEvent(op) at t as the event of a new batch,
@@ -36,7 +42,7 @@ func (b *Batch) Join(e *Engine, t float64) bool {
 //
 //koalalint:hotpath
 func (b *Batch) Open(e *Engine, t float64, h Handler, op int) {
-	e.AtOp(t, h, op)
+	b.ev = e.AtOp(t, h, op)
 	b.open, b.at, b.seq = true, t, e.seq
 }
 

@@ -273,6 +273,26 @@ func (q *calQueue) take() {
 	q.check("take")
 }
 
+// lastAt reports whether no queued event at ev's time sorts after the
+// queued event ev. An in-year event sits in the bucket its time mapped to
+// when it was pushed. If its time still maps there, every event pushed
+// later at that time sits there too, sorted, so the answer is ev's
+// successor in the bucket: none, or one at a later time. It answers false
+// whenever it cannot tell cheaply: ev waits in the unsorted rung (or was
+// forced into the year at an infinite time), or a grow has since moved
+// the bucket ev's time maps to (a top-edge clamp).
+//
+//koalalint:hotpath
+func (q *calQueue) lastAt(ev *Event) bool {
+	b := int(ev.bucket)
+	if b < 0 || !(ev.time < q.yearEnd) || b != q.bucketOf(ev.time) {
+		return false
+	}
+	s := q.buckets[b]
+	next := int(ev.pos) + 1
+	return next == len(s) || s[next].time > ev.time
+}
+
 // remove deletes a queued event in place (eager cancel): an O(1)
 // swap-delete from the unsorted rung, or a shift-delete preserving the
 // sorted order of its bucket.

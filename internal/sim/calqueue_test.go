@@ -260,3 +260,35 @@ func TestCalQueueInfiniteTime(t *testing.T) {
 		t.Fatalf("expected the second infinite event")
 	}
 }
+
+// TestCalQueueLastAt pins lastAt's answers: false when a same-time event
+// follows in the bucket, true when the successor is later or there is
+// none, and false for an event waiting in the unsorted rung.
+func TestCalQueueLastAt(t *testing.T) {
+	var q calQueue
+	a := &Event{time: 2, seq: 0}
+	b := &Event{time: 2, seq: 1}
+	c := &Event{time: 2.5, seq: 2}
+	far := &Event{time: 1e9, seq: 3}
+	for _, ev := range []*Event{a, b, c, far} {
+		q.push(ev)
+	}
+	if a.bucket != b.bucket || b.bucket != c.bucket {
+		t.Fatalf("buckets %d, %d, %d: the case needs one bucket", a.bucket, b.bucket, c.bucket)
+	}
+	if q.lastAt(a) {
+		t.Error("lastAt true with a same-time successor")
+	}
+	if !q.lastAt(b) {
+		t.Error("lastAt false with a later-time successor")
+	}
+	if !q.lastAt(c) {
+		t.Error("lastAt false for the last event of the bucket")
+	}
+	if far.bucket != bucketOverflow {
+		t.Fatalf("far event in bucket %d, want the overflow rung", far.bucket)
+	}
+	if q.lastAt(far) {
+		t.Error("lastAt true for an event in the overflow rung")
+	}
+}

@@ -15,10 +15,12 @@
 // every step fires whichever comes first of the earliest armed ticker and
 // the queue head, by the same rule.
 //
-// A model that schedules several events of one kind back to back for the
-// same instant may fire them as one event through a Batch: nothing can
-// sort between such events, so one event running them in order is
-// indistinguishable from the run of consecutive seqs it stands for.
+// A model that schedules several events of one kind for the same instant
+// may fire them as one event through a Batch, as long as nothing queued
+// or armed at that instant sorts after the batch's event when the next
+// one joins: nothing can then fire between the members, so one event
+// running them in order is indistinguishable from the events it stands
+// for.
 //
 // The kernel's hot path is allocation-free: fired and canceled Event structs
 // are recycled through a free list backed by a slab owned by the Engine
@@ -295,6 +297,20 @@ func (e *Engine) ImmediatelyOp(h Handler, op int) *Event { return e.AtOp(e.now, 
 
 // Stop halts Run/RunUntil after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
+
+// lastAt reports whether the queued event ev is the last-sorting entry at
+// its time: no queued event at that time sorts after it, and no ticker
+// armed for that time has a higher seq.
+//
+//koalalint:hotpath
+func (e *Engine) lastAt(ev *Event) bool {
+	for _, tk := range e.tickers {
+		if tk.armed && tk.at == ev.time && tk.seq > ev.seq {
+			return false
+		}
+	}
+	return e.q.lastAt(ev)
+}
 
 // step fires the earliest due event or ticker if it is due no later than
 // horizon. It reports false when nothing is due by then.

@@ -283,3 +283,26 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 	}()
 	NewTicker(New(), 0, func() {})
 }
+
+// TestBatchJoinBlockedByTickerAtItsTime pins the ticker half of the join
+// rule: a ticker armed after the batch's event for the batch's time would
+// fire between the batch and a late member, so the member cannot join. A
+// ticker due at another time, or stopped, does not block the join.
+func TestBatchJoinBlockedByTickerAtItsTime(t *testing.T) {
+	e := New()
+	var b Batch
+	b.Open(e, 5, funcHandler(func() {}), 0)
+	other := NewTicker(e, 3, func() {})
+	if !b.Join(e, 5) {
+		t.Fatal("a ticker due at another time blocked the join")
+	}
+	tk := NewTicker(e, 5, func() {})
+	if b.Join(e, 5) {
+		t.Fatal("joined past a ticker armed for the batch's time")
+	}
+	tk.Stop()
+	if !b.Join(e, 5) {
+		t.Fatal("a stopped ticker still blocks the join")
+	}
+	other.Stop()
+}

@@ -33,8 +33,9 @@ type kernel interface {
 type engineKernel struct {
 	e       *Engine
 	batches [2]testBatch
-	// joins and ticks show the programs exercise batches and tickers.
-	joins, ticks int
+	// joins and ticks show the programs exercise batches and tickers;
+	// lateJoins counts the joins taken after the seq counter moved.
+	joins, lateJoins, ticks int
 }
 
 // testBatch is one batch kind, modelled the way GRAM and the LRM do it.
@@ -75,6 +76,9 @@ func (k *engineKernel) batch(kind int, t float64, fn func()) {
 	if tb.b.Join(k.e, t) {
 		tb.tail.next = m
 		k.joins++
+		if tb.b.seq != k.e.seq {
+			k.lateJoins++
+		}
 	} else {
 		tb.b.Open(k.e, t, m, 0)
 	}
@@ -210,9 +214,10 @@ func (p *program) event() {
 	p.live = append(p.live, labelled{l, cancel})
 }
 
-// burst schedules back-to-back members of one batch kind for one
-// instant, sometimes with a queued event or a member of the other kind
-// in between (which must split the batch).
+// burst schedules members of one batch kind for one instant, sometimes
+// with a queued event or a member of the other kind in between. Either
+// splits the batch only when it is due at the batch's time: the other
+// kind's member always is, a queued event only when its delay ties.
 func (p *program) burst() {
 	kind := p.rng.Intn(2)
 	t := p.k.now() + p.delay()
@@ -305,7 +310,7 @@ func runProgram(k kernel, seed uint64, check func()) []fire {
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	debugCheck = true
 	defer func() { debugCheck = false }()
-	joins, ticks := 0, 0
+	joins, lateJoins, ticks := 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		ref := runProgram(&refKernel{}, seed, func() {})
 
@@ -337,10 +342,12 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 			t.Fatalf("seed %d: %d pending after the drain", seed, k.e.Pending())
 		}
 		joins += k.joins
+		lateJoins += k.lateJoins
 		ticks += k.ticks
 	}
-	if joins == 0 || ticks == 0 {
-		t.Fatalf("%d batch joins and %d ticker fires: the programs do not exercise both", joins, ticks)
+	if joins == 0 || lateJoins == 0 || ticks == 0 {
+		t.Fatalf("%d batch joins (%d after the seq counter moved) and %d ticker fires: the programs do not exercise all three",
+			joins, lateJoins, ticks)
 	}
-	t.Logf("%d batch joins, %d ticker fires", joins, ticks)
+	t.Logf("%d batch joins, %d of them after the seq counter moved; %d ticker fires", joins, lateJoins, ticks)
 }
