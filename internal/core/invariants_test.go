@@ -20,7 +20,9 @@ import (
 //  2. a running malleable job's planned size stays within [Min, Max];
 //  3. held processors never exceed cluster capacity;
 //  4. every job reaches a terminal state by the horizon;
-//  5. the manager's reservations are non-negative.
+//  5. each site's in-flight growth count equals the walk it replaces:
+//     planned minus held processors, at least 0, summed over the site's
+//     running malleable jobs.
 func TestPropertySystemInvariants(t *testing.T) {
 	policies := []Policy{FPSMA{}, EGS{}, Equipartition{}, Folding{}}
 	approaches := []Approach{PRA{}, PWA{}, PWAVoluntary{}}
@@ -75,14 +77,18 @@ func TestPropertySystemInvariants(t *testing.T) {
 					ok = false
 				}
 			}
-			for i, site := range sys.Sites {
-				if sys.Manager.Reserved(i) < 0 {
-					ok = false
-				}
-				for _, j := range sys.Scheduler.RunningMalleableJobsAt(site.Index()) {
+			for _, site := range sys.Sites {
+				i, inflight := site.Index(), 0
+				for _, j := range sys.Scheduler.RunningMalleableJobsAt(i) {
 					if j.PlannedProcs() < j.MinProcs() || j.PlannedProcs() > j.MaxProcs() {
 						ok = false
 					}
+					inflight += max(j.PlannedProcs()-j.HeldProcs(), 0)
+				}
+				if got := sys.Scheduler.ReservedAt(i); got != inflight {
+					t.Logf("seed=%d pol=%s apr=%s t=%g: site %d reserves %d, its jobs have %d in flight",
+						seed, pol.Name(), apr.Name(), sys.Engine.Now(), i, got, inflight)
+					ok = false
 				}
 			}
 		}

@@ -104,30 +104,13 @@ func (m *Manager) PlacementBlocked(j *koala.Job) bool {
 	return m.cfg.Approach.OnPlacementBlocked(m, j)
 }
 
-// Reserved implements koala.Hooks: processors granted to growing jobs whose
-// stub submissions are still in flight. The scheduler subtracts them from
-// every placement view.
-func (m *Manager) Reserved(siteIndex int) int { return m.inflightGrowthAt(siteIndex) }
-
-// inflightGrowthAt sums planned-but-not-yet-held processors over the
-// running malleable jobs of the site with dense index i.
-func (m *Manager) inflightGrowthAt(i int) int {
-	total := 0
-	for _, j := range m.sched.RunningMalleableJobsAt(i) {
-		if d := j.PlannedProcs() - j.HeldProcs(); d > 0 {
-			total += d
-		}
-	}
-	return total
-}
-
 // availableForGrowth computes how many processors of site i the manager may
 // hand to malleable jobs right now: the snapshot's idle count minus claims
 // still in flight, minus growth already granted but not yet held, minus the
 // local-user reserve.
 func (m *Manager) availableForGrowth(snap koala.Snapshot, i int) int {
 	return snap.IdleAt(i) - m.sched.PendingClaimsAt(i) -
-		m.inflightGrowthAt(i) - m.cfg.GrowthReserve
+		m.sched.ReservedAt(i) - m.cfg.GrowthReserve
 }
 
 // record adds grow and shrink messages to the Fig. 7f/8f series and to
@@ -161,15 +144,14 @@ func (m *Manager) recordSince(grow, shrink uint64) {
 // messages the policy sent (the paper's Fig. 7f metric). Jobs at their
 // maximum still receive offers, as in the Fig. 4/5 pseudo-code — they
 // simply decline.
-func (m *Manager) growSiteAt(i, avail int) int {
+func (m *Manager) growSiteAt(i, avail int) {
 	jobs := m.sched.RunningMalleableJobsAt(i)
 	if len(jobs) == 0 || avail <= 0 {
-		return 0
+		return
 	}
 	g, s := m.sched.Messages()
-	accepted := m.cfg.Policy.Grow(jobs, avail)
+	m.cfg.Policy.Grow(jobs, avail)
 	m.recordSince(g, s)
-	return accepted
 }
 
 // growAll runs grow rounds on the sites whose availability has increased
@@ -178,8 +160,7 @@ func (m *Manager) growSiteAt(i, avail int) int {
 // headroom): growth is driven by availability events — a job finishing, a
 // local user leaving — exactly as §V-B describes, rather than by repeatedly
 // re-offering idle capacity that the policies already declined.
-func (m *Manager) growAll(snap koala.Snapshot) int {
-	total := 0
+func (m *Manager) growAll(snap koala.Snapshot) {
 	for i := range m.sched.Sites() {
 		avail := m.availableForGrowth(snap, i)
 		grow := avail
@@ -195,7 +176,7 @@ func (m *Manager) growAll(snap koala.Snapshot) int {
 			if grow > avail {
 				grow = avail
 			}
-			total += m.growSiteAt(i, grow)
+			m.growSiteAt(i, grow)
 			// Remember the post-round headroom (accepted growth is now in
 			// flight and discounted by availableForGrowth).
 			m.prevAvail[i] = m.availableForGrowth(snap, i)
@@ -203,20 +184,18 @@ func (m *Manager) growAll(snap koala.Snapshot) int {
 		}
 		m.prevAvail[i] = avail
 	}
-	return total
 }
 
 // shrinkSiteAt requests need processors back from the malleable jobs of the
 // site with dense index i, recording the messages the policy sent.
-func (m *Manager) shrinkSiteAt(i, need int) int {
+func (m *Manager) shrinkSiteAt(i, need int) {
 	jobs := m.sched.RunningMalleableJobsAt(i)
 	if len(jobs) == 0 || need <= 0 {
-		return 0
+		return
 	}
 	g, s := m.sched.Messages()
-	released := m.cfg.Policy.Shrink(jobs, need)
+	m.cfg.Policy.Shrink(jobs, need)
 	m.recordSince(g, s)
-	return released
 }
 
 // blockedSite chooses where shrinks make room for the blocked queue head
@@ -231,7 +210,7 @@ func (m *Manager) blockedSite(j *koala.Job) (site, short int, ok bool) {
 	snap := m.sched.KIS().Last()
 	best, bestShort := -1, 0
 	for i := range m.sched.Sites() {
-		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.inflightGrowthAt(i)
+		idle := snap.IdleAt(i) - m.sched.PendingClaimsAt(i) - m.sched.ReservedAt(i)
 		short := need - idle
 		if short <= 0 {
 			return 0, 0, false

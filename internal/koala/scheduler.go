@@ -23,13 +23,6 @@ type Hooks interface {
 	// PWA it shrinks running malleable jobs to make room; it returns true
 	// when room is being made (so the scheduler stops scanning this round).
 	PlacementBlocked(j *Job) bool
-	// Reserved reports processors of the site with the given index that
-	// the malleability manager has granted to growing jobs but that are
-	// not yet held (stub submissions in flight). The processor claimer
-	// subtracts them from every placement view so that newly arriving jobs
-	// cannot double-book processors already promised to running
-	// applications.
-	Reserved(siteIndex int) int
 }
 
 // Config holds the scheduler's tunables.
@@ -81,6 +74,15 @@ type Scheduler struct {
 	// immediate claiming).
 	pending []int
 
+	// reserved counts processors (by site index) granted to growing
+	// malleable jobs but not yet held (stub submissions in flight): the
+	// running malleable jobs' planned minus held processors, at least 0
+	// per job. Each job's MRunner keeps its share up to date while the
+	// job runs (MRunner.ReserveInto). The processor claimer subtracts
+	// them from every placement view so that newly arriving jobs cannot
+	// double-book processors already promised to running applications.
+	reserved []int
+
 	// running holds, per site index, the running malleable jobs sorted by
 	// (start time, submission order) — the order both malleability policies
 	// consume (§V-C). It is maintained incrementally on job start/finish so
@@ -121,15 +123,16 @@ func NewScheduler(engine *sim.Engine, sites []*Site, cfg Config) *Scheduler {
 		cfg.PollInterval = 5
 	}
 	s := &Scheduler{
-		engine:  engine,
-		sites:   sites,
-		kis:     NewKIS(engine, sites),
-		cfg:     cfg,
-		pending: make([]int, len(sites)),
-		running: make([][]*Job, len(sites)),
-		viewBuf: make([]ProcessorInfo, len(sites)),
-		jobMem:  slab.New(&jobPool),
-		runners: runner.NewSlabs(),
+		engine:   engine,
+		sites:    sites,
+		kis:      NewKIS(engine, sites),
+		cfg:      cfg,
+		pending:  make([]int, len(sites)),
+		reserved: make([]int, len(sites)),
+		running:  make([][]*Job, len(sites)),
+		viewBuf:  make([]ProcessorInfo, len(sites)),
+		jobMem:   slab.New(&jobPool),
+		runners:  runner.NewSlabs(),
 	}
 	s.ticker = sim.NewTicker(engine, cfg.PollInterval, s.pollTick)
 	return s
@@ -298,18 +301,20 @@ func (s *Scheduler) ScanQueue() {
 // for jobs whose GRAM submissions are still in flight.
 func (s *Scheduler) PendingClaimsAt(i int) int { return s.pending[i] }
 
-// placementView returns a fresh snapshot with in-flight claims and the
-// malleability manager's in-flight growth reservations subtracted. The
-// returned snapshot is backed by a reusable scratch buffer: it is valid
-// only for the placement attempt it was built for.
+// ReservedAt returns the processors of the site with index i granted to
+// its running malleable jobs but not yet held: the sum over them of
+// planned minus held processors, each at least 0.
+func (s *Scheduler) ReservedAt(i int) int { return s.reserved[i] }
+
+// placementView returns a fresh snapshot with in-flight claims and
+// in-flight growth reservations subtracted. The returned snapshot is
+// backed by a reusable scratch buffer: it is valid only for the placement
+// attempt it was built for.
 func (s *Scheduler) placementView() Snapshot {
 	snap := s.kis.Refresh()
 	for i := range s.sites {
 		info := snap.At(i)
-		info.Idle -= s.pending[i]
-		if s.hooks != nil {
-			info.Idle -= s.hooks.Reserved(i)
-		}
+		info.Idle -= s.pending[i] + s.reserved[i]
 		if info.Idle < 0 {
 			info.Idle = 0
 		}
@@ -389,6 +394,7 @@ func (s *Scheduler) jobStarted(j *Job) {
 	if j.Malleable() {
 		if site := j.Site(); site != nil {
 			s.insertRunning(site.Index(), j)
+			j.mrunner.ReserveInto(&s.reserved[site.Index()])
 		}
 	}
 	if s.OnJobStarted != nil {

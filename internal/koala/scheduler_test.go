@@ -342,7 +342,6 @@ type recordingHooks struct {
 func (h *recordingHooks) Poll(Snapshot)              { h.polls++ }
 func (h *recordingHooks) ProcessorsAvailable()       { h.avail++ }
 func (h *recordingHooks) PlacementBlocked(*Job) bool { h.blocked++; return h.blockReturn }
-func (h *recordingHooks) Reserved(int) int           { return 0 }
 
 func TestPlacementBlockedHookStopsScan(t *testing.T) {
 	e, _, s := newSched(t, fastCfg(), 4)
@@ -397,5 +396,82 @@ func TestAutoJobID(t *testing.T) {
 		t.Fatalf("IDs: %q %q", a.Spec.ID, b.Spec.ID)
 	}
 	e.RunUntil(1)
+	s.Stop()
+}
+
+// TestReservedFollowsInFlightGrowth pins the per-site in-flight growth
+// count to each change it must follow: grows accepted, stubs activated,
+// shrinks in flight (a share clamps at 0), a release at a safe point with
+// a grow queued behind it, a plan an acquisition timeout reconciles, and
+// a job finishing with growth in flight.
+func TestReservedFollowsInFlightGrowth(t *testing.T) {
+	cfg := fastCfg()
+	cfg.MRunnerConfig = runner.MRunnerConfig{Costs: app.ReconfigCosts{SafePointDelay: 5}, AcquireTimeout: 30}
+	e, sites, s := newSched(t, cfg, 16)
+	want := func(step string, n int) {
+		t.Helper()
+		if got := s.ReservedAt(0); got != n {
+			t.Fatalf("%s: reserved %d, want %d", step, got, n)
+		}
+	}
+	a, _ := s.Submit(malleableSpec("a", app.GadgetProfile(), 2))
+	b, _ := s.Submit(malleableSpec("b", app.GadgetProfile(), 6))
+	e.RunUntil(10)
+	if a.State() != Running || b.State() != Running {
+		t.Fatalf("a=%v b=%v, want both running", a.State(), b.State())
+	}
+	want("started", 0)
+	a.RequestGrow(4)
+	want("a grows by 4", 4)
+	// b plans 3 but still holds 6: its share clamps at 0 instead of
+	// cancelling part of a's, and stays there while its grow of 2 queues
+	// behind the shrink.
+	b.RequestShrink(3)
+	want("b shrinks by 3", 4)
+	b.RequestGrow(2)
+	want("b grows by 2 behind its shrink", 4)
+	e.RunUntil(17) // a's stubs active and b's safe point passed at 15
+	want("b released 3, its grow in flight", 2)
+	e.RunUntil(25) // b's stubs active at 20
+	if a.HeldProcs() != 6 || b.HeldProcs() != 5 {
+		t.Fatalf("held a=%d b=%d, want 6 and 5", a.HeldProcs(), b.HeldProcs())
+	}
+	want("every stub active", 0)
+	a.RequestGrow(4)
+	a.RequestShrink(3)
+	want("a shrinks by 3 with a grow of 4 in flight", 1)
+	e.RunUntil(40)
+	want("a settled at 7", 0)
+	// Background takes every idle node, so the next grow's stubs stay
+	// pending until the timeout abandons them and reconciles the plan.
+	if err := sites[0].Cluster().SeizeBackground(4); err != nil {
+		t.Fatal(err)
+	}
+	a.RequestGrow(2)
+	want("a grows by 2 into a full cluster", 2)
+	e.RunUntil(80)
+	if a.PlannedProcs() != 7 {
+		t.Fatalf("after the timeout a plans %d, want 7", a.PlannedProcs())
+	}
+	want("the timeout reconciled the plan", 0)
+	s.Stop()
+
+	// Without a timeout the stubs stay pending until the job finishes;
+	// its share has left the count by the time the scheduler hears of it.
+	e, sites, s = newSched(t, fastCfg(), 4)
+	c, _ := s.Submit(malleableSpec("c", app.GadgetProfile(), 2))
+	atFinish := -1
+	s.OnJobFinished = func(*Job) { atFinish = s.ReservedAt(0) }
+	e.RunUntil(10)
+	if err := sites[0].Cluster().SeizeBackground(2); err != nil {
+		t.Fatal(err)
+	}
+	c.RequestGrow(2)
+	want("c grows by 2 into a full cluster", 2)
+	e.RunUntil(1000)
+	if c.State() != Finished || atFinish != 0 {
+		t.Fatalf("c=%v, reserved %d at its finish; want finished and 0", c.State(), atFinish)
+	}
+	want("c finished", 0)
 	s.Stop()
 }

@@ -76,6 +76,11 @@ type MRunner struct {
 	// offers within one management round compose correctly.
 	planned int
 
+	// reserved, once ReserveInto set it, is the count the runner keeps its
+	// share of in-flight growth in; share is what it has added there.
+	reserved *int
+	share    int
+
 	started  bool
 	running  bool
 	finished bool
@@ -211,12 +216,36 @@ func (r *MRunner) onAppFinished() {
 		}
 	}
 	r.stubs = nil
+	r.noteGrowth()
 	r.lc.JobFinished()
 }
 
 // PlannedProcs returns the processor count the application will have once
 // all in-flight adaptations complete.
 func (r *MRunner) PlannedProcs() int { return r.planned }
+
+// ReserveInto makes the runner keep its in-flight growth, planned minus
+// held processors (at least 0), added into *count while the application
+// runs, updated wherever either changes. The scheduler passes its site's
+// reservation count when the job starts, so growth granted but not yet
+// held is never handed out twice; the share leaves the count before
+// JobFinished.
+func (r *MRunner) ReserveInto(count *int) {
+	r.reserved = count
+	r.noteGrowth()
+}
+
+// noteGrowth brings the runner's share of the ReserveInto count up to date.
+func (r *MRunner) noteGrowth() {
+	share := 0
+	if r.running {
+		share = max(r.planned-len(r.stubs), 0)
+	}
+	if r.reserved != nil {
+		*r.reserved += share - r.share
+	}
+	r.share = share
+}
 
 // RequestGrow delivers a scheduler grow offer to the application. The
 // returned value is the application's immediate protocol reply — how many of
@@ -232,6 +261,7 @@ func (r *MRunner) RequestGrow(offer int) int {
 		return 0
 	}
 	r.planned += accepted
+	r.noteGrowth()
 	r.fw.Notify(dynaco.Event{Kind: dynaco.GrowRequest, Amount: accepted})
 	return accepted
 }
@@ -249,6 +279,7 @@ func (r *MRunner) RequestShrink(request int) int {
 		return 0
 	}
 	r.planned -= released
+	r.noteGrowth()
 	r.fw.Notify(dynaco.Event{Kind: dynaco.ShrinkRequest, Amount: released})
 	return released
 }
@@ -264,6 +295,7 @@ type mrunnerHandler MRunner
 func (h *mrunnerHandler) Done(ev dynaco.Event, accepted int) {
 	if ev.Kind == dynaco.GrowRequest && accepted < ev.Amount {
 		h.planned -= ev.Amount - accepted
+		(*MRunner)(h).noteGrowth()
 	}
 }
 
@@ -363,6 +395,7 @@ func (a *acquisition) JobActive(j *gram.Job) {
 		return
 	}
 	r.stubs = append(r.stubs, j)
+	r.noteGrowth()
 	a.held++
 	if a.held == a.n {
 		a.complete()
@@ -444,5 +477,6 @@ func (h *mrunnerHandler) OnEvent(op int) {
 		r.stubs = r.stubs[:len(r.stubs)-1]
 		r.svc.Release(last)
 	}
+	r.noteGrowth()
 	r.fw.StepDone()
 }
