@@ -211,12 +211,23 @@ func ResponseTimesOf(recs []JobRecord) []float64 {
 	return out
 }
 
-// OnlyMalleable filters records to malleable jobs.
+// OnlyMalleable filters records to malleable jobs, or returns nil when
+// none is. The result is sized exactly: the figure extractors filter every
+// combo of every sweep.
 func OnlyMalleable(recs []JobRecord) []JobRecord {
-	var out []JobRecord
-	for _, r := range recs {
-		if r.Malleable {
-			out = append(out, r)
+	n := 0
+	for i := range recs {
+		if recs[i].Malleable {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]JobRecord, 0, n)
+	for i := range recs {
+		if recs[i].Malleable {
+			out = append(out, recs[i])
 		}
 	}
 	return out

@@ -136,8 +136,11 @@ func TestFieldSelectorsAndFilters(t *testing.T) {
 	if got := ResponseTimesOf(recs); got[1] != 700 {
 		t.Fatalf("ResponseTimesOf = %v", got)
 	}
-	if got := OnlyMalleable(recs); len(got) != 1 || got[0].ID != "a" {
-		t.Fatalf("OnlyMalleable = %v", got)
+	if got := OnlyMalleable(recs); len(got) != 1 || cap(got) != 1 || got[0].ID != "a" {
+		t.Fatalf("OnlyMalleable = %v (cap %d)", got, cap(got))
+	}
+	if got := OnlyMalleable(recs[1:]); got != nil {
+		t.Fatalf("OnlyMalleable of rigid records = %v, want nil", got)
 	}
 	if got := OnlyApp(recs, "GADGET2"); len(got) != 1 || got[0].ID != "b" {
 		t.Fatalf("OnlyApp = %v", got)
