@@ -15,13 +15,13 @@ import "repro/internal/koala"
 
 // Policy distributes a grow or shrink amount over the running malleable jobs
 // of one cluster (§V-C). Both methods receive the jobs sorted by increasing
-// start time (the scheduler's canonical order) and return how many
-// processors were accepted/released in total. Implementations send the
-// actual protocol messages via Job.RequestGrow/RequestShrink.
+// start time (the scheduler's canonical order). Implementations send the
+// actual protocol messages via Job.RequestGrow/RequestShrink, whose
+// effect shows in the jobs' planned sizes.
 type Policy interface {
 	Name() string
-	Grow(jobs []*koala.Job, growValue int) int
-	Shrink(jobs []*koala.Job, shrinkValue int) int
+	Grow(jobs []*koala.Job, growValue int)
+	Shrink(jobs []*koala.Job, shrinkValue int)
 }
 
 // FPSMA favours previously started malleable applications: growing starts
@@ -35,30 +35,22 @@ func (FPSMA) Name() string { return "FPSMA" }
 // Grow implements the FPSMA_GROW procedure: walk jobs in increasing start
 // order, offer the whole remaining amount, subtract what each accepts, stop
 // at zero.
-func (FPSMA) Grow(jobs []*koala.Job, growValue int) int {
-	total := 0
+func (FPSMA) Grow(jobs []*koala.Job, growValue int) {
 	for _, j := range jobs {
 		if growValue <= 0 {
 			break
 		}
-		accepted := j.RequestGrow(growValue)
-		growValue -= accepted
-		total += accepted
+		growValue -= j.RequestGrow(growValue)
 	}
-	return total
 }
 
 // Shrink implements the FPSMA_SHRINK procedure: walk jobs in decreasing
 // start order, request the whole remaining amount, subtract what each
 // releases, stop at zero.
-func (FPSMA) Shrink(jobs []*koala.Job, shrinkValue int) int {
-	total := 0
+func (FPSMA) Shrink(jobs []*koala.Job, shrinkValue int) {
 	for i := len(jobs) - 1; i >= 0 && shrinkValue > 0; i-- {
-		released := jobs[i].RequestShrink(shrinkValue)
-		shrinkValue -= released
-		total += released
+		shrinkValue -= jobs[i].RequestShrink(shrinkValue)
 	}
-	return total
 }
 
 // EGS (Equi-Grow & Shrink) balances the *available* processors over all
@@ -78,13 +70,12 @@ type EGS struct{}
 func (EGS) Name() string { return "EGS" }
 
 // Grow implements the EQUI_GROW procedure.
-func (EGS) Grow(jobs []*koala.Job, growValue int) int {
+func (EGS) Grow(jobs []*koala.Job, growValue int) {
 	if len(jobs) == 0 || growValue <= 0 {
-		return 0
+		return
 	}
 	share := growValue / len(jobs)
 	remainder := growValue % len(jobs)
-	total := 0
 	for i, j := range jobs { // increasing start time
 		offer := share
 		if i < remainder {
@@ -93,19 +84,17 @@ func (EGS) Grow(jobs []*koala.Job, growValue int) int {
 		if offer == 0 {
 			continue
 		}
-		total += j.RequestGrow(offer)
+		j.RequestGrow(offer)
 	}
-	return total
 }
 
 // Shrink implements the EQUI_SHRINK procedure.
-func (EGS) Shrink(jobs []*koala.Job, shrinkValue int) int {
+func (EGS) Shrink(jobs []*koala.Job, shrinkValue int) {
 	if len(jobs) == 0 || shrinkValue <= 0 {
-		return 0
+		return
 	}
 	share := shrinkValue / len(jobs)
 	remainder := shrinkValue % len(jobs)
-	total := 0
 	for i := range jobs {
 		// Walk in decreasing start time; the malus lands on the most
 		// recently started jobs (the first of this walk).
@@ -117,9 +106,8 @@ func (EGS) Shrink(jobs []*koala.Job, shrinkValue int) int {
 		if request == 0 {
 			continue
 		}
-		total += j.RequestShrink(request)
+		j.RequestShrink(request)
 	}
-	return total
 }
 
 // Equipartition is the classic baseline of AMPI/McCann–Zahorjan discussed in
@@ -132,16 +120,15 @@ type Equipartition struct{}
 func (Equipartition) Name() string { return "EQUI" }
 
 // Grow rebalances towards the fair share: target = (held + available)/n.
-func (Equipartition) Grow(jobs []*koala.Job, growValue int) int {
+func (Equipartition) Grow(jobs []*koala.Job, growValue int) {
 	if len(jobs) == 0 || growValue <= 0 {
-		return 0
+		return
 	}
 	pool := growValue
 	for _, j := range jobs {
 		pool += j.PlannedProcs()
 	}
 	target := pool / len(jobs)
-	total := 0
 	freed := 0
 	// Shrink the jobs above the fair share first (may mix messages).
 	for i := len(jobs) - 1; i >= 0; i-- {
@@ -159,17 +146,14 @@ func (Equipartition) Grow(jobs []*koala.Job, growValue int) int {
 			if offer > budget {
 				offer = budget
 			}
-			accepted := j.RequestGrow(offer)
-			budget -= accepted
-			total += accepted
+			budget -= j.RequestGrow(offer)
 		}
 	}
-	return total
 }
 
 // Shrink reclaims equally, like EGS.
-func (Equipartition) Shrink(jobs []*koala.Job, shrinkValue int) int {
-	return EGS{}.Shrink(jobs, shrinkValue)
+func (Equipartition) Shrink(jobs []*koala.Job, shrinkValue int) {
+	EGS{}.Shrink(jobs, shrinkValue)
 }
 
 // Folding is the doubling/halving baseline of Utrera et al. and
@@ -181,36 +165,28 @@ type Folding struct{}
 func (Folding) Name() string { return "FOLD" }
 
 // Grow doubles jobs (earliest first) while the budget allows.
-func (Folding) Grow(jobs []*koala.Job, growValue int) int {
-	total := 0
+func (Folding) Grow(jobs []*koala.Job, growValue int) {
 	for _, j := range jobs {
 		cur := j.PlannedProcs()
 		if cur <= 0 || cur > growValue {
 			continue
 		}
-		accepted := j.RequestGrow(cur) // offer exactly +current = doubling
-		growValue -= accepted
-		total += accepted
+		growValue -= j.RequestGrow(cur) // offer exactly +current = doubling
 		if growValue <= 0 {
 			break
 		}
 	}
-	return total
 }
 
 // Shrink halves jobs (latest first) until the request is met.
-func (Folding) Shrink(jobs []*koala.Job, shrinkValue int) int {
-	total := 0
+func (Folding) Shrink(jobs []*koala.Job, shrinkValue int) {
 	for i := len(jobs) - 1; i >= 0 && shrinkValue > 0; i-- {
 		half := jobs[i].PlannedProcs() / 2
 		if half <= 0 {
 			continue
 		}
-		released := jobs[i].RequestShrink(half)
-		shrinkValue -= released
-		total += released
+		shrinkValue -= jobs[i].RequestShrink(half)
 	}
-	return total
 }
 
 // PolicyByName returns the policy registered under name.

@@ -53,10 +53,21 @@ func planned(jobs []*koala.Job) []int {
 	return out
 }
 
+// plannedTotal sums the jobs' planned sizes: a policy round moves it by
+// exactly what the jobs accepted or released.
+func plannedTotal(jobs []*koala.Job) int {
+	n := 0
+	for _, j := range jobs {
+		n += j.PlannedProcs()
+	}
+	return n
+}
+
 func TestFPSMAGrowFavoursEarliestStarted(t *testing.T) {
 	_, jobs := fixture(t, 200, 3)
-	accepted := FPSMA{}.Grow(jobs, 50)
-	if accepted != 50 {
+	before := plannedTotal(jobs)
+	FPSMA{}.Grow(jobs, 50)
+	if accepted := plannedTotal(jobs) - before; accepted != 50 {
 		t.Fatalf("accepted = %d, want 50", accepted)
 	}
 	got := planned(jobs)
@@ -71,8 +82,9 @@ func TestFPSMAGrowFavoursEarliestStarted(t *testing.T) {
 
 func TestFPSMAGrowStopsAtZero(t *testing.T) {
 	_, jobs := fixture(t, 200, 3)
-	accepted := FPSMA{}.Grow(jobs, 10)
-	if accepted != 10 {
+	before := plannedTotal(jobs)
+	FPSMA{}.Grow(jobs, 10)
+	if accepted := plannedTotal(jobs) - before; accepted != 10 {
 		t.Fatalf("accepted = %d", accepted)
 	}
 	got := planned(jobs)
@@ -93,8 +105,9 @@ func TestFPSMAShrinkFavoursLatestStarted(t *testing.T) {
 	jobs[2].RequestGrow(10)
 	sys.Engine.RunUntil(sys.Engine.Now() + 20)
 	// planned: [32, 12, 12]
-	released := FPSMA{}.Shrink(jobs, 15)
-	if released != 15 {
+	before := plannedTotal(jobs)
+	FPSMA{}.Shrink(jobs, 15)
+	if released := before - plannedTotal(jobs); released != 15 {
 		t.Fatalf("released = %d, want 15", released)
 	}
 	got := planned(jobs)
@@ -109,8 +122,9 @@ func TestFPSMAShrinkFavoursLatestStarted(t *testing.T) {
 
 func TestEGSGrowDistributesEqually(t *testing.T) {
 	_, jobs := fixture(t, 200, 3)
-	accepted := EGS{}.Grow(jobs, 30)
-	if accepted != 30 {
+	before := plannedTotal(jobs)
+	EGS{}.Grow(jobs, 30)
+	if accepted := plannedTotal(jobs) - before; accepted != 30 {
 		t.Fatalf("accepted = %d", accepted)
 	}
 	got := planned(jobs)
@@ -138,8 +152,9 @@ func TestEGSShrinkMalusToMostRecentlyStarted(t *testing.T) {
 	sys, jobs := fixture(t, 200, 3)
 	EGS{}.Grow(jobs, 30) // all at 12
 	sys.Engine.RunUntil(sys.Engine.Now() + 20)
-	released := EGS{}.Shrink(jobs, 11) // share 3, remainder 2 → malus on jobs[2], jobs[1]
-	if released != 11 {
+	before := plannedTotal(jobs)
+	EGS{}.Shrink(jobs, 11) // share 3, remainder 2 → malus on jobs[2], jobs[1]
+	if released := before - plannedTotal(jobs); released != 11 {
 		t.Fatalf("released = %d", released)
 	}
 	got := planned(jobs)
@@ -152,12 +167,13 @@ func TestEGSShrinkMalusToMostRecentlyStarted(t *testing.T) {
 }
 
 func TestEGSEmptyAndZero(t *testing.T) {
-	if (EGS{}).Grow(nil, 10) != 0 || (EGS{}).Shrink(nil, 10) != 0 {
-		t.Fatal("empty job list should accept nothing")
-	}
+	EGS{}.Grow(nil, 10) // an empty job list must not panic
+	EGS{}.Shrink(nil, 10)
 	_, jobs := fixture(t, 200, 2)
-	if (EGS{}).Grow(jobs, 0) != 0 || (EGS{}).Shrink(jobs, 0) != 0 {
-		t.Fatal("zero amount should be a no-op")
+	EGS{}.Grow(jobs, 0)
+	EGS{}.Shrink(jobs, 0)
+	if got := planned(jobs); got[0] != 2 || got[1] != 2 {
+		t.Fatalf("zero amount should be a no-op: planned = %v", got)
 	}
 }
 
@@ -172,8 +188,9 @@ func TestEGSRespectsFTPowerOfTwo(t *testing.T) {
 	j2, _ := sys.SubmitMalleable("ft2", app.FTProfile(), 2)
 	sys.Engine.RunUntil(5)
 	jobs := []*koala.Job{j1, j2}
-	accepted := EGS{}.Grow(jobs, 11) // offers 6 and 5 → FT accepts 6 (→8) and 2 (→4)
-	if accepted != 6+2 {
+	before := plannedTotal(jobs)
+	EGS{}.Grow(jobs, 11) // offers 6 and 5 → FT accepts 6 (→8) and 2 (→4)
+	if accepted := plannedTotal(jobs) - before; accepted != 6+2 {
 		t.Fatalf("accepted = %d, want 8", accepted)
 	}
 	got := planned(jobs)
@@ -198,8 +215,9 @@ func TestEquipartitionRebalances(t *testing.T) {
 
 func TestFoldingDoublesAndHalves(t *testing.T) {
 	sys, jobs := fixture(t, 200, 2)
-	accepted := Folding{}.Grow(jobs, 6) // doubles job0 (2→4), then job1 (2→4)
-	if accepted != 4 {
+	before := plannedTotal(jobs)
+	Folding{}.Grow(jobs, 6) // doubles job0 (2→4), then job1 (2→4)
+	if accepted := plannedTotal(jobs) - before; accepted != 4 {
 		t.Fatalf("accepted = %d, want 4", accepted)
 	}
 	got := planned(jobs)
@@ -207,8 +225,9 @@ func TestFoldingDoublesAndHalves(t *testing.T) {
 		t.Fatalf("planned = %v", got)
 	}
 	sys.Engine.RunUntil(sys.Engine.Now() + 20)
-	released := Folding{}.Shrink(jobs, 2)
-	if released != 2 {
+	before = plannedTotal(jobs)
+	Folding{}.Shrink(jobs, 2)
+	if released := before - plannedTotal(jobs); released != 2 {
 		t.Fatalf("released = %d", released)
 	}
 	got = planned(jobs)
