@@ -152,7 +152,11 @@ func PWABackground() workload.BackgroundSpec {
 
 // RunResult is the outcome of a single seeded run.
 type RunResult struct {
-	Seed        uint64
+	Seed uint64
+	// Records holds the run's finished jobs in finishing order. In a
+	// batch Result it is the run's window of Result.Pooled, capped at
+	// its length, so appending to it copies instead of overwriting the
+	// next run's records.
 	Records     []metrics.JobRecord
 	Rejected    int
 	Utilization *stats.TimeSeries
@@ -167,7 +171,8 @@ type Result struct {
 	Config Config
 	Runs   []*RunResult
 	// Pooled concatenates the per-run job records (the paper's CDFs are
-	// computed over all jobs of all runs of a combination).
+	// computed over all jobs of all runs of a combination). It is the one
+	// copy of them: each Runs[i].Records is its window of Pooled.
 	Pooled []metrics.JobRecord
 }
 
@@ -202,43 +207,63 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // runBatch is runPoint with the batch sink: it keeps every replication's
-// RunResult, records and all, for the CDF figures.
+// RunResult, records and all, for the CDF figures. Each record is written
+// once: replication i's collector appends into window i of one backing of
+// Runs × Jobs records, which becomes Pooled.
 func runBatch(ctx context.Context, cfg Config, lim parallel.Limiter) (*Result, error) {
-	cfg, runs, err := runPoint(ctx, cfg, lim, nil, func(_ int, r *RunResult) *RunResult { return r })
+	prep, err := Prepare(cfg)
 	if err != nil {
 		return nil, err
 	}
+	cfg = prep.Config()
+	pooled := make([]metrics.JobRecord, cfg.Runs*cfg.Workload.Jobs)
+	runs, err := runPoint(ctx, prep, lim, nil, pooled, func(_ int, r *RunResult) *RunResult { return r })
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Config: cfg, Runs: runs, Pooled: packRecords(pooled, runs)}, nil
+}
+
+// packRecords closes, front to back, the gaps that short replications
+// (rejected jobs) left between the runs' windows of pooled, and points
+// each run's Records at its part of the packed prefix, capped at its
+// length. It returns that prefix: the in-order concatenation of the
+// runs' records, copied only past a gap.
+func packRecords(pooled []metrics.JobRecord, runs []*RunResult) []metrics.JobRecord {
 	n := 0
 	for _, r := range runs {
-		n += len(r.Records)
+		k := len(r.Records)
+		if k > 0 && &r.Records[0] != &pooled[n] {
+			copy(pooled[n:], r.Records)
+		}
+		r.Records = pooled[n : n+k : n+k]
+		n += k
 	}
-	out := &Result{Config: cfg, Runs: runs, Pooled: make([]metrics.JobRecord, 0, n)}
-	for _, r := range runs {
-		out.Pooled = append(out.Pooled, r.Records...)
-	}
-	return out, nil
+	return pooled[:n:n]
 }
 
 // runPoint is the one replication loop behind every driver, batch and
-// streaming. It prepares cfg once — the replications share the immutable
-// setup and differ only in their seeds — then runs the point's seeded
-// replications on lim and hands replication i's result to sink, whose
-// return value fills slot i of the output. The output is therefore in
-// replication order for any parallelism. Sink calls for distinct
-// replications may run concurrently.
+// streaming. The replications share prep's immutable setup and differ
+// only in their seeds; runPoint runs them on lim and hands replication
+// i's result to sink, whose return value fills slot i of the output. The
+// output is therefore in replication order for any parallelism. Sink
+// calls for distinct replications may run concurrently.
+//
+// pooled, when non-nil, holds Runs × Jobs records, and replication i's
+// collector appends into window i, [i·Jobs, (i+1)·Jobs). Each job
+// finishes at most once, so no window overflows, and the replications
+// write disjoint parts of it. The streaming path passes nil: each
+// replication's records get a buffer of their own and die with it.
 //
 // A panicking replication (or sink, or hook) becomes an error naming the
 // replication instead of unwinding its worker goroutine: koalad runs
 // this loop, and one bad run may fail but never take the daemon down.
-func runPoint[T any](ctx context.Context, cfg Config, lim parallel.Limiter,
-	onStart func(rep int, seed uint64), sink func(i int, r *RunResult) T) (Config, []T, error) {
-	prep, err := Prepare(cfg)
-	if err != nil {
-		return cfg, nil, err
-	}
-	cfg = prep.Config()
+func runPoint[T any](ctx context.Context, prep *Prepared, lim parallel.Limiter,
+	onStart func(rep int, seed uint64), pooled []metrics.JobRecord, sink func(i int, r *RunResult) T) ([]T, error) {
+	cfg := prep.Config()
+	jobs := cfg.Workload.Jobs
 	out := make([]T, cfg.Runs)
-	err = parallel.ForEachShared(ctx, cfg.Runs, lim, func(_ context.Context, i int) (err error) {
+	err := parallel.ForEachShared(ctx, cfg.Runs, lim, func(_ context.Context, i int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("experiment %s: replication %d panicked: %v\n%s", cfg.Name, i, p, debug.Stack())
@@ -248,14 +273,18 @@ func runPoint[T any](ctx context.Context, cfg Config, lim parallel.Limiter,
 		if onStart != nil {
 			onStart(i, seed)
 		}
-		r, err := prep.RunOnce(seed)
+		var recs []metrics.JobRecord
+		if pooled != nil {
+			recs = pooled[i*jobs : i*jobs : (i+1)*jobs]
+		}
+		r, err := prep.runOnce(seed, recs)
 		if err != nil {
 			return err
 		}
 		out[i] = sink(i, r)
 		return nil
 	})
-	return cfg, out, err
+	return out, err
 }
 
 // sweep runs every combo point of an approach at once and returns run's

@@ -183,9 +183,13 @@ func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 	return cfgs
 }
 
-// cdfFigure builds a four-series CDF figure over a record field.
+// cdfFigure builds a four-series CDF figure over a record field. sel
+// reads the field of one record and reports whether the record belongs to
+// the figure's population. The records are read in place in each combo's
+// Pooled: cdfFigure counts the selected ones, fills one slice with their
+// values and hands that slice, which it owns, to the CDF without a copy.
 func (s *Set) cdfFigure(id, title, xlabel string, xs []float64,
-	extract func(*Result) []float64) Figure {
+	sel func(*metrics.JobRecord) (float64, bool)) Figure {
 	fig := Figure{
 		ID:     id,
 		Title:  title,
@@ -193,7 +197,20 @@ func (s *Set) cdfFigure(id, title, xlabel string, xs []float64,
 		YLabel: "Cumulative number of jobs (%)",
 	}
 	for _, label := range s.Labels {
-		cdf := stats.NewCDF(extract(s.Results[label]))
+		recs := s.Results[label].Pooled
+		n := 0
+		for i := range recs {
+			if _, ok := sel(&recs[i]); ok {
+				n++
+			}
+		}
+		vals := make([]float64, 0, n)
+		for i := range recs {
+			if v, ok := sel(&recs[i]); ok {
+				vals = append(vals, v)
+			}
+		}
+		cdf := stats.NewCDFInPlace(vals)
 		fig.Series = append(fig.Series, Series{Label: label, Points: cdf.SampleAt(xs)})
 	}
 	return fig
@@ -212,7 +229,7 @@ func gridF(lo, hi, step float64) []float64 {
 func (s *Set) FigSizesAvg(id string) Figure {
 	return s.cdfFigure(id, "Average number of processors per job",
 		"Average number of processors per job", gridF(0, 46, 1),
-		func(r *Result) []float64 { return metrics.AvgProcsOf(r.MalleableRecords()) })
+		func(r *metrics.JobRecord) (float64, bool) { return r.AvgProcs, r.Malleable })
 }
 
 // FigSizesMax is Fig. 7(b)/8(b): the CDF of the maximal processor count
@@ -220,19 +237,19 @@ func (s *Set) FigSizesAvg(id string) Figure {
 func (s *Set) FigSizesMax(id string) Figure {
 	return s.cdfFigure(id, "Maximum number of processors per job",
 		"Maximum number of processors per job", gridF(0, 46, 1),
-		func(r *Result) []float64 { return metrics.MaxProcsOf(r.MalleableRecords()) })
+		func(r *metrics.JobRecord) (float64, bool) { return float64(r.MaxProcs), r.Malleable })
 }
 
 // FigExecTimes is Fig. 7(c)/8(c): the CDF of job execution times.
 func (s *Set) FigExecTimes(id string) Figure {
 	return s.cdfFigure(id, "Job execution times", "Execution time (s)", gridF(0, 1200, 20),
-		func(r *Result) []float64 { return metrics.ExecTimesOf(r.Pooled) })
+		func(r *metrics.JobRecord) (float64, bool) { return r.ExecutionTime, true })
 }
 
 // FigResponseTimes is Fig. 7(d)/8(d): the CDF of job response times.
 func (s *Set) FigResponseTimes(id string) Figure {
 	return s.cdfFigure(id, "Job response times", "Response time (s)", gridF(0, 2000, 20),
-		func(r *Result) []float64 { return metrics.ResponseTimesOf(r.Pooled) })
+		func(r *metrics.JobRecord) (float64, bool) { return r.ResponseTime, true })
 }
 
 // FigUtilization is Fig. 7(e)/8(e): total used processors over time

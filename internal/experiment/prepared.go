@@ -88,8 +88,16 @@ func (p *Prepared) Config() Config { return p.cfg }
 // The world's memory is handed back to the shared pools when RunOnce
 // returns, for the next replication on any goroutine: nothing in the
 // RunResult points into it (records are values, and the utilisation and
-// op series are allocated outside the world).
+// op series are allocated outside the world). The records are returned
+// in their own buffer, which the caller owns.
 func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
+	return p.runOnce(seed, nil)
+}
+
+// runOnce is RunOnce with the collector appending its records to recs, an
+// empty window with capacity for every job of the workload; nil gives the
+// collector a buffer of its own.
+func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, error) {
 	cfg := p.cfg
 	wl := p.wl.Generate(seed)
 
@@ -120,7 +128,10 @@ func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
 	if sample <= 0 {
 		sample = 10
 	}
-	col.Reserve(cfg.Workload.Jobs, int((p.span+2000)/sample)+2)
+	if recs == nil {
+		recs = make([]metrics.JobRecord, 0, cfg.Workload.Jobs)
+	}
+	col.Reserve(recs, int((p.span+2000)/sample)+2)
 
 	if cfg.Background != nil {
 		bgSpec := *cfg.Background

@@ -129,7 +129,12 @@ func runStream(ctx context.Context, cfg Config, lim parallel.Limiter, hooks Stre
 		rep Replication
 		agg *metrics.Aggregate
 	}
-	cfg, reps, err := runPoint(ctx, cfg, lim, hooks.OnStart, func(i int, r *RunResult) streamed {
+	prep, err := Prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = prep.Config()
+	reps, err := runPoint(ctx, prep, lim, hooks.OnStart, nil, func(i int, r *RunResult) streamed {
 		rep, agg := summarizeReplication(i, r)
 		if hooks.OnDone != nil {
 			hooks.OnDone(rep)

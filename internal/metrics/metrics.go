@@ -91,15 +91,12 @@ func NewCollector(engine *sim.Engine, sched *koala.Scheduler, grid *cluster.Mult
 // Stop halts utilisation sampling (end of experiment).
 func (c *Collector) Stop() { c.sampler.Stop() }
 
-// Reserve sizes the collector's buffers for an expected number of finished
-// jobs and utilisation samples, so steady-state collection appends without
-// regrowing.
-func (c *Collector) Reserve(jobs, samples int) {
-	if jobs > cap(c.records) {
-		recs := make([]JobRecord, len(c.records), jobs)
-		copy(recs, c.records)
-		c.records = recs
-	}
+// Reserve hands the collector the buffer its records are appended to and
+// sizes the utilisation series for samples, so steady-state collection
+// appends without regrowing. recs must be empty, with capacity for every
+// job expected to finish; Records returns a prefix of it.
+func (c *Collector) Reserve(recs []JobRecord, samples int) {
+	c.records = append(recs, c.records...)
 	c.utilization.Reserve(samples)
 }
 

@@ -13,11 +13,18 @@ type CDF struct {
 	sorted []float64
 }
 
-// NewCDF builds an empirical CDF from the sample xs. The input is copied.
+// NewCDF builds an empirical CDF from the sample xs. The input is copied,
+// so the caller keeps xs and may change it afterwards.
 func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return &CDF{sorted: s}
+	return NewCDFInPlace(append([]float64(nil), xs...))
+}
+
+// NewCDFInPlace builds an empirical CDF that takes xs over: it sorts xs in
+// place and keeps it, so the caller must neither read nor write xs
+// afterwards. It spares NewCDF's copy when the sample was built for the CDF.
+func NewCDFInPlace(xs []float64) *CDF {
+	sort.Float64s(xs)
+	return &CDF{sorted: xs}
 }
 
 // N returns the sample size.

@@ -3,15 +3,16 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/app"
+	"repro/internal/koala"
 )
 
 // PreparedSpec is the immutable, share-once half of workload generation:
 // everything about a Spec that does not depend on the seed — validation,
-// the rendered job ID strings, and the resolved application profiles.
-// One PreparedSpec serves every replication of a sweep point; Generate
-// only draws the per-seed random choices, so batched replications skip
-// the fmt.Sprintf per job and the profile cache lookups per submission.
+// the rendered job ID strings, and one single-component slice per item
+// class. One PreparedSpec serves every replication of a sweep point;
+// Generate only draws the per-seed random choices, so batched
+// replications skip the fmt.Sprintf per job, and submitting an item
+// allocates nothing and looks up no profile.
 //
 // A PreparedSpec is read-only after PrepareSpec returns and safe for
 // concurrent use by parallel replication workers.
@@ -19,11 +20,9 @@ type PreparedSpec struct {
 	spec Spec
 	ids  []string
 
-	// Profiles are immutable and shared process-wide, so resolving them
-	// once here hands every generated item its profile without the
-	// per-call cache lookup in Item.JobSpec.
-	rigidFT     *app.Profile
-	rigidGadget *app.Profile
+	// One read-only single-component slice per item class, indexed by
+	// AppKind: every item of a class, in every replication, shares it.
+	malleable, rigid [2][]koala.ComponentSpec
 }
 
 // PrepareSpec validates spec and precomputes its seed-independent parts.
@@ -32,14 +31,13 @@ func PrepareSpec(spec Spec) (*PreparedSpec, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &PreparedSpec{
-		spec:        spec,
-		ids:         make([]string, spec.Jobs),
-		rigidFT:     rigidProfile(FT, spec.RigidSize),
-		rigidGadget: rigidProfile(Gadget, spec.RigidSize),
-	}
+	p := &PreparedSpec{spec: spec, ids: make([]string, spec.Jobs)}
 	for i := range p.ids {
 		p.ids[i] = fmt.Sprintf("%s-%03d", spec.Name, i)
+	}
+	for _, kind := range []AppKind{FT, Gadget} {
+		p.malleable[kind] = []koala.ComponentSpec{{Profile: classProfile(kind, true, spec.InitialSize), Size: spec.InitialSize}}
+		p.rigid[kind] = []koala.ComponentSpec{{Profile: classProfile(kind, false, spec.RigidSize), Size: spec.RigidSize}}
 	}
 	return p, nil
 }
@@ -49,7 +47,7 @@ func (p *PreparedSpec) Spec() Spec { return p.spec }
 
 // Generate produces the workload for the given seed — byte-identical to
 // Generate(spec with that Seed) — reusing the prepared ID strings and
-// profile pointers. The returned Workload is freshly allocated and owned
+// component slices. The returned Workload is freshly allocated and owned
 // by the caller; only the immutable parts are shared.
 func (p *PreparedSpec) Generate(seed uint64) *Workload {
 	spec := p.spec

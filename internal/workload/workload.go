@@ -49,15 +49,12 @@ type Item struct {
 	Malleable bool
 	Size      int // initial size (malleable) or fixed size (rigid)
 
-	// profile, when non-nil, is the pre-resolved application profile
-	// (set by PreparedSpec.Generate); JobSpec then skips the cache
-	// lookup. Profiles are canonical shared instances, so a prepared
-	// item's JobSpec is identical to an unprepared one's.
-	profile *app.Profile
-	// comps, when non-nil, is the item's ready single-component slice,
-	// diced out of the workload's arena by generate; JobSpec then
-	// allocates nothing. The scheduler treats submitted components as
-	// read-only, so sharing the arena backing is safe.
+	// comps, when non-nil, is the item's single-component slice, shared
+	// read-only by every item of its class (set by PreparedSpec.Generate);
+	// JobSpec then allocates nothing. The scheduler treats submitted
+	// components as read-only, so the sharing is safe. Profiles are
+	// canonical shared instances, so a prepared item's JobSpec is
+	// identical to an unprepared one's.
 	comps []koala.ComponentSpec
 }
 
@@ -97,31 +94,41 @@ func rigidProfile(kind AppKind, size int) *app.Profile {
 }
 
 // Equal reports whether two items describe the same submission (the
-// arena-backed comps window is derived state and excluded).
+// shared comps slice is derived state and excluded).
 func (it Item) Equal(o Item) bool {
 	return it.ID == o.ID && it.SubmitAt == o.SubmitAt && it.App == o.App &&
-		it.Malleable == o.Malleable && it.Size == o.Size && it.profile == o.profile
+		it.Malleable == o.Malleable && it.Size == o.Size && it.profile() == o.profile()
 }
 
-// Spec builds Item.Spec's job description for submission to KOALA.
+// profile is the item's application profile: its shared component's when
+// prepared, else the canonical instance of its class.
+func (it Item) profile() *app.Profile {
+	if it.comps != nil {
+		return it.comps[0].Profile
+	}
+	return classProfile(it.App, it.Malleable, it.Size)
+}
+
+// classProfile returns the canonical profile of an item class.
+func classProfile(kind AppKind, malleable bool, size int) *app.Profile {
+	switch {
+	case malleable && kind == FT:
+		return ftMalleable
+	case malleable && kind == Gadget:
+		return gadgetMalleable
+	default:
+		return rigidProfile(kind, size)
+	}
+}
+
+// JobSpec builds the item's job description for submission to KOALA.
 func (it Item) JobSpec() koala.JobSpec {
 	if it.comps != nil {
 		return koala.JobSpec{ID: it.ID, Components: it.comps}
 	}
-	profile := it.profile
-	if profile == nil {
-		switch {
-		case it.Malleable && it.App == FT:
-			profile = ftMalleable
-		case it.Malleable && it.App == Gadget:
-			profile = gadgetMalleable
-		default:
-			profile = rigidProfile(it.App, it.Size)
-		}
-	}
 	return koala.JobSpec{
 		ID:         it.ID,
-		Components: []koala.ComponentSpec{{Profile: profile, Size: it.Size}},
+		Components: []koala.ComponentSpec{{Profile: it.profile(), Size: it.Size}},
 	}
 }
 
@@ -201,18 +208,12 @@ func Generate(spec Spec) (*Workload, error) {
 
 // generate is the seeded generator core shared by Generate and
 // PreparedSpec.Generate. When prep is non-nil, the rendered ID strings
-// and resolved profiles are taken from it instead of being rebuilt; the
-// random draws are identical either way, so both paths produce the same
-// workload for the same spec and seed.
+// and the items' shared component slices are taken from it instead of
+// being rebuilt; the random draws are identical either way, so both paths
+// produce the same workload for the same spec and seed.
 func generate(spec Spec, prep *PreparedSpec) *Workload {
 	rng := sim.NewRNG(spec.Seed)
 	w := &Workload{Name: spec.Name, Items: make([]Item, 0, spec.Jobs)}
-	// One flat component arena for the whole workload (prepared path):
-	// each item's JobSpec slice is a ready 1-element window into it.
-	var arena []koala.ComponentSpec
-	if prep != nil {
-		arena = make([]koala.ComponentSpec, spec.Jobs)
-	}
 	t := 0.0
 	for i := 0; i < spec.Jobs; i++ {
 		kind := FT
@@ -232,18 +233,10 @@ func generate(spec Spec, prep *PreparedSpec) *Workload {
 		}
 		if prep != nil {
 			it.ID = prep.ids[i]
-			switch {
-			case malleable && kind == FT:
-				it.profile = ftMalleable
-			case malleable && kind == Gadget:
-				it.profile = gadgetMalleable
-			case kind == FT:
-				it.profile = prep.rigidFT
-			default:
-				it.profile = prep.rigidGadget
+			it.comps = prep.rigid[kind]
+			if malleable {
+				it.comps = prep.malleable[kind]
 			}
-			arena[i] = koala.ComponentSpec{Profile: it.profile, Size: it.Size}
-			it.comps = arena[i : i+1 : i+1]
 		} else {
 			it.ID = fmt.Sprintf("%s-%03d", spec.Name, i)
 		}
