@@ -270,10 +270,17 @@ func run() int {
 	fmt.Printf(", %d rejected\n", rejected)
 	fmt.Printf("exec time  : %s\n", stats.Summarize(metrics.ExecTimesOf(res.Pooled)))
 	fmt.Printf("response   : %s\n", stats.Summarize(metrics.ResponseTimesOf(res.Pooled)))
-	mall := res.MalleableRecords()
-	if len(mall) > 0 {
-		fmt.Printf("avg procs  : %s\n", stats.Summarize(metrics.AvgProcsOf(mall)))
-		fmt.Printf("max procs  : %s\n", stats.Summarize(metrics.MaxProcsOf(mall)))
+	// The size lines read two fields of each malleable record in place.
+	var avgProcs, maxProcs []float64
+	for i := range res.Pooled {
+		if r := &res.Pooled[i]; r.Malleable {
+			avgProcs = append(avgProcs, r.AvgProcs)
+			maxProcs = append(maxProcs, float64(r.MaxProcs))
+		}
+	}
+	if len(avgProcs) > 0 {
+		fmt.Printf("avg procs  : %s\n", stats.Summarize(avgProcs))
+		fmt.Printf("max procs  : %s\n", stats.Summarize(maxProcs))
 	}
 	fmt.Printf("mean util  : %.1f processors\n", res.MeanUtilization())
 	fmt.Printf("ops/run    : %.1f malleability operations\n", res.TotalOps())

@@ -32,18 +32,6 @@ import (
 	"repro/internal/experiment"
 )
 
-// Health is a backend's capability/liveness report.
-type Health struct {
-	// Healthy reports whether the backend can currently accept points.
-	Healthy bool
-	// Detail is a human-readable capability line ("in-process", worker
-	// reachability, ...).
-	Detail string
-	// Workers is the number of execution sites behind the backend: 1
-	// for Local, the reachable worker count for Remote.
-	Workers int
-}
-
 // Backend executes experiment points. Implementations must be safe for
 // concurrent RunPoint calls.
 type Backend interface {
@@ -55,6 +43,4 @@ type Backend interface {
 	// be reported more than once, but the returned result is always
 	// the complete, deterministic point.
 	RunPoint(ctx context.Context, cfg experiment.Config, hooks experiment.StreamHooks) (*experiment.StreamResult, error)
-	// Health reports whether the backend can take work right now.
-	Health(ctx context.Context) Health
 }

@@ -133,9 +133,6 @@ func TestLocalMatchesRunStream(t *testing.T) {
 	if !bytes.Equal(encode(t, direct), encode(t, viaBackend)) {
 		t.Fatal("backend.Local result diverges from experiment.RunStream")
 	}
-	if h := (backend.Local{}).Health(context.Background()); !h.Healthy || h.Workers != 1 {
-		t.Fatalf("local health = %+v", h)
-	}
 }
 
 // TestRemoteSingleWorkerByteIdentical is the cross-backend equivalence
@@ -177,8 +174,9 @@ func TestRemoteSingleWorkerByteIdentical(t *testing.T) {
 		remote.MeanResponse() != local.MeanResponse() || remote.Malleable() != local.Malleable() {
 		t.Fatal("remote result accessors diverge from local")
 	}
-	if h := rb.Health(context.Background()); !h.Healthy || h.Workers != 1 {
-		t.Fatalf("remote health = %+v", h)
+	rb.RefreshHealth(context.Background())
+	if got := rb.HealthyWorkers(); len(got) != 1 || got[0] != ts.URL {
+		t.Fatalf("healthy workers after a good dispatch = %v, want [%s]", got, ts.URL)
 	}
 }
 
@@ -240,8 +238,9 @@ func TestRemoteFailoverUnreachableWorker(t *testing.T) {
 	if st := dispatchLedger(t, m); st.Failovers != 1 || st.RemoteDone != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if h := rb.Health(context.Background()); h.Healthy || h.Workers != 0 {
-		t.Fatalf("health of unreachable worker = %+v", h)
+	rb.RefreshHealth(context.Background())
+	if got := rb.HealthyWorkers(); len(got) != 0 {
+		t.Fatalf("healthy workers with the worker unreachable = %v, want none", got)
 	}
 }
 

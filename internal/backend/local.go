@@ -20,9 +20,3 @@ func (Local) Name() string { return "local" }
 func (Local) RunPoint(ctx context.Context, cfg experiment.Config, hooks experiment.StreamHooks) (*experiment.StreamResult, error) {
 	return experiment.RunStreamContext(ctx, cfg, hooks)
 }
-
-// Health implements Backend: the process that asks is the process that
-// runs, so Local is always healthy.
-func (Local) Health(context.Context) Health {
-	return Health{Healthy: true, Detail: "in-process", Workers: 1}
-}

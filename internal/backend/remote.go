@@ -493,38 +493,3 @@ func (r *Remote) runOn(ctx context.Context, worker string, cfg experiment.Config
 	}
 	return nil, classify("stream ended without a summary", nil)
 }
-
-// Health implements Backend: probe every worker's /healthz and report
-// how many answered.
-func (r *Remote) Health(ctx context.Context) Health {
-	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	defer cancel()
-	up := 0
-	var detail []string
-	for _, w := range r.workers {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, w+"/healthz", nil)
-		if err != nil {
-			detail = append(detail, w+": "+err.Error())
-			continue
-		}
-		resp, err := r.client.Do(req)
-		if err != nil {
-			detail = append(detail, w+": unreachable")
-			continue
-		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			up++
-		} else {
-			detail = append(detail, fmt.Sprintf("%s: status %d", w, resp.StatusCode))
-		}
-	}
-	h := Health{Healthy: up > 0, Workers: up}
-	if len(detail) == 0 {
-		h.Detail = fmt.Sprintf("%d/%d workers up", up, len(r.workers))
-	} else {
-		h.Detail = fmt.Sprintf("%d/%d workers up (%s)", up, len(r.workers), strings.Join(detail, "; "))
-	}
-	return h
-}

@@ -9,12 +9,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/slab"
 )
 
-// ErrInsufficientNodes is returned when an allocation or grow request asks
-// for more nodes than are currently idle.
+// ErrInsufficientNodes is returned when an allocation or a background
+// seizure asks for more nodes than are currently idle.
 var ErrInsufficientNodes = errors.New("cluster: insufficient idle nodes")
 
 // Cluster is one site of the multicluster: a named pool of identical nodes.
@@ -24,30 +22,17 @@ type Cluster struct {
 	interconnect string
 	nodes        int
 
-	used       int // nodes held by Allocations (grid jobs)
+	used       int // nodes allocated to grid jobs (through the LRM)
 	background int // nodes seized directly by local users
-
-	// allocs hands out Allocation handles (the malleable runners churn
-	// through one per size-1 GRAM stub); a handle stays valid until the
-	// cluster is torn down.
-	allocs slab.Slab[Allocation]
 }
-
-// allocPool holds the Allocation chunks of torn-down clusters.
-var allocPool slab.Pool[Allocation]
 
 // New creates a cluster with the given name and node count.
 func New(name string, nodes int) *Cluster {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("cluster: %q must have positive node count", name))
 	}
-	return &Cluster{name: name, nodes: nodes, allocs: slab.New(&allocPool)}
+	return &Cluster{name: name, nodes: nodes}
 }
-
-// Teardown hands the memory of every Allocation the cluster made to the
-// pool for later clusters. Neither the cluster nor any of its
-// allocations may be used afterwards.
-func (c *Cluster) Teardown() { c.allocs.Release() }
 
 // NewWithInfo creates a cluster carrying the descriptive fields of Table I.
 func NewWithInfo(name, location, interconnect string, nodes int) *Cluster {
@@ -69,7 +54,7 @@ func (c *Cluster) Interconnect() string { return c.interconnect }
 // Nodes returns the total node count.
 func (c *Cluster) Nodes() int { return c.nodes }
 
-// Used returns the number of nodes held by grid allocations.
+// Used returns the number of nodes allocated to grid jobs.
 func (c *Cluster) Used() int { return c.used }
 
 // Background returns the number of nodes seized by bypassing local users.
@@ -87,21 +72,30 @@ func (c *Cluster) checkInvariant() {
 	}
 }
 
-// Allocate reserves n idle nodes and returns a handle that can later grow,
-// shrink, and release them. n must be positive.
-func (c *Cluster) Allocate(n int) (*Allocation, error) {
+// Allocate takes n idle nodes for a grid job. n must be positive. The
+// cluster keeps only the count: the LRM job that asked knows its size and
+// hands the same n back to Free.
+func (c *Cluster) Allocate(n int) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("cluster %s: allocation size %d must be positive", c.name, n)
+		return fmt.Errorf("cluster %s: allocation size %d must be positive", c.name, n)
 	}
 	if n > c.Idle() {
-		return nil, fmt.Errorf("%w: want %d, idle %d on %s", ErrInsufficientNodes, n, c.Idle(), c.name)
+		return fmt.Errorf("%w: want %d, idle %d on %s", ErrInsufficientNodes, n, c.Idle(), c.name)
 	}
 	c.used += n
 	c.checkInvariant()
-	a := c.allocs.Alloc()
-	a.cluster = c
-	a.nodes = n
-	return a, nil
+	return nil
+}
+
+// Free returns n allocated nodes to the idle pool. n must be positive and
+// at most Used.
+func (c *Cluster) Free(n int) error {
+	if n <= 0 || n > c.used {
+		return fmt.Errorf("cluster %s: cannot free %d nodes (used %d)", c.name, n, c.used)
+	}
+	c.used -= n
+	c.checkInvariant()
+	return nil
 }
 
 // SeizeBackground marks n idle nodes as taken by local users who bypass the
@@ -125,70 +119,5 @@ func (c *Cluster) ReleaseBackground(n int) error {
 	}
 	c.background -= n
 	c.checkInvariant()
-	return nil
-}
-
-// Allocation is a space-shared, node-granular reservation on one cluster.
-type Allocation struct {
-	cluster  *Cluster
-	nodes    int
-	released bool
-}
-
-// Cluster returns the owning cluster.
-func (a *Allocation) Cluster() *Cluster { return a.cluster }
-
-// Nodes returns the current size of the allocation (0 after release).
-func (a *Allocation) Nodes() int {
-	if a.released {
-		return 0
-	}
-	return a.nodes
-}
-
-// Released reports whether the allocation has been released.
-func (a *Allocation) Released() bool { return a.released }
-
-// Grow adds n nodes to the allocation, taking them from the idle pool.
-func (a *Allocation) Grow(n int) error {
-	if a.released {
-		return fmt.Errorf("cluster %s: grow on released allocation", a.cluster.name)
-	}
-	if n <= 0 {
-		return fmt.Errorf("cluster %s: grow by %d must be positive", a.cluster.name, n)
-	}
-	if n > a.cluster.Idle() {
-		return fmt.Errorf("%w: grow wants %d, idle %d on %s", ErrInsufficientNodes, n, a.cluster.Idle(), a.cluster.name)
-	}
-	a.cluster.used += n
-	a.nodes += n
-	a.cluster.checkInvariant()
-	return nil
-}
-
-// Shrink returns n nodes of the allocation to the idle pool. The allocation
-// must keep at least one node; use Release to drop it entirely.
-func (a *Allocation) Shrink(n int) error {
-	if a.released {
-		return fmt.Errorf("cluster %s: shrink on released allocation", a.cluster.name)
-	}
-	if n <= 0 || n >= a.nodes {
-		return fmt.Errorf("cluster %s: shrink by %d invalid for allocation of %d", a.cluster.name, n, a.nodes)
-	}
-	a.cluster.used -= n
-	a.nodes -= n
-	a.cluster.checkInvariant()
-	return nil
-}
-
-// Release returns all nodes to the idle pool. Releasing twice is an error.
-func (a *Allocation) Release() error {
-	if a.released {
-		return fmt.Errorf("cluster %s: double release", a.cluster.name)
-	}
-	a.cluster.used -= a.nodes
-	a.released = true
-	a.nodes = 0
-	a.cluster.checkInvariant()
 	return nil
 }

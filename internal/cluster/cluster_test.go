@@ -24,73 +24,41 @@ func TestNewClusterPanicsOnZeroNodes(t *testing.T) {
 
 func TestAllocateAndRelease(t *testing.T) {
 	c := New("c", 10)
-	a, err := c.Allocate(4)
-	if err != nil {
+	if err := c.Allocate(4); err != nil {
 		t.Fatal(err)
 	}
-	if c.Idle() != 6 || c.Used() != 4 || a.Nodes() != 4 {
-		t.Fatalf("after alloc: idle=%d used=%d a=%d", c.Idle(), c.Used(), a.Nodes())
-	}
-	if err := a.Release(); err != nil {
+	if err := c.Allocate(3); err != nil {
 		t.Fatal(err)
 	}
-	if c.Idle() != 10 || a.Nodes() != 0 || !a.Released() {
-		t.Fatalf("after release: idle=%d a=%d", c.Idle(), a.Nodes())
+	if c.Idle() != 3 || c.Used() != 7 {
+		t.Fatalf("after alloc: idle=%d used=%d", c.Idle(), c.Used())
 	}
-	if err := a.Release(); err == nil {
-		t.Fatal("double release should fail")
+	if err := c.Free(4); err != nil {
+		t.Fatal(err)
+	}
+	if c.Idle() != 7 || c.Used() != 3 {
+		t.Fatalf("after free: idle=%d used=%d", c.Idle(), c.Used())
+	}
+	for _, n := range []int{0, -1, 4} {
+		if err := c.Free(n); err == nil {
+			t.Fatalf("Free(%d) with 3 used should fail", n)
+		}
+	}
+	if err := c.Free(3); err != nil || c.Idle() != 10 {
+		t.Fatalf("freeing the rest: err=%v idle=%d", err, c.Idle())
 	}
 }
 
 func TestAllocateErrors(t *testing.T) {
 	c := New("c", 4)
-	if _, err := c.Allocate(0); err == nil {
+	if err := c.Allocate(0); err == nil {
 		t.Fatal("zero allocation should fail")
 	}
-	if _, err := c.Allocate(-1); err == nil {
+	if err := c.Allocate(-1); err == nil {
 		t.Fatal("negative allocation should fail")
 	}
-	if _, err := c.Allocate(5); !errors.Is(err, ErrInsufficientNodes) {
+	if err := c.Allocate(5); !errors.Is(err, ErrInsufficientNodes) {
 		t.Fatalf("oversized allocation: err = %v", err)
-	}
-}
-
-func TestGrowShrink(t *testing.T) {
-	c := New("c", 10)
-	a, _ := c.Allocate(3)
-	if err := a.Grow(4); err != nil {
-		t.Fatal(err)
-	}
-	if a.Nodes() != 7 || c.Idle() != 3 {
-		t.Fatalf("after grow: a=%d idle=%d", a.Nodes(), c.Idle())
-	}
-	if err := a.Grow(4); !errors.Is(err, ErrInsufficientNodes) {
-		t.Fatalf("overgrow: err = %v", err)
-	}
-	if err := a.Shrink(5); err != nil {
-		t.Fatal(err)
-	}
-	if a.Nodes() != 2 || c.Idle() != 8 {
-		t.Fatalf("after shrink: a=%d idle=%d", a.Nodes(), c.Idle())
-	}
-	// Shrinking to zero or below must fail; Release is the way out.
-	if err := a.Shrink(2); err == nil {
-		t.Fatal("shrink to zero should fail")
-	}
-	if err := a.Shrink(0); err == nil {
-		t.Fatal("shrink by zero should fail")
-	}
-}
-
-func TestOperationsOnReleasedAllocation(t *testing.T) {
-	c := New("c", 10)
-	a, _ := c.Allocate(2)
-	a.Release()
-	if err := a.Grow(1); err == nil {
-		t.Fatal("grow on released should fail")
-	}
-	if err := a.Shrink(1); err == nil {
-		t.Fatal("shrink on released should fail")
 	}
 }
 
@@ -102,7 +70,7 @@ func TestBackgroundLoad(t *testing.T) {
 	if c.Idle() != 4 || c.Background() != 6 {
 		t.Fatalf("after seize: idle=%d bg=%d", c.Idle(), c.Background())
 	}
-	if _, err := c.Allocate(5); !errors.Is(err, ErrInsufficientNodes) {
+	if err := c.Allocate(5); !errors.Is(err, ErrInsufficientNodes) {
 		t.Fatal("allocation should see background-held nodes as busy")
 	}
 	if err := c.SeizeBackground(5); !errors.Is(err, ErrInsufficientNodes) {
@@ -122,8 +90,9 @@ func TestBackgroundLoad(t *testing.T) {
 	}
 }
 
-// Property: any sequence of allocate/grow/shrink/release/background ops keeps
-// used+background+idle == nodes and all terms non-negative.
+// Property: any sequence of allocate/free/background ops keeps
+// used+background+idle == nodes, all terms non-negative, and Used equal to
+// the nodes allocated and not yet freed.
 func TestPropertyAccountingInvariant(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -131,31 +100,24 @@ func TestPropertyAccountingInvariant(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		c := New("p", 64)
-		var allocs []*Allocation
+		var held []int // sizes of the allocations not yet freed
 		for _, o := range ops {
 			n := int(o.N%16) + 1
-			switch o.Kind % 5 {
+			switch o.Kind % 3 {
 			case 0:
-				if a, err := c.Allocate(n); err == nil {
-					allocs = append(allocs, a)
+				if err := c.Allocate(n); err == nil {
+					held = append(held, n)
 				}
 			case 1:
-				if len(allocs) > 0 {
-					allocs[len(allocs)-1].Grow(n)
+				if len(held) > 0 {
+					if c.Free(held[len(held)-1]) != nil {
+						return false
+					}
+					held = held[:len(held)-1]
+				} else if c.Free(n) == nil {
+					return false
 				}
 			case 2:
-				if len(allocs) > 0 {
-					allocs[len(allocs)-1].Shrink(n)
-				}
-			case 3:
-				if len(allocs) > 0 {
-					a := allocs[len(allocs)-1]
-					allocs = allocs[:len(allocs)-1]
-					if !a.Released() {
-						a.Release()
-					}
-				}
-			case 4:
 				if o.N%2 == 0 {
 					c.SeizeBackground(n)
 				} else {
@@ -163,8 +125,8 @@ func TestPropertyAccountingInvariant(t *testing.T) {
 				}
 			}
 			sum := 0
-			for _, a := range allocs {
-				sum += a.Nodes()
+			for _, h := range held {
+				sum += h
 			}
 			if sum != c.Used() {
 				return false
@@ -188,12 +150,12 @@ func TestMulticlusterTotals(t *testing.T) {
 	if m.TotalNodes() != 30 || m.TotalIdle() != 30 {
 		t.Fatalf("totals wrong: %d/%d", m.TotalNodes(), m.TotalIdle())
 	}
-	a, _ := m.Get("a").Allocate(4)
+	m.Get("a").Allocate(4)
 	m.Get("b").SeizeBackground(5)
 	if m.TotalUsed() != 4 || m.TotalBackground() != 5 || m.TotalIdle() != 21 {
 		t.Fatalf("totals: used=%d bg=%d idle=%d", m.TotalUsed(), m.TotalBackground(), m.TotalIdle())
 	}
-	a.Release()
+	m.Get("a").Free(4)
 	if m.Get("missing") != nil {
 		t.Fatal("Get of missing cluster should be nil")
 	}

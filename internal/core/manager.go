@@ -206,7 +206,7 @@ func (m *Manager) shrinkSiteAt(i, need int) {
 // minimum size could host it, in which case it grows the running
 // applications instead (§V-B).
 func (m *Manager) blockedSite(j *koala.Job) (site, short int, ok bool) {
-	need := j.Spec.TotalSize()
+	need := j.Spec.Size
 	snap := m.sched.KIS().Last()
 	best, bestShort := -1, 0
 	for i := range m.sched.Sites() {

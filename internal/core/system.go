@@ -59,26 +59,19 @@ func NewSystem(cfg SystemConfig) *System {
 	return sys
 }
 
-// SubmitMalleable submits a single-component malleable job starting at
-// initial processors.
+// SubmitMalleable submits a malleable job starting at initial processors.
 func (s *System) SubmitMalleable(id string, profile *app.Profile, initial int) (*koala.Job, error) {
-	return s.Scheduler.Submit(koala.JobSpec{
-		ID:         id,
-		Components: []koala.ComponentSpec{{Profile: profile, Size: initial}},
-	})
+	return s.Scheduler.Submit(koala.JobSpec{ID: id, Profile: profile, Size: initial})
 }
 
 // SubmitRigid submits a rigid job of the given size running the model.
 func (s *System) SubmitRigid(id string, model app.RuntimeModel, size int) (*koala.Job, error) {
-	return s.Scheduler.Submit(koala.JobSpec{
-		ID:         id,
-		Components: []koala.ComponentSpec{{Profile: app.RigidProfile(id+"-prof", model, size), Size: size}},
-	})
+	return s.Scheduler.Submit(koala.JobSpec{ID: id, Profile: app.RigidProfile(id+"-prof", model, size), Size: size})
 }
 
 // Teardown hands the memory of the system's replication-scoped objects
-// — events, GRAM and LRM jobs, node allocations, KOALA jobs and
-// malleable runners — to shared pools, so the next system reuses it.
+// — events, GRAM and LRM jobs, KOALA jobs and malleable runners — to
+// shared pools, so the next system reuses it.
 // Results must be copied out first: neither the system nor any handle
 // it gave out may be used afterwards. A system that is never torn down
 // leaves that memory to the garbage collector instead.
@@ -87,7 +80,6 @@ func (s *System) Teardown() {
 	for _, site := range s.Sites {
 		site.Gram().Teardown()
 		site.LRM().Teardown()
-		site.Cluster().Teardown()
 	}
 	s.Engine.Teardown()
 }

@@ -53,10 +53,10 @@ type Config struct {
 	// plus a generous drain window).
 	Horizon float64
 	// Grid overrides the testbed (default DAS-3); used by small tests.
-	// The closure runs once per Prepare (a topology probe) and once per
-	// replication, possibly from concurrent worker goroutines, so it must
-	// build a fresh Multicluster on every call — returning a shared
-	// cached instance would race.
+	// The closure runs once per replication, possibly from concurrent
+	// worker goroutines, and once in SpecFromConfig (and so Fingerprint),
+	// so it must build a fresh Multicluster on every call — returning a
+	// shared cached instance would race.
 	Grid func() *cluster.Multicluster
 	// GramOverride replaces the default GRAM latency model (ablations).
 	GramOverride *gram.Config

@@ -219,7 +219,6 @@ func benchStubChurn(b *testing.B, stubs int) {
 		fired += e.Fired()
 		s.Teardown()
 		mgr.Teardown()
-		c.Teardown()
 		e.Teardown()
 	}
 	jobs := make([]*Job, stubs)

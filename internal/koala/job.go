@@ -7,71 +7,34 @@ import (
 	"repro/internal/runner"
 )
 
-// File names an input file and its size, for the Close-to-Files policy.
-type File struct {
-	Name  string
-	Bytes float64
-}
-
-// ComponentSpec describes one job component (§IV-A): the program to run,
-// the number of processors it needs, and its input files. Jobs with several
-// components are co-allocated across clusters.
-type ComponentSpec struct {
-	Profile *app.Profile
-	// Size is the requested processor count: the fixed size for rigid
-	// components, the initial size for malleable ones.
-	Size       int
-	InputFiles []File
-}
-
-// JobSpec is a complete job submission.
+// JobSpec is a complete job submission: one application profile run at one
+// size in one cluster (the package doc says why there is no second
+// component).
 type JobSpec struct {
-	ID         string
-	Components []ComponentSpec
+	ID      string
+	Profile *app.Profile
+	// Size is the requested processor count: the fixed size of a rigid
+	// job, the initial size of a malleable one.
+	Size int
 }
 
 // Validate checks the spec for structural problems.
 func (s *JobSpec) Validate() error {
-	if len(s.Components) == 0 {
-		return fmt.Errorf("koala: job %q has no components", s.ID)
+	if s.Profile == nil {
+		return fmt.Errorf("koala: job %q has no profile", s.ID)
 	}
-	malleable := false
-	for i, c := range s.Components {
-		if c.Profile == nil {
-			return fmt.Errorf("koala: job %q component %d has no profile", s.ID, i)
-		}
-		if err := c.Profile.Validate(); err != nil {
-			return fmt.Errorf("koala: job %q component %d: %w", s.ID, i, err)
-		}
-		if c.Size < c.Profile.Min || c.Size > c.Profile.Max {
-			return fmt.Errorf("koala: job %q component %d size %d outside [%d,%d]",
-				s.ID, i, c.Size, c.Profile.Min, c.Profile.Max)
-		}
-		if c.Profile.Class == app.Malleable {
-			malleable = true
-		}
+	if err := s.Profile.Validate(); err != nil {
+		return fmt.Errorf("koala: job %q: %w", s.ID, err)
 	}
-	if malleable && len(s.Components) > 1 {
-		// §V-C: every malleable application executes in a single cluster;
-		// malleability of co-allocated applications is future work.
-		return fmt.Errorf("koala: job %q is malleable with %d components; malleable jobs are single-component", s.ID, len(s.Components))
+	if s.Size < s.Profile.Min || s.Size > s.Profile.Max {
+		return fmt.Errorf("koala: job %q size %d outside [%d,%d]",
+			s.ID, s.Size, s.Profile.Min, s.Profile.Max)
 	}
 	return nil
 }
 
-// TotalSize returns the sum of the component sizes.
-func (s *JobSpec) TotalSize() int {
-	total := 0
-	for _, c := range s.Components {
-		total += c.Size
-	}
-	return total
-}
-
-// Malleable reports whether the job's (single) component is malleable.
-func (s *JobSpec) Malleable() bool {
-	return len(s.Components) == 1 && s.Components[0].Profile.Class == app.Malleable
-}
+// Malleable reports whether the job's profile is malleable.
+func (s *JobSpec) Malleable() bool { return s.Profile.Class == app.Malleable }
 
 // JobState is the lifecycle of a KOALA job.
 type JobState int
@@ -79,11 +42,12 @@ type JobState int
 const (
 	// Waiting means the job sits in the placement queue.
 	Waiting JobState = iota
-	// Placing means components were placed and resources are being claimed.
+	// Placing means the job was placed and its processors are being
+	// claimed.
 	Placing
-	// Running means the application(s) execute.
+	// Running means the application executes.
 	Running
-	// Finished means all components completed.
+	// Finished means the application completed.
 	Finished
 	// Rejected means the placement-try threshold was exceeded (§IV-A).
 	Rejected
@@ -129,15 +93,11 @@ type Job struct {
 	// rigid.
 	mrunner *runner.MRunner
 	rigid   *runner.RigidRunner
-	// sites records where each placed component landed; sitesBuf is its
-	// inline backing for the common one- and two-component cases.
-	sites    []*Site
-	sitesBuf [2]*Site
-	// claims records the processors claimed for each placement, parallel
-	// to sites, while GRAM submissions are in flight; claimsBuf is its
-	// inline backing. The scheduler drops them when the job starts.
-	claims    []int
-	claimsBuf [2]int
+	// site is where the job was placed (nil while it waits). claim is the
+	// processor count claimed there while the GRAM submission is in
+	// flight; the scheduler drops it when the job starts.
+	site  *Site
+	claim int
 }
 
 // JobStarted implements runner.Lifecycle: every runner of the job reports
@@ -162,16 +122,8 @@ func (j *Job) StartTime() float64 { return j.startTime }
 // EndTime returns when the job finished (undefined before Finished).
 func (j *Job) EndTime() float64 { return j.endTime }
 
-// Sites returns the execution sites of the placed components.
-func (j *Job) Sites() []*Site { return j.sites }
-
-// Site returns the single execution site of a single-component job, or nil.
-func (j *Job) Site() *Site {
-	if len(j.sites) != 1 {
-		return nil
-	}
-	return j.sites[0]
-}
+// Site returns the job's execution site, or nil while it waits.
+func (j *Job) Site() *Site { return j.site }
 
 // Malleable reports whether this is a malleable job.
 func (j *Job) Malleable() bool { return j.Spec.Malleable() }
@@ -261,19 +213,7 @@ func (j *Job) AppRequestGrow(amount int) int {
 }
 
 // MinProcs returns the job's minimum processor requirement.
-func (j *Job) MinProcs() int {
-	total := 0
-	for _, c := range j.Spec.Components {
-		total += c.Profile.Min
-	}
-	return total
-}
+func (j *Job) MinProcs() int { return j.Spec.Profile.Min }
 
 // MaxProcs returns the job's maximum useful processor count.
-func (j *Job) MaxProcs() int {
-	total := 0
-	for _, c := range j.Spec.Components {
-		total += c.Profile.Max
-	}
-	return total
-}
+func (j *Job) MaxProcs() int { return j.Spec.Profile.Max }

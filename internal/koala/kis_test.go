@@ -46,21 +46,13 @@ func TestSnapshotIndexAccessors(t *testing.T) {
 }
 
 // TestBuildSitesIndexesClustersInOrder pins the one site key: cluster i
-// of the grid is the site with index i, and building a site makes no
-// replica set until a file is added.
+// of the grid is the site with index i.
 func TestBuildSitesIndexesClustersInOrder(t *testing.T) {
 	_, sites, _ := testbed(t, 10, 20, 30)
 	for i, s := range sites {
 		if s.Index() != i || s.Name() != string(rune('A'+i)) {
 			t.Fatalf("sites[%d] = %s with index %d", i, s.Name(), s.Index())
 		}
-		if s.files != nil || s.HasFile("a") {
-			t.Fatalf("site %s has a replica set before any AddFile", s.Name())
-		}
-	}
-	sites[1].AddFile("a")
-	if !sites[1].HasFile("a") || sites[0].HasFile("a") {
-		t.Fatal("AddFile registered the replica at the wrong site")
 	}
 }
 

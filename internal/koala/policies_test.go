@@ -23,169 +23,100 @@ func testbed(t testing.TB, nodes ...int) (*sim.Engine, []*Site, *KIS) {
 }
 
 func rigidSpec(id string, size int) JobSpec {
-	return JobSpec{ID: id, Components: []ComponentSpec{{
-		Profile: app.RigidProfile("r", app.FTModel(), size), Size: size,
-	}}}
+	return JobSpec{ID: id, Profile: app.RigidProfile("r", app.FTModel(), size), Size: size}
 }
 
 func malleableSpec(id string, prof *app.Profile, size int) JobSpec {
-	return JobSpec{ID: id, Components: []ComponentSpec{{Profile: prof, Size: size}}}
+	return JobSpec{ID: id, Profile: prof, Size: size}
 }
 
-func TestWorstFitPicksLargestIdle(t *testing.T) {
-	_, sites, kis := testbed(t, 10, 30, 20)
-	spec := rigidSpec("j", 5)
-	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), sites)
-	if !ok || len(pl) != 1 {
-		t.Fatalf("placement failed: %v %v", pl, ok)
-	}
-	if pl[0].Site.Name() != "B" {
-		t.Fatalf("WF chose %s, want B", pl[0].Site.Name())
-	}
-}
-
-func TestWorstFitAccountsForEarlierComponents(t *testing.T) {
-	_, sites, kis := testbed(t, 10, 12, 11)
-	spec := JobSpec{ID: "co", Components: []ComponentSpec{
-		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
-		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
-		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
-	}}
-	pl, ok := WorstFit{}.Place(&spec, kis.Refresh(), sites)
+// placeAt runs one placement and returns the chosen site's name, or ""
+// when the policy found no site.
+func placeAt(p PlacementPolicy, spec JobSpec, snap Snapshot, sites []*Site) string {
+	i, ok := p.Place(&spec, snap)
 	if !ok {
-		t.Fatal("placement failed")
+		return ""
 	}
-	// B(12) → first, then C(11), then A(10): three distinct clusters.
-	names := map[string]bool{}
-	for _, p := range pl {
-		names[p.Site.Name()] = true
-	}
-	if len(names) != 3 {
-		t.Fatalf("WF placements = %v", pl)
+	return sites[i].Name()
+}
+
+// TestWorstFitPicksLargestIdle pins WF's rule: the most idle site that
+// fits, ties going to the site declared first.
+func TestWorstFitPicksLargestIdle(t *testing.T) {
+	for _, nodes := range [][]int{{10, 30, 20}, {10, 30, 30}} {
+		_, sites, kis := testbed(t, nodes...)
+		if got := placeAt(WorstFit{}, rigidSpec("j", 5), kis.Refresh(), sites); got != "B" {
+			t.Errorf("grid %v: WF chose %q, want B", nodes, got)
+		}
 	}
 }
 
 func TestWorstFitFailsWhenNothingFits(t *testing.T) {
 	_, sites, kis := testbed(t, 4, 4)
-	spec := rigidSpec("big", 8)
-	if _, ok := (WorstFit{}).Place(&spec, kis.Refresh(), sites); ok {
-		t.Fatal("oversized placement should fail")
+	if got := placeAt(WorstFit{}, rigidSpec("big", 8), kis.Refresh(), sites); got != "" {
+		t.Fatalf("oversized placement went to %s", got)
 	}
 }
 
-func TestCloseToFilesPrefersReplicaSite(t *testing.T) {
-	_, sites, kis := testbed(t, 30, 30, 30)
-	sites[2].AddFile("input.dat")
-	spec := JobSpec{ID: "cf", Components: []ComponentSpec{{
-		Profile:    app.RigidProfile("r", app.FTModel(), 4),
-		Size:       4,
-		InputFiles: []File{{Name: "input.dat", Bytes: 10e9}},
-	}}}
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
-	if !ok || pl[0].Site.Name() != "C" {
-		t.Fatalf("CF chose %v, want C", pl)
-	}
-}
-
-func TestCloseToFilesPrefersFasterTransferAmongMisses(t *testing.T) {
-	_, sites, kis := testbed(t, 30, 30, 30)
-	sites[0].SetTransferRate(10e6)
-	sites[1].SetTransferRate(1000e6) // fastest inbound link
-	sites[2].SetTransferRate(100e6)
-	spec := JobSpec{ID: "cf", Components: []ComponentSpec{{
-		Profile:    app.RigidProfile("r", app.FTModel(), 4),
-		Size:       4,
-		InputFiles: []File{{Name: "data", Bytes: 1e9}},
-	}}}
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
-	if !ok || pl[0].Site.Name() != "B" {
-		t.Fatalf("CF chose %v, want B", pl)
-	}
-}
-
+// TestCloseToFilesWithoutFilesFallsBackToIdle pins that CF places as WF:
+// the model's jobs carry no input files, so only idleness decides.
 func TestCloseToFilesWithoutFilesFallsBackToIdle(t *testing.T) {
-	_, sites, kis := testbed(t, 10, 30, 20)
-	spec := rigidSpec("nf", 5)
-	pl, ok := CloseToFiles{}.Place(&spec, kis.Refresh(), sites)
-	if !ok || pl[0].Site.Name() != "B" {
-		t.Fatalf("CF chose %v, want B (most idle)", pl)
+	for _, nodes := range [][]int{{10, 30, 20}, {10, 30, 30}, {4, 4}, {85, 32, 41, 68, 46}} {
+		_, sites, kis := testbed(t, nodes...)
+		snap := kis.Refresh()
+		for _, size := range []int{1, 5, 8, 40} {
+			spec := rigidSpec("cf", size)
+			if cf, wf := placeAt(CloseToFiles{}, spec, snap, sites), placeAt(WorstFit{}, spec, snap, sites); cf != wf {
+				t.Errorf("grid %v, size %d: CF chose %q, WF %q", nodes, size, cf, wf)
+			}
+		}
 	}
 }
 
-func TestClusterMinimizationPacksOneCluster(t *testing.T) {
-	_, sites, kis := testbed(t, 40, 20, 30)
-	spec := JobSpec{ID: "cm", Components: []ComponentSpec{
-		{Profile: app.RigidProfile("r", app.FTModel(), 10), Size: 10},
-		{Profile: app.RigidProfile("r", app.FTModel(), 8), Size: 8},
-	}}
-	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
-	if !ok {
-		t.Fatal("placement failed")
-	}
-	if pl[0].Site != pl[1].Site {
-		t.Fatalf("CM split across clusters: %v", pl)
-	}
-	// Best fit: the smallest cluster that fits 18 total is B(20).
-	if pl[0].Site.Name() != "B" {
-		t.Fatalf("CM chose %s, want B", pl[0].Site.Name())
-	}
-}
-
-func TestClusterMinimizationSpillsWhenNeeded(t *testing.T) {
-	_, sites, kis := testbed(t, 12, 10, 8)
-	spec := JobSpec{ID: "cm2", Components: []ComponentSpec{
-		{Profile: app.RigidProfile("r", app.FTModel(), 10), Size: 10},
-		{Profile: app.RigidProfile("r", app.FTModel(), 9), Size: 9},
-	}}
-	pl, ok := ClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
-	if !ok {
-		t.Fatal("placement failed")
-	}
-	if pl[0].Site == pl[1].Site {
-		t.Fatal("components cannot share a cluster here")
-	}
-}
-
-func TestFCMSplitsAcrossIdleClusters(t *testing.T) {
-	_, sites, kis := testbed(t, 10, 6, 4)
-	spec := JobSpec{ID: "fcm", Components: []ComponentSpec{{
-		Profile: app.MoldableProfile("m", app.FTModel(), 1, 64), Size: 18,
-	}}}
-	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
-	if !ok {
-		t.Fatal("placement failed")
-	}
-	total := 0
-	for _, p := range pl {
-		total += p.Size
-	}
-	if total != 18 {
-		t.Fatalf("FCM chunks sum to %d, want 18", total)
-	}
-	if len(pl) != 3 {
-		t.Fatalf("FCM used %d clusters, want 3 (10+6+2)", len(pl))
-	}
-	if pl[0].Size != 10 || pl[1].Size != 6 || pl[2].Size != 2 {
-		t.Fatalf("FCM chunks = %v", pl)
+// TestClusterMinimizationBestFit pins CM's rule: the least idle site that
+// fits, ties going to the site declared first.
+func TestClusterMinimizationBestFit(t *testing.T) {
+	for _, tc := range []struct {
+		nodes []int
+		size  int
+		want  string
+	}{
+		{[]int{40, 20, 30}, 18, "B"},
+		{[]int{40, 20, 30}, 25, "C"},
+		{[]int{30, 40, 30}, 18, "A"},
+		{[]int{12, 10, 8}, 13, ""},
+	} {
+		_, sites, kis := testbed(t, tc.nodes...)
+		if got := placeAt(ClusterMinimization{}, rigidSpec("cm", tc.size), kis.Refresh(), sites); got != tc.want {
+			t.Errorf("grid %v, size %d: CM chose %q, want %q", tc.nodes, tc.size, got, tc.want)
+		}
 	}
 }
 
 func TestFCMFallsBackToCMForUnsplittable(t *testing.T) {
 	_, sites, kis := testbed(t, 40, 20, 30)
-	spec := rigidSpec("r", 10) // profile Min > 1 → unsplittable
-	pl, ok := FlexibleClusterMinimization{}.Place(&spec, kis.Refresh(), sites)
-	if !ok || len(pl) != 1 {
-		t.Fatalf("fallback failed: %v", pl)
+	snap := kis.Refresh()
+	for _, spec := range []JobSpec{
+		rigidSpec("r", 10), // profile Min > 1 → unsplittable
+		malleableSpec("m", app.GadgetProfile(), 2),
+	} {
+		if fcm, cm := placeAt(FlexibleClusterMinimization{}, spec, snap, sites), placeAt(ClusterMinimization{}, spec, snap, sites); fcm != cm || fcm != "B" {
+			t.Errorf("%s: FCM chose %q, CM %q; want both B", spec.ID, fcm, cm)
+		}
 	}
 }
 
-func TestFCMFailsWhenTotalUnavailable(t *testing.T) {
-	_, sites, kis := testbed(t, 4, 4)
-	spec := JobSpec{ID: "fcm", Components: []ComponentSpec{{
-		Profile: app.MoldableProfile("m", app.FTModel(), 1, 64), Size: 18,
-	}}}
-	if _, ok := (FlexibleClusterMinimization{}).Place(&spec, kis.Refresh(), sites); ok {
-		t.Fatal("FCM should fail when total idle is insufficient")
+// TestFCMPlacesSizeOneRigidJobAsWorstFit pins the one job FCM may split:
+// a size-1 rigid job, whose split is one chunk on the most idle site.
+func TestFCMPlacesSizeOneRigidJobAsWorstFit(t *testing.T) {
+	_, sites, kis := testbed(t, 10, 30, 30)
+	snap := kis.Refresh()
+	spec := rigidSpec("one", 1)
+	if got := placeAt(FlexibleClusterMinimization{}, spec, snap, sites); got != "B" {
+		t.Fatalf("FCM chose %q, want B (WF's choice)", got)
+	}
+	if got := placeAt(ClusterMinimization{}, spec, snap, sites); got != "A" {
+		t.Fatalf("CM chose %q, want A", got)
 	}
 }
 
@@ -220,5 +151,24 @@ func TestKISSnapshotSeesBackgroundOnlyOnRefresh(t *testing.T) {
 	}
 	if kis.Refreshes() < 3 {
 		t.Fatalf("refreshes = %d", kis.Refreshes())
+	}
+}
+
+// BenchmarkPlace measures one placement decision per policy: a size-2
+// rigid job on a DAS-3-sized placement view.
+func BenchmarkPlace(b *testing.B) {
+	for _, p := range []PlacementPolicy{WorstFit{}, CloseToFiles{}, ClusterMinimization{}, FlexibleClusterMinimization{}} {
+		b.Run(p.Name(), func(b *testing.B) {
+			_, _, s := newSched(b, fastCfg(), 85, 32, 41, 68, 46)
+			view := s.placementView()
+			spec := rigidSpec("j", 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := p.Place(&spec, view); !ok {
+					b.Fatal("placement failed")
+				}
+			}
+		})
 	}
 }

@@ -324,37 +324,31 @@ func (s *Scheduler) placementView() Snapshot {
 }
 
 // tryPlace runs the placement policy against a claims-adjusted snapshot
-// and, on success, claims the processors by starting the job's runners. It
+// and, on success, claims the processors by starting the job's runner. It
 // counts one placement try either way.
 func (s *Scheduler) tryPlace(j *Job) bool {
 	if j.state != Waiting {
 		return false
 	}
 	j.tries++
-	placements, ok := s.cfg.Policy.Place(&j.Spec, s.placementView(), s.sites)
+	i, ok := s.cfg.Policy.Place(&j.Spec, s.placementView())
 	if !ok {
 		return false
 	}
-	s.claim(j, placements)
+	s.claim(j, s.sites[i])
 	return true
 }
 
-// claim is the processor claimer (PC): it turns placements into runners.
+// claim is the processor claimer (PC): it turns a placement into a runner.
 // Local resource managers on DAS-3 do not support reservations, so claiming
 // is immediate GRAM submission; the postponed-claiming policy of [20], [21]
 // degenerates to claiming at placement time in this model.
-func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
+func (s *Scheduler) claim(j *Job, site *Site) {
 	j.state = Placing
-	j.sites = j.sitesBuf[:0]
-	j.claims = j.claimsBuf[:0]
-	for _, p := range placements {
-		j.sites = append(j.sites, p.Site)
-		j.claims = append(j.claims, p.Size)
-		s.pending[p.Site.Index()] += p.Size
-	}
+	j.site, j.claim = site, j.Spec.Size
+	s.pending[site.Index()] += j.claim
 	if j.Malleable() {
-		comp := j.Spec.Components[0]
-		mr, err := s.runners.NewMRunner(s.engine, placements[0].Site.Gram(), comp.Profile, placements[0].Size, s.cfg.MRunnerConfig, j)
+		mr, err := s.runners.NewMRunner(s.engine, site.Gram(), j.Spec.Profile, j.Spec.Size, s.cfg.MRunnerConfig, j)
 		if err != nil {
 			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 		}
@@ -369,11 +363,7 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 		}
 		return
 	}
-	comps := make([]runner.Component, len(placements))
-	for i, p := range placements {
-		comps[i] = runner.Component{Svc: p.Site.Gram(), Profile: j.Spec.Components[p.Component].Profile, Size: p.Size}
-	}
-	rr, err := runner.NewRigidRunner(s.engine, comps, j)
+	rr, err := runner.NewRigidRunner(s.engine, site.Gram(), j.Spec.Profile, j.Spec.Size, j)
 	if err != nil {
 		panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 	}
@@ -386,16 +376,13 @@ func (s *Scheduler) claim(j *Job, placements []ComponentPlacement) {
 func (s *Scheduler) jobStarted(j *Job) {
 	j.state = Running
 	j.startTime = s.engine.Now()
-	// The job's processors are now held at the clusters; drop the claims.
-	for k, n := range j.claims {
-		s.pending[j.sites[k].Index()] -= n
-	}
-	j.claims = nil
+	// The job's processors are now held at the cluster; drop the claim.
+	i := j.site.Index()
+	s.pending[i] -= j.claim
+	j.claim = 0
 	if j.Malleable() {
-		if site := j.Site(); site != nil {
-			s.insertRunning(site.Index(), j)
-			j.mrunner.ReserveInto(&s.reserved[site.Index()])
-		}
+		s.insertRunning(i, j)
+		j.mrunner.ReserveInto(&s.reserved[i])
 	}
 	if s.OnJobStarted != nil {
 		s.OnJobStarted(j)
@@ -407,9 +394,7 @@ func (s *Scheduler) jobFinished(j *Job) {
 	s.terminal++
 	j.endTime = s.engine.Now()
 	if j.Malleable() {
-		if site := j.Site(); site != nil {
-			s.removeRunning(site.Index(), j)
-		}
+		s.removeRunning(j.site.Index(), j)
 	}
 	if s.OnJobFinished != nil {
 		s.OnJobFinished(j)

@@ -202,48 +202,14 @@ func TestJobSpecValidation(t *testing.T) {
 	_, _, s := newSched(t, fastCfg(), 8)
 	bad := []JobSpec{
 		{ID: "none"},
-		{ID: "badsize", Components: []ComponentSpec{{Profile: app.FTProfile(), Size: 1}}},
-		{ID: "nilprof", Components: []ComponentSpec{{Profile: nil, Size: 2}}},
-		{ID: "co-malleable", Components: []ComponentSpec{
-			{Profile: app.FTProfile(), Size: 2},
-			{Profile: app.FTProfile(), Size: 2},
-		}},
+		{ID: "badsize", Profile: app.FTProfile(), Size: 1},
+		{ID: "nilprof", Profile: nil, Size: 2},
 	}
 	for _, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("spec %q should be rejected", spec.ID)
 		}
 	}
-}
-
-func TestCoAllocatedJobSpansClusters(t *testing.T) {
-	e, sites, s := newSched(t, fastCfg(), 8, 8)
-	spec := JobSpec{ID: "co", Components: []ComponentSpec{
-		{Profile: app.RigidProfile("co-ft", app.FTModel(), 8), Size: 8},
-		{Profile: app.RigidProfile("co-ft", app.FTModel(), 8), Size: 8},
-	}}
-	j, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.RunUntil(20)
-	if j.State() != Running || len(j.Sites()) != 2 {
-		t.Fatalf("state=%v", j.State())
-	}
-	if j.CurrentProcs() != 16 {
-		t.Fatalf("procs = %d", j.CurrentProcs())
-	}
-	if sites[0].Cluster().Used() != 8 || sites[1].Cluster().Used() != 8 {
-		t.Fatal("both clusters should hold a component")
-	}
-	e.RunUntil(200)
-	if j.State() != Finished {
-		t.Fatalf("state = %v", j.State())
-	}
-	if sites[0].Cluster().Used() != 0 || sites[1].Cluster().Used() != 0 {
-		t.Fatal("nodes not released")
-	}
-	s.Stop()
 }
 
 func TestRunningMalleableJobsSortedByStart(t *testing.T) {
@@ -305,9 +271,7 @@ func TestRunningIndexTieBreaksBySubmissionOrder(t *testing.T) {
 // processors sit idle.
 func TestMoldableSizing(t *testing.T) {
 	e, _, s := newSched(t, fastCfg(), 64)
-	spec := JobSpec{ID: "mold", Components: []ComponentSpec{{
-		Profile: app.MoldableProfile("m", app.GadgetModel(), 2, 16), Size: 6,
-	}}}
+	spec := JobSpec{ID: "mold", Profile: app.MoldableProfile("m", app.GadgetModel(), 2, 16), Size: 6}
 	j, _ := s.Submit(spec)
 	e.RunUntil(50)
 	if j.State() != Running || j.CurrentProcs() != 6 || j.HeldProcs() != 6 {

@@ -1,17 +1,24 @@
-// Package koala reproduces the KOALA co-allocating multicluster scheduler of
-// §IV-A: execution sites backed by local resource managers and GRAM, the
-// KOALA information service (KIS) with its processor information provider,
-// the placement queue with its retry threshold, and the four placement
-// policies (Worst-Fit, Close-to-Files, Cluster Minimization and Flexible
-// Cluster Minimization).
+// Package koala reproduces the KOALA multicluster scheduler of §IV-A:
+// execution sites backed by local resource managers and GRAM, the KOALA
+// information service (KIS) with its processor information provider, the
+// placement queue with its retry threshold, and the four placement policies
+// (Worst-Fit, Close-to-Files, Cluster Minimization and Flexible Cluster
+// Minimization).
+//
+// KOALA co-allocates jobs across clusters, but this model places every job
+// in one cluster. The paper's malleability experiments submit only
+// single-component jobs (§VI-C), malleable jobs are single-component by
+// design (§V-C), and no input of this repository (workload preset, wire
+// config, command-line flag or trace) can express a second component or an
+// input file. So a JobSpec is one (profile, size), a placement is one site
+// index, and the four policies keep only the rules that single-component,
+// file-less jobs can reach.
 //
 // Malleability support (§V) lives in package core, which plugs into the
 // scheduler through the Hooks interface.
 package koala
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/gram"
 	"repro/internal/lrm"
@@ -19,17 +26,12 @@ import (
 )
 
 // Site is one execution site of the grid: a cluster together with its local
-// resource manager and GRAM endpoint, plus the data that the Close-to-Files
-// policy consults (which input files are replicated here and how fast
-// transfers to this site are).
+// resource manager and GRAM endpoint.
 type Site struct {
 	clus  *cluster.Cluster
 	mgr   *lrm.Manager
 	svc   *gram.Service
 	index int
-
-	files        map[string]bool // made by the first AddFile
-	transferRate float64         // bytes/second towards this site, for CF estimates
 }
 
 // BuildSites creates one site per cluster of the multicluster, each with its
@@ -40,7 +42,7 @@ func BuildSites(engine *sim.Engine, mc *cluster.Multicluster, gramCfg gram.Confi
 	sites := make([]*Site, len(mc.Clusters()))
 	for i, c := range mc.Clusters() {
 		mgr := lrm.New(engine, c)
-		sites[i] = &Site{clus: c, mgr: mgr, svc: gram.New(engine, mgr, gramCfg), index: i, transferRate: 100e6}
+		sites[i] = &Site{clus: c, mgr: mgr, svc: gram.New(engine, mgr, gramCfg), index: i}
 	}
 	return sites
 }
@@ -61,25 +63,3 @@ func (s *Site) LRM() *lrm.Manager { return s.mgr }
 
 // Gram returns the site's GRAM service.
 func (s *Site) Gram() *gram.Service { return s.svc }
-
-// AddFile registers an input-file replica at this site.
-func (s *Site) AddFile(name string) {
-	if s.files == nil {
-		s.files = make(map[string]bool)
-	}
-	s.files[name] = true
-}
-
-// HasFile reports whether the named file is replicated at this site.
-func (s *Site) HasFile(name string) bool { return s.files[name] }
-
-// SetTransferRate sets the estimated inbound transfer rate (bytes/second).
-func (s *Site) SetTransferRate(rate float64) {
-	if rate <= 0 {
-		panic(fmt.Sprintf("koala: non-positive transfer rate for %s", s.Name()))
-	}
-	s.transferRate = rate
-}
-
-// TransferRate returns the estimated inbound transfer rate.
-func (s *Site) TransferRate() float64 { return s.transferRate }

@@ -59,7 +59,6 @@ type Job struct {
 
 	seq     int
 	state   State
-	alloc   *cluster.Allocation
 	starter Starter
 	mgr     *Manager
 	// next links the members of the start batch the job's event belongs
@@ -200,11 +199,10 @@ func (m *Manager) Finish(j *Job) error {
 	if j.state != Running {
 		return fmt.Errorf("lrm %s: finish of %s job %q", m.clus.Name(), j.state, j.ID())
 	}
-	if err := j.alloc.Release(); err != nil {
+	if err := m.clus.Free(j.Nodes); err != nil {
 		return err
 	}
 	j.state = Finished
-	j.alloc = nil
 	m.running--
 	m.dispatch()
 	return nil
@@ -232,8 +230,7 @@ func (m *Manager) dispatch() {
 		if head.Nodes > m.clus.Idle() {
 			return // strict FCFS: the head blocks the queue (no backfilling)
 		}
-		alloc, err := m.clus.Allocate(head.Nodes)
-		if err != nil {
+		if err := m.clus.Allocate(head.Nodes); err != nil {
 			panic(fmt.Sprintf("lrm %s: %v", m.clus.Name(), err))
 		}
 		m.queue[m.head] = nil
@@ -243,7 +240,6 @@ func (m *Manager) dispatch() {
 			m.head = 0
 		}
 		head.state = Running
-		head.alloc = alloc
 		m.running++
 		if head.starter != nil {
 			m.deferStart(head)

@@ -104,7 +104,7 @@ func (c *Collector) Reserve(recs []JobRecord, samples int) {
 func (c *Collector) observe(j *koala.Job) {
 	rec := JobRecord{
 		ID:            j.Spec.ID,
-		App:           j.Spec.Components[0].Profile.Name,
+		App:           j.Spec.Profile.Name,
 		Malleable:     j.Malleable(),
 		SubmitTime:    j.SubmitTime(),
 		StartTime:     j.StartTime(),
@@ -112,7 +112,7 @@ func (c *Collector) observe(j *koala.Job) {
 		ExecutionTime: j.EndTime() - j.StartTime(),
 		ResponseTime:  j.EndTime() - j.SubmitTime(),
 		WaitTime:      j.StartTime() - j.SubmitTime(),
-		InitProcs:     j.Spec.Components[0].Size,
+		InitProcs:     j.Spec.Size,
 	}
 	if s := j.Site(); s != nil {
 		rec.Site = s.Name()

@@ -233,7 +233,7 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 	h := newHarness(8)
 	lc := &lifecycle{engine: h.engine}
 	prof := app.RigidProfile("FT-rigid", app.FTModel(), 2)
-	r, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 2}}, lc)
+	r, err := NewRigidRunner(h.engine, h.svc, prof, 2, lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,14 +254,23 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 
 func TestRigidRunnerValidation(t *testing.T) {
 	h := newHarness(8)
-	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: app.GadgetProfile(), Size: 4}}, ignore{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, h.svc, app.GadgetProfile(), 4, ignore{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
 	prof := app.MoldableProfile("m", app.FTModel(), 2, 8)
-	if _, err := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 16}}, ignore{}); err == nil {
+	if _, err := NewRigidRunner(h.engine, nil, prof, 4, ignore{}); err == nil {
+		t.Fatal("nil service should be rejected")
+	}
+	if _, err := NewRigidRunner(h.engine, h.svc, nil, 4, ignore{}); err == nil {
+		t.Fatal("nil profile should be rejected")
+	}
+	if _, err := NewRigidRunner(h.engine, h.svc, prof, 16, ignore{}); err == nil {
 		t.Fatal("size beyond max should be rejected")
 	}
-	r, _ := NewRigidRunner(h.engine, []Component{{Svc: h.svc, Profile: prof, Size: 4}}, ignore{})
+	if _, err := NewRigidRunner(h.engine, h.svc, prof, 0, ignore{}); err == nil {
+		t.Fatal("zero size should be rejected")
+	}
+	r, _ := NewRigidRunner(h.engine, h.svc, prof, 4, ignore{})
 	if r.Nodes() != 0 {
 		t.Fatal("nodes before start should be 0")
 	}

@@ -1,6 +1,6 @@
 // Package slab is the simulated world's allocator. One replication builds
-// thousands of small objects — events, GRAM and LRM jobs, node
-// allocations, KOALA jobs, malleable runners and their stub lists — that
+// thousands of small objects — events, GRAM and LRM jobs, KOALA jobs,
+// malleable runners and their stub lists — that
 // all become garbage together when the replication ends. A Slab hands
 // them out from fixed-size chunks, and Release hands the chunks to a
 // shared Pool, so the next replication reuses the memory instead of

@@ -3,16 +3,16 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/koala"
+	"repro/internal/app"
 )
 
 // PreparedSpec is the immutable, share-once half of workload generation:
 // everything about a Spec that does not depend on the seed — validation,
-// the rendered job ID strings, and one single-component slice per item
-// class. One PreparedSpec serves every replication of a sweep point;
-// Generate only draws the per-seed random choices, so batched
-// replications skip the fmt.Sprintf per job, and submitting an item
-// allocates nothing and looks up no profile.
+// the rendered job ID strings, and one profile per item class. One
+// PreparedSpec serves every replication of a sweep point; Generate only
+// draws the per-seed random choices, so batched replications skip the
+// fmt.Sprintf per job, and submitting an item allocates nothing and looks
+// up no profile.
 //
 // A PreparedSpec is read-only after PrepareSpec returns and safe for
 // concurrent use by parallel replication workers.
@@ -20,9 +20,9 @@ type PreparedSpec struct {
 	spec Spec
 	ids  []string
 
-	// One read-only single-component slice per item class, indexed by
-	// AppKind: every item of a class, in every replication, shares it.
-	malleable, rigid [2][]koala.ComponentSpec
+	// One read-only profile per item class, indexed by AppKind: every
+	// item of a class, in every replication, shares it.
+	malleable, rigid [2]*app.Profile
 }
 
 // PrepareSpec validates spec and precomputes its seed-independent parts.
@@ -36,8 +36,8 @@ func PrepareSpec(spec Spec) (*PreparedSpec, error) {
 		p.ids[i] = fmt.Sprintf("%s-%03d", spec.Name, i)
 	}
 	for _, kind := range []AppKind{FT, Gadget} {
-		p.malleable[kind] = []koala.ComponentSpec{{Profile: classProfile(kind, true, spec.InitialSize), Size: spec.InitialSize}}
-		p.rigid[kind] = []koala.ComponentSpec{{Profile: classProfile(kind, false, spec.RigidSize), Size: spec.RigidSize}}
+		p.malleable[kind] = classProfile(kind, true, spec.InitialSize)
+		p.rigid[kind] = classProfile(kind, false, spec.RigidSize)
 	}
 	return p, nil
 }
@@ -47,8 +47,8 @@ func (p *PreparedSpec) Spec() Spec { return p.spec }
 
 // Generate produces the workload for the given seed — byte-identical to
 // Generate(spec with that Seed) — reusing the prepared ID strings and
-// component slices. The returned Workload is freshly allocated and owned
-// by the caller; only the immutable parts are shared.
+// profiles. The returned Workload is freshly allocated and owned by the
+// caller; only the immutable parts are shared.
 func (p *PreparedSpec) Generate(seed uint64) *Workload {
 	spec := p.spec
 	spec.Seed = seed

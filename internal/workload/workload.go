@@ -49,13 +49,12 @@ type Item struct {
 	Malleable bool
 	Size      int // initial size (malleable) or fixed size (rigid)
 
-	// comps, when non-nil, is the item's single-component slice, shared
-	// read-only by every item of its class (set by PreparedSpec.Generate);
-	// JobSpec then allocates nothing. The scheduler treats submitted
-	// components as read-only, so the sharing is safe. Profiles are
-	// canonical shared instances, so a prepared item's JobSpec is
-	// identical to an unprepared one's.
-	comps []koala.ComponentSpec
+	// prof, when non-nil, is the profile of the item's class, shared
+	// read-only by every item of that class (set by PreparedSpec.Generate);
+	// JobSpec then looks up no profile. Profiles are canonical shared
+	// instances, so a prepared item's JobSpec is identical to an
+	// unprepared one's.
+	prof *app.Profile
 }
 
 // Profiles are immutable after construction, so every item of every run can
@@ -94,17 +93,17 @@ func rigidProfile(kind AppKind, size int) *app.Profile {
 }
 
 // Equal reports whether two items describe the same submission (the
-// shared comps slice is derived state and excluded).
+// shared profile pointer is derived state and excluded).
 func (it Item) Equal(o Item) bool {
 	return it.ID == o.ID && it.SubmitAt == o.SubmitAt && it.App == o.App &&
 		it.Malleable == o.Malleable && it.Size == o.Size && it.profile() == o.profile()
 }
 
-// profile is the item's application profile: its shared component's when
-// prepared, else the canonical instance of its class.
+// profile is the item's application profile: the prepared one when set,
+// else the canonical instance of its class.
 func (it Item) profile() *app.Profile {
-	if it.comps != nil {
-		return it.comps[0].Profile
+	if it.prof != nil {
+		return it.prof
 	}
 	return classProfile(it.App, it.Malleable, it.Size)
 }
@@ -123,13 +122,7 @@ func classProfile(kind AppKind, malleable bool, size int) *app.Profile {
 
 // JobSpec builds the item's job description for submission to KOALA.
 func (it Item) JobSpec() koala.JobSpec {
-	if it.comps != nil {
-		return koala.JobSpec{ID: it.ID, Components: it.comps}
-	}
-	return koala.JobSpec{
-		ID:         it.ID,
-		Components: []koala.ComponentSpec{{Profile: it.profile(), Size: it.Size}},
-	}
+	return koala.JobSpec{ID: it.ID, Profile: it.profile(), Size: it.Size}
 }
 
 // Workload is an ordered list of submissions.
@@ -208,9 +201,9 @@ func Generate(spec Spec) (*Workload, error) {
 
 // generate is the seeded generator core shared by Generate and
 // PreparedSpec.Generate. When prep is non-nil, the rendered ID strings
-// and the items' shared component slices are taken from it instead of
-// being rebuilt; the random draws are identical either way, so both paths
-// produce the same workload for the same spec and seed.
+// and the items' shared profiles are taken from it instead of being
+// rebuilt or looked up; the random draws are identical either way, so
+// both paths produce the same workload for the same spec and seed.
 func generate(spec Spec, prep *PreparedSpec) *Workload {
 	rng := sim.NewRNG(spec.Seed)
 	w := &Workload{Name: spec.Name, Items: make([]Item, 0, spec.Jobs)}
@@ -233,9 +226,9 @@ func generate(spec Spec, prep *PreparedSpec) *Workload {
 		}
 		if prep != nil {
 			it.ID = prep.ids[i]
-			it.comps = prep.rigid[kind]
+			it.prof = prep.rigid[kind]
 			if malleable {
-				it.comps = prep.malleable[kind]
+				it.prof = prep.malleable[kind]
 			}
 		} else {
 			it.ID = fmt.Sprintf("%s-%03d", spec.Name, i)
