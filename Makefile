@@ -59,10 +59,10 @@ vuln:
 # metric with its sample count and quartile spread.
 # Two steps so a failing benchmark run fails the target instead of being
 # masked by the pipe's exit status.
-BENCH_OUT ?= BENCH_PR24.json
+BENCH_OUT ?= BENCH_PR25.json
 
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem -count=6 . ./internal/sim ./internal/koala ./internal/gram ./internal/core > bench.raw.tmp
+	$(GO) test -run=NONE -bench=. -benchmem -count=6 . ./internal/sim ./internal/koala ./internal/gram ./internal/core ./internal/experiment > bench.raw.tmp
 	$(GO) run ./tools/benchjson -o $(BENCH_OUT) < bench.raw.tmp
 	@rm -f bench.raw.tmp
 
@@ -73,7 +73,7 @@ bench-smoke:
 # The CI regression gate, locally: a 1x smoke run diffed against the
 # committed baseline (allocs/op and custom */op counts gate; ns/op needs
 # >1 iteration).
-BENCH_BASELINE ?= BENCH_PR24.json
+BENCH_BASELINE ?= BENCH_PR25.json
 
 bench-compare:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench.smoke.tmp

@@ -105,11 +105,27 @@ func pwaFigBench(b *testing.B, extract func(*experiment.Set) experiment.Figure,
 }
 
 func meanAvgSize(r *experiment.Result) float64 {
-	return stats.Mean(metrics.AvgProcsOf(r.MalleableRecords()))
+	return meanMalleable(r, func(j *metrics.JobRecord) float64 { return j.AvgProcs })
 }
 
 func meanMaxSize(r *experiment.Result) float64 {
-	return stats.Mean(metrics.MaxProcsOf(r.MalleableRecords()))
+	return meanMalleable(r, func(j *metrics.JobRecord) float64 { return float64(j.MaxProcs) })
+}
+
+// meanMalleable averages one field over the result's malleable jobs,
+// reading Pooled in place.
+func meanMalleable(r *experiment.Result, field func(*metrics.JobRecord) float64) float64 {
+	sum, n := 0.0, 0
+	for i := range r.Pooled {
+		if j := &r.Pooled[i]; j.Malleable {
+			sum += field(j)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // BenchmarkFig7aAvgSizePRA — CDF of per-job average processor counts.

@@ -4,30 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/koala"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
 // ManagerConfig tunes the malleability manager.
 type ManagerConfig struct {
-	// Policy distributes grow/shrink amounts over jobs (FPSMA or EGS).
+	// Policy distributes grow/shrink amounts over jobs (FPSMA or EGS);
+	// nil means FPSMA.
 	Policy Policy
-	// Approach decides when management rounds run (PRA or PWA).
+	// Approach decides when management rounds run (PRA or PWA); nil
+	// means PRA.
 	Approach Approach
 	// GrowthReserve keeps this many processors per cluster off-limits to
 	// growth, "in order to leave always a minimal number of available
 	// processors to local users" (§V-B). Initial placement is not affected.
 	GrowthReserve int
-	// Stats, when non-nil, passively collects the manager's grow/shrink
-	// decisions (labeled by the run's policy at the consumer). It never
-	// influences decisions and records only simulated time.
-	Stats *obs.SimStats
-}
-
-// DefaultManagerConfig is FPSMA under PRA with no reserve.
-func DefaultManagerConfig() ManagerConfig {
-	return ManagerConfig{Policy: FPSMA{}, Approach: PRA{}, GrowthReserve: 0}
 }
 
 // Manager is the malleability manager added to KOALA's scheduler (§V-A): it
@@ -113,21 +105,14 @@ func (m *Manager) availableForGrowth(snap koala.Snapshot, i int) int {
 		m.sched.ReservedAt(i) - m.cfg.GrowthReserve
 }
 
-// record adds grow and shrink messages to the Fig. 7f/8f series and to
-// the run's SimStats.
+// record adds grow and shrink messages to the Fig. 7f/8f series.
 func (m *Manager) record(grow, shrink int) {
 	now := m.engine.Now()
 	if grow > 0 {
 		m.growMsgs.Inc(now, grow)
-		if m.cfg.Stats != nil {
-			m.cfg.Stats.GrowDecisions(now, grow)
-		}
 	}
 	if shrink > 0 {
 		m.shrinkMsgs.Inc(now, shrink)
-		if m.cfg.Stats != nil {
-			m.cfg.Stats.ShrinkDecisions(now, shrink)
-		}
 	}
 }
 

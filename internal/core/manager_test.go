@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/gram"
 	"repro/internal/koala"
-	"repro/internal/obs"
 	"repro/internal/runner"
 )
 
@@ -178,10 +177,12 @@ func TestApproachByNameAndDefaults(t *testing.T) {
 	if (PRA{}).Name() != "PRA" || (PWA{}).Name() != "PWA" {
 		t.Fatal("approach names")
 	}
-	cfg := DefaultManagerConfig()
-	if cfg.Policy == nil || cfg.Approach == nil {
-		t.Fatal("defaults incomplete")
+	// A zero ManagerConfig is FPSMA under PRA.
+	sys := managedSystem(8, ManagerConfig{})
+	if p, a := sys.Manager.Policy().Name(), sys.Manager.Approach().Name(); p != "FPSMA" || a != "PRA" {
+		t.Fatalf("zero ManagerConfig runs %s under %s, want FPSMA under PRA", p, a)
 	}
+	sys.Scheduler.Stop()
 }
 
 func TestNegativeReservePanics(t *testing.T) {
@@ -252,10 +253,9 @@ func TestSystemDefaultsToDAS3(t *testing.T) {
 // TestEquipartitionGrowRoundCountsItsShrinks pins that a grow round
 // records every message its policy sends: Equipartition shrinks the jobs
 // above the fair share before it grows the rest, and those shrinks count
-// in ShrinkOps and SimStats like a shrink round's.
+// in ShrinkOps like a shrink round's.
 func TestEquipartitionGrowRoundCountsItsShrinks(t *testing.T) {
-	simStats := obs.NewSimStats()
-	sys := managedSystem(48, ManagerConfig{Policy: Equipartition{}, Approach: Manual{}, Stats: simStats})
+	sys := managedSystem(48, ManagerConfig{Policy: Equipartition{}, Approach: Manual{}})
 	a, _ := sys.SubmitMalleable("a", app.GadgetProfile(), 2)
 	sys.Engine.RunUntil(3)
 	if got := a.RequestGrow(20); got != 20 {
@@ -273,9 +273,6 @@ func TestEquipartitionGrowRoundCountsItsShrinks(t *testing.T) {
 	}
 	if g, s := sys.Manager.GrowOps().Total(), sys.Manager.ShrinkOps().Total(); g != 1 || s != 1 {
 		t.Errorf("recorded %g grow and %g shrink messages, want 1 and 1", g, s)
-	}
-	if snap := simStats.Snapshot(); snap.GrowDecisions != 1 || snap.ShrinkDecisions != 1 {
-		t.Errorf("SimStats %d grow and %d shrink decisions, want 1 and 1", snap.GrowDecisions, snap.ShrinkDecisions)
 	}
 	sys.Scheduler.Stop()
 }

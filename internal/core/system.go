@@ -49,11 +49,6 @@ func NewSystem(cfg SystemConfig) *System {
 	sched := koala.NewScheduler(engine, sites, cfg.Scheduler)
 	sys := &System{Engine: engine, Grid: cfg.Grid, Sites: sites, Scheduler: sched}
 	if !cfg.DisableManager {
-		if cfg.Manager.Policy == nil && cfg.Manager.Approach == nil && cfg.Manager.GrowthReserve == 0 {
-			st := cfg.Manager.Stats
-			cfg.Manager = DefaultManagerConfig()
-			cfg.Manager.Stats = st
-		}
 		sys.Manager = NewManager(engine, sched, cfg.Manager)
 	}
 	return sys

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/koala"
-	"repro/internal/obs"
 )
 
 func TestAppGrowRequestGrantedFromHeadroom(t *testing.T) {
@@ -107,8 +106,7 @@ func TestPWAVoluntaryRegistered(t *testing.T) {
 func TestPWAVCountsOneShrinkMessagePerJobAsked(t *testing.T) {
 	for _, apr := range []Approach{PWA{}, PWAVoluntary{}} {
 		t.Run(apr.Name(), func(t *testing.T) {
-			simStats := obs.NewSimStats()
-			sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: apr, Stats: simStats})
+			sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: apr})
 			ft, _ := sys.SubmitMalleable("ft", app.FTProfile(), 2)
 			g, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
 			sys.Engine.RunUntil(12) // the t=5 poll grows FT to 32, GADGET2 to 16
@@ -122,9 +120,6 @@ func TestPWAVCountsOneShrinkMessagePerJobAsked(t *testing.T) {
 			}
 			if got := sys.Manager.ShrinkOps().Total(); got != 1 {
 				t.Errorf("shrink messages = %g, want 1", got)
-			}
-			if got := simStats.Snapshot().ShrinkDecisions; got != 1 {
-				t.Errorf("SimStats shrink decisions = %d, want 1", got)
 			}
 			sys.Scheduler.Stop()
 		})

@@ -99,8 +99,8 @@ func stuckAtMin(recs []metrics.JobRecord) float64 {
 // at the minimum (Fig. 7a).
 func TestClaimEGSLeavesFewerJobsStuck(t *testing.T) {
 	set := praResults(t)
-	egs := stuckAtMin(set.Results["EGS/Wm"].MalleableRecords())
-	fpsma := stuckAtMin(set.Results["FPSMA/Wm"].MalleableRecords())
+	egs := stuckAtMin(metrics.OnlyMalleable(set.Results["EGS/Wm"].Pooled))
+	fpsma := stuckAtMin(metrics.OnlyMalleable(set.Results["FPSMA/Wm"].Pooled))
 	if egs >= fpsma {
 		t.Errorf("stuck-at-min fraction: EGS %.2f ≥ FPSMA %.2f", egs, fpsma)
 	}
@@ -110,7 +110,7 @@ func TestClaimEGSLeavesFewerJobsStuck(t *testing.T) {
 // it is their turn to grow far more often than the long GADGET-2 jobs.
 func TestClaimFPSMAStrandsShortJobs(t *testing.T) {
 	set := praResults(t)
-	recs := set.Results["FPSMA/Wm"].MalleableRecords()
+	recs := metrics.OnlyMalleable(set.Results["FPSMA/Wm"].Pooled)
 	ft := stuckAtMin(metrics.OnlyApp(recs, "FT"))
 	gadget := stuckAtMin(metrics.OnlyApp(recs, "GADGET2"))
 	if ft <= gadget {
@@ -152,8 +152,8 @@ func TestClaimPRANeverShrinks(t *testing.T) {
 func TestClaimPWAStrandsJobsAtMinimum(t *testing.T) {
 	pra := praResults(t)
 	pwa := pwaResults(t)
-	praStuck := stuckAtMin(pra.Results["FPSMA/Wm"].MalleableRecords())
-	pwaStuck := stuckAtMin(pwa.Results["FPSMA/W'm"].MalleableRecords())
+	praStuck := stuckAtMin(metrics.OnlyMalleable(pra.Results["FPSMA/Wm"].Pooled))
+	pwaStuck := stuckAtMin(metrics.OnlyMalleable(pwa.Results["FPSMA/W'm"].Pooled))
 	if pwaStuck <= praStuck {
 		t.Errorf("stuck-at-min: PWA %.2f ≤ PRA %.2f", pwaStuck, praStuck)
 	}

@@ -43,7 +43,7 @@ type Config struct {
 	Parallelism int
 	// Seed is the base seed; run i uses Seed+i.
 	Seed uint64
-	// PollInterval is the scheduler/manager polling period (default 5 s).
+	// PollInterval is the scheduler/manager polling period (default 15 s).
 	PollInterval float64
 	// SamplePeriod is the utilisation sampling period (default 10 s).
 	SamplePeriod float64
@@ -68,13 +68,13 @@ type Config struct {
 	NoBackground bool
 	// DisableMalleability runs plain KOALA (rigid baseline comparisons).
 	DisableMalleability bool
-	// SimStats, when non-nil, passively collects kernel and manager
-	// statistics (events scheduled/fired/canceled, peak pending,
-	// grow/shrink decisions) across the config's replications. It is
-	// observability only: it never changes results and is excluded from
-	// the fingerprint, so a config with and without it is the same
-	// experiment. Local execution only — it does not cross the wire to
-	// remote backends.
+	// SimStats, when non-nil, collects kernel and manager statistics
+	// (events scheduled/fired/canceled, peak pending, grow/shrink
+	// decisions) across the config's replications: each replication adds
+	// its totals once, when it ends. It is observability only: it never
+	// changes results and is excluded from the fingerprint, so a config
+	// with and without it is the same experiment. Local execution only —
+	// it does not cross the wire to remote backends.
 	SimStats *obs.SimStats
 }
 
@@ -306,12 +306,6 @@ func sweep[T any](ctx context.Context, approach string, combos []Combo, base Con
 		return nil, err
 	}
 	return out, nil
-}
-
-// MalleableRecords returns the pooled records restricted to malleable jobs
-// (the population whose sizes Figs. 7a/b and 8a/b report).
-func (r *Result) MalleableRecords() []metrics.JobRecord {
-	return metrics.OnlyMalleable(r.Pooled)
 }
 
 // MeanUtilization averages the time-averaged utilisation over the runs,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gram"
 	"repro/internal/koala"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -113,25 +114,20 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 			Policy:        p.pol,
 			Approach:      p.apr,
 			GrowthReserve: cfg.GrowthReserve,
-			Stats:         cfg.SimStats,
 		},
 		DisableManager: cfg.DisableMalleability,
 	})
 	defer sys.Teardown()
 	if cfg.SimStats != nil {
-		// Guarded here, not in SetStats: boxing a nil *SimStats in the
-		// interface would defeat the engine's nil check.
-		sys.Engine.SetStats(cfg.SimStats)
+		// Deferred calls run last in, first out: the fold reads the
+		// world before Teardown releases it.
+		defer addSimStats(cfg.SimStats, sys)
 	}
 	col := metrics.NewCollector(sys.Engine, sys.Scheduler, sys.Grid, cfg.SamplePeriod)
-	sample := cfg.SamplePeriod
-	if sample <= 0 {
-		sample = 10
-	}
 	if recs == nil {
 		recs = make([]metrics.JobRecord, 0, cfg.Workload.Jobs)
 	}
-	col.Reserve(recs, int((p.span+2000)/sample)+2)
+	col.Reserve(recs, int((p.span+2000)/cfg.SamplePeriod)+2)
 
 	if cfg.Background != nil {
 		bgSpec := *cfg.Background
@@ -175,4 +171,23 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 		res.ShrinkOps = stats.NewTimeSeries()
 	}
 	return res, nil
+}
+
+// addSimStats adds one replication's totals to st, read from the
+// counters the engine and the manager keep whether or not anyone
+// collects them.
+func addSimStats(st *obs.SimStats, sys *core.System) {
+	e := sys.Engine
+	r := obs.SimStatsSnapshot{
+		EventsScheduled: int64(e.Scheduled()),
+		EventsFired:     int64(e.Fired()),
+		EventsCanceled:  int64(e.Canceled()),
+		PendingPeak:     int64(e.PendingPeak()),
+		SimHorizon:      e.Now(),
+	}
+	if m := sys.Manager; m != nil {
+		r.GrowDecisions = int64(m.GrowOps().Total())
+		r.ShrinkDecisions = int64(m.ShrinkOps().Total())
+	}
+	st.Add(r)
 }

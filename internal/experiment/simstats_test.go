@@ -74,3 +74,43 @@ func TestSimStatsExcludedFromFingerprint(t *testing.T) {
 		t.Fatalf("fingerprint changed when SimStats attached: %s vs %s", a, b)
 	}
 }
+
+// TestSimStatsFoldsEachReplicationOnce pins the fold: each replication
+// adds its totals once, when it ends, so the decisions equal the
+// replications' malleability operations, every schedule has fired, been
+// canceled or is still pending, and the totals do not depend on how many
+// workers ran the replications.
+func TestSimStatsFoldsEachReplicationOnce(t *testing.T) {
+	spec := workload.WmPrime(1)
+	run := func(parallelism int) (*Result, obs.SimStatsSnapshot) {
+		cfg := Config{Name: "fold", Workload: spec, Approach: "PWA", Runs: 3, Parallelism: parallelism, Seed: 7}
+		cfg.SimStats = obs.NewSimStats()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, cfg.SimStats.Snapshot()
+	}
+	res, snap := run(2)
+	ops, makespan := 0.0, 0.0
+	for _, r := range res.Runs {
+		ops += r.TotalOps
+		makespan = max(makespan, r.Makespan)
+	}
+	if ops == 0 || snap.ShrinkDecisions == 0 {
+		t.Fatalf("%g operations, %d shrink decisions: the point exercises no shrinks", ops, snap.ShrinkDecisions)
+	}
+	if got := float64(snap.GrowDecisions + snap.ShrinkDecisions); got != ops {
+		t.Errorf("grow + shrink decisions = %g, want the runs' operations, %g", got, ops)
+	}
+	if snap.EventsFired == 0 || snap.EventsScheduled-snap.EventsFired-snap.EventsCanceled < 0 {
+		t.Errorf("scheduled %d, fired %d, canceled %d: more resolved than scheduled",
+			snap.EventsScheduled, snap.EventsFired, snap.EventsCanceled)
+	}
+	if snap.SimHorizon < makespan {
+		t.Errorf("sim horizon %g ends before the last job, %g", snap.SimHorizon, makespan)
+	}
+	if _, serial := run(1); serial != snap {
+		t.Errorf("serial totals %+v differ from 2-worker totals %+v", serial, snap)
+	}
+}

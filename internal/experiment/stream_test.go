@@ -42,8 +42,8 @@ func TestRunStreamMatchesBatch(t *testing.T) {
 	if stream.Jobs() != len(batch.Pooled) {
 		t.Fatalf("stream jobs = %d, batch %d", stream.Jobs(), len(batch.Pooled))
 	}
-	if stream.Summary().Malleable != len(batch.MalleableRecords()) {
-		t.Fatalf("stream malleable = %d, batch %d", stream.Summary().Malleable, len(batch.MalleableRecords()))
+	if want := len(metrics.OnlyMalleable(batch.Pooled)); stream.Summary().Malleable != want {
+		t.Fatalf("stream malleable = %d, batch %d", stream.Summary().Malleable, want)
 	}
 	// Per-replication scalars follow the exact same float operations in
 	// the same order, so they are bit-identical.

@@ -5,11 +5,8 @@
 //
 // The package sits deliberately outside the deterministic simulation
 // core (see docs/determinism.md): traces, histograms and loggers read
-// the wall clock, which the simulation packages must never do. The one
-// component that crosses the boundary, SimStats, therefore follows the
-// opposite rule — it records only simulated time and event counts, and
-// its hook methods are forbidden (by the koalalint obshook analyzer)
-// from reading the wall clock or allocating, so the sim kernel can call
-// them on its hot path without perturbing results or the allocs/op
-// budget.
+// the wall clock, which the simulation packages must never do. SimStats
+// holds only simulated time and event counts, and nothing inside the
+// simulation calls it: the experiment driver adds each replication's
+// totals once, after the replication has run.
 package obs

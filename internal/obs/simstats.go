@@ -5,27 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// SimStats is the passive simulation-side collector: the sim engine
-// flushes its kernel counters into it when a run loop returns, and the
-// malleability manager feeds it per decision, all through nil-checked
-// hooks, so a run can report kernel pressure (events
-// scheduled/fired/canceled, peak pending) and per-policy adaptation
-// activity (grow/shrink decisions) without touching the simulation's
-// outcome.
-//
-// The contract, enforced by the koalalint obshook analyzer and the
-// AllocsPerRun regression tests:
-//
-//   - Hook methods record only simulated time — never the wall clock.
-//   - Hook methods never allocate.
-//   - A nil *SimStats disables collection entirely; every feeding call
-//     site is nil-guarded.
+// SimStats collects simulation statistics across the replications of a
+// run: kernel pressure (events scheduled/fired/canceled, peak pending)
+// and adaptation activity (grow/shrink decisions). Nothing inside the
+// simulation calls it. The experiment driver adds each replication's
+// totals once, when the replication ends, from counters the engine and
+// the malleability manager keep anyway, so a collector cannot change a
+// result. Everything it holds is simulated time and counts.
 //
 // All counters are atomics, so one collector may be shared by the
 // concurrent replications of a run; the aggregate is exact even though
-// the per-replication interleaving is not reproducible (sums of
-// per-engine deltas are order-insensitive; peak and horizon fold in as
-// maxima).
+// the per-replication interleaving is not reproducible (counts are
+// sums; peak and horizon fold in as maxima).
 type SimStats struct {
 	scheduled atomic.Int64
 	fired     atomic.Int64
@@ -41,38 +32,27 @@ type SimStats struct {
 // NewSimStats returns an empty collector.
 func NewSimStats() *SimStats { return &SimStats{} }
 
-// EngineTotals implements sim.Stats: it folds one engine run stretch
-// into the collector. scheduled/fired/canceled are that engine's deltas
-// since its previous flush; pendingPeak and now are absolutes kept as
-// maxima across flushes and engines.
-func (s *SimStats) EngineTotals(scheduled, fired, canceled uint64, pendingPeak int, now float64) {
-	s.scheduled.Add(int64(scheduled))
-	s.fired.Add(int64(fired))
-	s.canceled.Add(int64(canceled))
-	p := int64(pendingPeak)
+// Add folds one replication's totals into the collector: the counts
+// are summed, PendingPeak and SimHorizon are kept as maxima.
+func (s *SimStats) Add(r SimStatsSnapshot) {
+	s.scheduled.Add(r.EventsScheduled)
+	s.fired.Add(r.EventsFired)
+	s.canceled.Add(r.EventsCanceled)
+	s.grows.Add(r.GrowDecisions)
+	s.shrinks.Add(r.ShrinkDecisions)
 	for {
 		peak := s.peak.Load()
-		if p <= peak || s.peak.CompareAndSwap(peak, p) {
+		if r.PendingPeak <= peak || s.peak.CompareAndSwap(peak, r.PendingPeak) {
 			break
 		}
 	}
-	bits := math.Float64bits(now)
+	bits := math.Float64bits(r.SimHorizon)
 	for {
 		old := s.horizon.Load()
-		if now <= math.Float64frombits(old) || s.horizon.CompareAndSwap(old, bits) {
+		if r.SimHorizon <= math.Float64frombits(old) || s.horizon.CompareAndSwap(old, bits) {
 			break
 		}
 	}
-}
-
-// GrowDecisions records n grow messages decided at simulated time now.
-func (s *SimStats) GrowDecisions(now float64, n int) {
-	s.grows.Add(int64(n))
-}
-
-// ShrinkDecisions records n shrink messages decided at simulated time now.
-func (s *SimStats) ShrinkDecisions(now float64, n int) {
-	s.shrinks.Add(int64(n))
 }
 
 // SimStatsSnapshot is a point-in-time copy of the counters.

@@ -7,12 +7,10 @@ import (
 
 func TestSimStatsCounters(t *testing.T) {
 	s := NewSimStats()
-	// Two flushes from one engine: counts accumulate, peak and horizon
-	// fold in as maxima.
-	s.EngineTotals(2, 1, 0, 2, 3)
-	s.EngineTotals(1, 0, 1, 3, 5)
-	s.GrowDecisions(2, 4)
-	s.ShrinkDecisions(3, 1)
+	// Two replications: counts accumulate, peak and horizon fold in as
+	// maxima.
+	s.Add(SimStatsSnapshot{EventsScheduled: 2, EventsFired: 1, PendingPeak: 2, GrowDecisions: 4, SimHorizon: 3})
+	s.Add(SimStatsSnapshot{EventsScheduled: 1, EventsCanceled: 1, PendingPeak: 3, ShrinkDecisions: 1, SimHorizon: 5})
 
 	snap := s.Snapshot()
 	if snap.EventsScheduled != 3 || snap.EventsFired != 1 || snap.EventsCanceled != 1 {
@@ -27,8 +25,8 @@ func TestSimStatsCounters(t *testing.T) {
 	if snap.GrowDecisions != 4 || snap.ShrinkDecisions != 1 {
 		t.Errorf("decisions = %+v", snap)
 	}
-	// A flush from a quieter engine must not regress the maxima.
-	s.EngineTotals(0, 0, 0, 1, 2)
+	// A quieter replication must not regress the maxima.
+	s.Add(SimStatsSnapshot{PendingPeak: 1, SimHorizon: 2})
 	snap = s.Snapshot()
 	if snap.PendingPeak != 3 || snap.SimHorizon != 5 {
 		t.Errorf("maxima regressed: peak=%d horizon=%g", snap.PendingPeak, snap.SimHorizon)
@@ -47,7 +45,7 @@ func TestSimStatsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				s.EngineTotals(1, 1, 0, g+1, float64(i))
+				s.Add(SimStatsSnapshot{EventsScheduled: 1, EventsFired: 1, PendingPeak: int64(g + 1), SimHorizon: float64(i)})
 			}
 		}()
 	}
@@ -61,19 +59,5 @@ func TestSimStatsConcurrent(t *testing.T) {
 	}
 	if snap.SimHorizon != 999 {
 		t.Fatalf("horizon = %g, want 999", snap.SimHorizon)
-	}
-}
-
-// Hook methods must not allocate (pinned again from the engine side in
-// internal/sim's TestStatsKeepsHotPathAllocationFree).
-func TestSimStatsHooksDoNotAllocate(t *testing.T) {
-	s := NewSimStats()
-	allocs := testing.AllocsPerRun(100, func() {
-		s.EngineTotals(2, 1, 1, 4, 7)
-		s.GrowDecisions(1, 2)
-		s.ShrinkDecisions(1, 2)
-	})
-	if allocs != 0 {
-		t.Fatalf("hooks allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -137,7 +137,7 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	// Truncate the journal down to the surviving runs: everything else
 	// is durably reflected in the store (or terminal) and carries no
 	// recovery value. This must happen before the revived runs start —
-	// a fast run's started/terminal appends would be erased by a
+	// a fast run's terminal append would be erased by a
 	// compaction built from the pre-spawn snapshot.
 	if err := s.store.Journal().Compact(keep); err != nil {
 		s.log.Warn("koalad: recovery journal compaction failed", "err", err)

@@ -590,7 +590,6 @@ func (s *Server) execute(run *Run) {
 	run.trace.EndSpan(run.queueSpan)
 	s.queueWait.Observe(runStart.Sub(run.submittedAt).Seconds())
 	run.setStatus(StatusRunning)
-	s.journalAppend(store.Record{Op: store.OpStarted, ID: run.ID, Hash: run.Hash})
 	if blk := s.blockRuns; blk != nil {
 		blk.parked <- run.ID
 		<-blk.release

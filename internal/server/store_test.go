@@ -170,10 +170,11 @@ func TestRestartDurability(t *testing.T) {
 	}
 }
 
-// TestRecoveryReenqueuesInFlight simulates the crash window between the
-// journal's started append and the store write: the journal holds
-// submitted+started with no terminal record and the store has no
-// entry. Recovery must re-create the run under its original ID and
+// TestRecoveryReenqueuesInFlight simulates a crash while a run was
+// simulating: the journal holds its submitted record, plus the
+// `started` line daemons used to append when a run took a slot, with
+// no terminal record, and the store has no entry. Recovery must ignore
+// the started line, re-create the run under its original ID and
 // execute it to completion.
 func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	dir := t.TempDir()
@@ -186,7 +187,7 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	if err := j.Append(store.Record{Op: store.OpSubmitted, ID: "exp-1", Hash: hash, Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(store.Record{Op: store.OpStarted, ID: "exp-1", Hash: hash}); err != nil {
+	if err := j.Append(store.Record{Op: "started", ID: "exp-1", Hash: hash}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close() // the crash
@@ -217,9 +218,9 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 		t.Fatalf("POST after replay = %+v (%d)", sr, code)
 	}
 	// Recovery compacted the journal down to the one in-flight run
-	// before its execution appended started+completed. The completed
-	// record follows the terminal event, so wait for the run's
-	// goroutine to return (nothing else is admitted here).
+	// before its execution appended completed. The completed record
+	// follows the terminal event, so wait for the run's goroutine to
+	// return (nothing else is admitted here).
 	s.wg.Wait()
 	recs, err := st2.Journal().Replay()
 	if err != nil {
@@ -229,7 +230,7 @@ func TestRecoveryReenqueuesInFlight(t *testing.T) {
 	for _, r := range recs {
 		ops = append(ops, string(r.Op))
 	}
-	if strings.Join(ops, ",") != "submitted,started,completed" {
+	if strings.Join(ops, ",") != "submitted,completed" {
 		t.Fatalf("journal after replayed run = %v", ops)
 	}
 }
@@ -294,9 +295,6 @@ func TestRecoveryResolvesStoredButUnjournaledRun(t *testing.T) {
 	if err := j.Append(store.Record{Op: store.OpSubmitted, ID: sr.ID, Hash: hash, Spec: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(store.Record{Op: store.OpStarted, ID: sr.ID, Hash: hash}); err != nil {
-		t.Fatal(err)
-	}
 	st.Close()
 
 	s2, ts2, st2 := newStoreServer(t, dir, Options{})
@@ -326,7 +324,6 @@ func TestRecoverySkipsFailedRuns(t *testing.T) {
 	j := st.Journal()
 	for _, rec := range []store.Record{
 		{Op: store.OpSubmitted, ID: "exp-1", Hash: hash, Spec: spec},
-		{Op: store.OpStarted, ID: "exp-1", Hash: hash},
 		{Op: store.OpFailed, ID: "exp-1", Hash: hash, Error: "boom"},
 	} {
 		if err := j.Append(rec); err != nil {

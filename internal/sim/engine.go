@@ -44,25 +44,6 @@ type Handler interface {
 	OnEvent(op int)
 }
 
-// Stats is the engine's passive observability sink (obs.SimStats
-// implements it). The engine accounts kernel activity in plain integer
-// counters — the event hot path carries no observability branches or
-// calls at all — and folds the totals into the sink once per
-// Run/RunUntil return, nil-guarded, on the cold path. Implementations
-// must not allocate, must not read the wall clock, and must never
-// influence the simulation — the arguments carry only simulated time
-// and counts. The koalalint obshook analyzer enforces the call-site
-// guard and the implementation constraints.
-type Stats interface {
-	// EngineTotals folds one Run/RunUntil stretch into the collector.
-	// scheduled, fired and canceled are deltas since this engine's
-	// previous flush, counting ticker armings, fires and stops like
-	// events (a Batch's event counts once); pendingPeak (this engine's
-	// high-water Pending count) and now (its virtual clock) are
-	// absolutes a collector should fold in as maxima.
-	EngineTotals(scheduled, fired, canceled uint64, pendingPeak int, now float64)
-}
-
 // Event is a scheduled handler call. It is returned by the scheduling
 // methods so that callers may cancel it before it fires.
 //
@@ -129,37 +110,17 @@ type Engine struct {
 	tick    *Ticker
 	armed   int
 
-	// Kernel accounting for the stats sink: plain counters kept
-	// unconditionally (integer arithmetic, no branches on e.stats), so
-	// observability costs the event hot path nothing. canceled counts
-	// Cancel calls that removed a queued event and Stops that disarmed a
-	// ticker; pendingPeak is the high-water Pending count.
-	// flushedSched/Fired/Canceled mark what the sink has already been
-	// told, so repeated flushes report deltas.
-	canceled                                  uint64
-	pendingPeak                               int
-	flushedSched, flushedFired, flushedCancel uint64
+	// Kernel accounting, kept unconditionally in plain counters (see
+	// Scheduled, Fired, Canceled and PendingPeak): canceled counts Cancel
+	// calls that removed a queued event and Stops that disarmed a ticker;
+	// pendingPeak is the high-water Pending count.
+	canceled    uint64
+	pendingPeak int
 
 	// free holds fired/canceled events available for reuse; events is
 	// the slab the free list refills from.
 	free   []*Event
 	events slab.Slab[Event]
-
-	// stats, when non-nil, receives the kernel counters when
-	// Run/RunUntil return. It is pure observability: it must never
-	// change the simulation (see the Stats contract).
-	stats Stats
-}
-
-// SetStats installs the observability hook. Callers must pass a
-// non-nil implementation (pass nothing to leave collection off): a nil
-// concrete pointer boxed in the interface would defeat the engine's
-// nil guard and panic on the first flush.
-func (e *Engine) SetStats(st Stats) {
-	if st == nil {
-		panic("sim: SetStats with nil Stats; leave the hook unset instead")
-	}
-	e.stats = st
 }
 
 // New returns an Engine starting at virtual time 0 whose events come
@@ -184,9 +145,21 @@ func (e *Engine) Teardown() {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Fired returns the number of events executed so far (useful in tests and
-// benchmarks as a proxy for simulation work).
+// Scheduled returns the number of events scheduled and ticker fires armed
+// so far (a Batch's event counts once, however many members it carries).
+func (e *Engine) Scheduled() uint64 { return e.seq }
+
+// Fired returns the number of events and ticker fires executed so far
+// (useful in tests and benchmarks as a proxy for simulation work).
 func (e *Engine) Fired() uint64 { return e.fired }
+
+// Canceled returns the number of queued events canceled and armed
+// tickers stopped so far. Scheduled = Fired + Canceled + Pending holds at
+// every point between events.
+func (e *Engine) Canceled() uint64 { return e.canceled }
+
+// PendingPeak returns the highest Pending count the engine has reached.
+func (e *Engine) PendingPeak() int { return e.pendingPeak }
 
 // Pending returns the number of fires still due: queued events plus armed
 // tickers. Canceled events are removed from the queue eagerly and a
@@ -349,20 +322,7 @@ func (e *Engine) Run() float64 {
 	e.stopped = false
 	for !e.stopped && e.step(math.Inf(1)) {
 	}
-	e.flushStats()
 	return e.now
-}
-
-// flushStats folds the kernel counters into the stats sink: deltas for
-// the event counts, absolutes for the peak and the clock. Called when
-// Run/RunUntil return — never per event — so observability costs the
-// hot path nothing even when a collector is attached.
-func (e *Engine) flushStats() {
-	if e.stats != nil {
-		e.stats.EngineTotals(e.seq-e.flushedSched, e.fired-e.flushedFired,
-			e.canceled-e.flushedCancel, e.pendingPeak, e.now)
-		e.flushedSched, e.flushedFired, e.flushedCancel = e.seq, e.fired, e.canceled
-	}
 }
 
 // RunUntil executes events and ticker fires with time ≤ horizon, then
@@ -377,6 +337,5 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	if e.now < horizon {
 		e.now = horizon
 	}
-	e.flushStats()
 	return e.now
 }

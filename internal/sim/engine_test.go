@@ -306,3 +306,34 @@ func TestBatchJoinBlockedByTickerAtItsTime(t *testing.T) {
 	}
 	other.Stop()
 }
+
+// TestKernelCountersObserveLifecycle pins the counters a replication's
+// SimStats totals are read from: they accumulate across run loops, a
+// canceled event and a stopped ticker each count as a cancel, and the
+// pending high-water mark outlives the drain.
+func TestKernelCountersObserveLifecycle(t *testing.T) {
+	e := New()
+	want := func(scheduled, fired, canceled uint64) {
+		t.Helper()
+		if e.Scheduled() != scheduled || e.Fired() != fired || e.Canceled() != canceled {
+			t.Fatalf("scheduled/fired/canceled = %d/%d/%d, want %d/%d/%d",
+				e.Scheduled(), e.Fired(), e.Canceled(), scheduled, fired, canceled)
+		}
+		if e.Scheduled() != e.Fired()+e.Canceled()+uint64(e.Pending()) {
+			t.Fatalf("scheduled %d != fired %d + canceled %d + pending %d",
+				e.Scheduled(), e.Fired(), e.Canceled(), e.Pending())
+		}
+	}
+	e.At(5, nop)
+	e.At(7, nop).Cancel()
+	e.At(30, nop)
+	tk := NewTicker(e, 10, func() {})
+	e.RunUntil(25) // the event at 5 and the ticks at 10 and 20; each tick re-arms
+	want(6, 3, 1)
+	tk.Stop()
+	e.Run()
+	want(6, 4, 2)
+	if e.PendingPeak() != 3 || e.Now() != 30 {
+		t.Fatalf("peak pending %d at t=%g, want 3 at t=30", e.PendingPeak(), e.Now())
+	}
+}

@@ -318,14 +318,13 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		for i := range k.batches {
 			k.batches[i].k = k
 		}
-		st := &countingStats{}
-		k.e.SetStats(st)
+		e := k.e
 		got := runProgram(k, seed, func() {
 			// Every schedule (event or ticker arming) has fired, been
 			// canceled, or is still pending.
-			if st.scheduled != st.fired+st.canceled+uint64(k.e.Pending()) {
+			if e.Scheduled() != e.Fired()+e.Canceled()+uint64(e.Pending()) {
 				t.Fatalf("seed %d at t=%g: scheduled %d != fired %d + canceled %d + pending %d",
-					seed, k.e.Now(), st.scheduled, st.fired, st.canceled, k.e.Pending())
+					seed, e.Now(), e.Scheduled(), e.Fired(), e.Canceled(), e.Pending())
 			}
 		})
 

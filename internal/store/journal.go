@@ -18,8 +18,6 @@ const (
 	// OpSubmitted: a run was admitted; the record carries the original
 	// ConfigSpec JSON so recovery can re-create and re-enqueue it.
 	OpSubmitted Op = "submitted"
-	// OpStarted: the run took a concurrency slot and began simulating.
-	OpStarted Op = "started"
 	// OpCompleted: the run's summary is durably in the result store
 	// (appended strictly after the store write, so a crash between the
 	// two leaves the run in-flight and recovery re-runs it).

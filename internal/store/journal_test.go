@@ -20,7 +20,6 @@ func TestJournalAppendReplay(t *testing.T) {
 	spec := json.RawMessage(`{"workload":{"preset":"Wm"},"runs":2}`)
 	recs := []Record{
 		{Op: OpSubmitted, ID: "exp-1", Hash: hashN(1), Name: "a", Spec: spec, TimeUnixNano: 10},
-		{Op: OpStarted, ID: "exp-1", Hash: hashN(1), TimeUnixNano: 11},
 		{Op: OpCompleted, ID: "exp-1", Hash: hashN(1), TimeUnixNano: 12},
 		{Op: OpFailed, ID: "exp-2", Hash: hashN(2), Error: "boom", TimeUnixNano: 13},
 	}
@@ -95,14 +94,14 @@ func TestJournalTruncatedTailRepaired(t *testing.T) {
 	}
 	// The file is valid NDJSON again: a fresh append lands on its own
 	// line, not fused onto the truncated garbage.
-	if err := j.Append(Record{Op: OpStarted, ID: "exp-1", Hash: hashN(1)}); err != nil {
+	if err := j.Append(Record{Op: OpCompleted, ID: "exp-1", Hash: hashN(1)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Op != OpSubmitted || got[1].Op != OpStarted {
+	if len(got) != 2 || got[0].Op != OpSubmitted || got[1].Op != OpCompleted {
 		t.Fatalf("replay after repair = %+v", got)
 	}
 }
@@ -154,14 +153,14 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatalf("Records after compact = %d, want 1", j.Records())
 	}
 	// Appends continue onto the compacted file.
-	if err := j.Append(Record{Op: OpStarted, ID: "exp-2", Hash: hashN(2)}); err != nil {
+	if err := j.Append(Record{Op: OpCompleted, ID: "exp-2", Hash: hashN(2)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := j.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].ID != "exp-2" || got[1].Op != OpStarted {
+	if len(got) != 2 || got[0].ID != "exp-2" || got[1].Op != OpCompleted {
 		t.Fatalf("replay after compact = %+v", got)
 	}
 	// No temp debris next to the journal.

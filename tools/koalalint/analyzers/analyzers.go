@@ -1,12 +1,11 @@
-// Package analyzers holds the five repo-specific koalalint checks that
+// Package analyzers holds the four repo-specific koalalint checks that
 // mechanically enforce the determinism and hot-path invariants the
 // byte-identical-summaries claim rests on:
 //
-//   - detwalltime: no wall-clock time in deterministic packages
-//   - detorder:    no unordered map iteration without a justification
-//   - detrand:     no unseeded randomness
+//   - detwalltime:  no wall-clock time in deterministic packages
+//   - detorder:     no unordered map iteration without a justification
+//   - detrand:      no unseeded randomness
 //   - hotpathalloc: no closures or allocation on the event hot path
-//   - obshook:     observability hooks nil-guarded and allocation-free
 //
 // See docs/determinism.md for the invariants and the escape hatches.
 package analyzers
@@ -57,7 +56,7 @@ func isHotPath(pkgPath string) bool       { return hotPathDirs[path.Base(pkgPath
 
 // All returns the koalalint suite in reporting order.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{DetWallTime, DetOrder, DetRand, HotPathAlloc, ObsHook}
+	return []*lint.Analyzer{DetWallTime, DetOrder, DetRand, HotPathAlloc}
 }
 
 // usedPackageFunc reports the package-level function from pkgPath that the

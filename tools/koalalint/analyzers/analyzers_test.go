@@ -22,10 +22,6 @@ func TestHotPathAlloc(t *testing.T) {
 	linttest.Run(t, HotPathAlloc, "hotpathalloc/sim", "hotpathalloc/workload")
 }
 
-func TestObsHook(t *testing.T) {
-	linttest.Run(t, ObsHook, "obshook/obs", "obshook/sim", "obshook/koala", "obshook/notdet")
-}
-
 // TestDeterministicScope pins the package sets: the wall-clock edge of the
 // system must stay out of the deterministic sweep, and the scheduling
 // stack in the hot-path sweep.
@@ -53,13 +49,5 @@ func TestDeterministicScope(t *testing.T) {
 	}
 	if isHotPath("repro/internal/workload") || isHotPath("repro/internal/experiment") {
 		t.Error("setup-time packages must not be in the hot-path sweep")
-	}
-	for _, p := range []string{"repro/internal/sim", "repro/internal/core", "repro/internal/koala"} {
-		if !isObsConsumer(p) {
-			t.Errorf("isObsConsumer(%q) = false, want true", p)
-		}
-	}
-	if isObsConsumer("repro/internal/server") || isObsConsumer("repro/internal/obs") {
-		t.Error("the wall-clock edge and obs itself must not be in the hook-guard sweep")
 	}
 }
