@@ -103,12 +103,25 @@ type Engine struct {
 	stopped bool
 	fired   uint64
 
+	// nowSeq is the seq of the fire that set the clock to now: the event
+	// or ticker fire now running, inside a handler. It is 0 before the
+	// first fire and after RunUntil advances the clock to its horizon,
+	// where no fire sits. (now, nowSeq) bounds where a Reservation may
+	// queue.
+	nowSeq uint64
+
 	// tickers holds every ticker made on this engine, registered once by
 	// NewTicker; tick is the earliest armed one (nil when none is armed)
 	// and armed counts the armed ones, so Pending stays exact.
 	tickers []*Ticker
 	tick    *Ticker
 	armed   int
+
+	// reserved counts the seqs Reserve took that AtOp has not queued yet,
+	// so Pending stays exact; reservedEnd is one past the last seq the
+	// latest Reserve took.
+	reserved    int
+	reservedEnd uint64
 
 	// Kernel accounting, kept unconditionally in plain counters (see
 	// Scheduled, Fired, Canceled and PendingPeak): canceled counts Cancel
@@ -140,13 +153,15 @@ func (e *Engine) Teardown() {
 	e.free = nil
 	e.q = calQueue{}
 	e.tickers, e.tick, e.armed = nil, nil, 0
+	e.reserved = 0
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Scheduled returns the number of events scheduled and ticker fires armed
-// so far (a Batch's event counts once, however many members it carries).
+// Scheduled returns the number of events scheduled, ticker fires armed
+// and seqs reserved so far (a Batch's event counts once, however many
+// members it carries).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Fired returns the number of events and ticker fires executed so far
@@ -161,11 +176,12 @@ func (e *Engine) Canceled() uint64 { return e.canceled }
 // PendingPeak returns the highest Pending count the engine has reached.
 func (e *Engine) PendingPeak() int { return e.pendingPeak }
 
-// Pending returns the number of fires still due: queued events plus armed
-// tickers. Canceled events are removed from the queue eagerly and a
-// stopped ticker is disarmed at once, so the count is exact. A Batch's
-// event counts once, however many members it carries.
-func (e *Engine) Pending() int { return e.q.pending() + e.armed }
+// Pending returns the number of fires still due: queued events, armed
+// tickers and reserved seqs not queued yet. Canceled events are removed
+// from the queue eagerly and a stopped ticker is disarmed at once, so the
+// count is exact. A Batch's event counts once, however many members it
+// carries.
+func (e *Engine) Pending() int { return e.q.pending() + e.armed + e.reserved }
 
 // notePending folds the current pending count into the high-water mark.
 //
@@ -202,23 +218,24 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// schedule queues a recycled-or-fresh event at absolute time t.
+// queue puts a recycled-or-fresh event for h.OnEvent(op) at (t, seq)
+// into the queue.
 //
 //koalalint:hotpath
-func (e *Engine) schedule(t float64) *Event {
+func (e *Engine) queue(t float64, seq uint64, h Handler, op int) *Event {
+	if h == nil {
+		panic("sim: AtOp with nil handler")
+	}
 	if math.IsNaN(t) {
 		panic("sim: scheduling event at NaN time")
 	}
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event in the past: t=%g now=%g", t, e.now))
-	}
 	ev := e.alloc()
 	ev.time = t
-	ev.seq = e.seq
+	ev.seq = seq
+	ev.h = h
+	ev.op = op
 	ev.canceled = false
-	e.seq++
 	e.q.push(ev)
-	e.notePending()
 	return ev
 }
 
@@ -246,12 +263,12 @@ func (e *Engine) Immediately(fn func()) *Event { return e.AtOp(e.now, funcHandle
 // AtOp schedules h.OnEvent(op) at absolute virtual time t without
 // allocating a closure.
 func (e *Engine) AtOp(t float64, h Handler, op int) *Event {
-	if h == nil {
-		panic("sim: AtOp with nil handler")
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event in the past: t=%g now=%g", t, e.now))
 	}
-	ev := e.schedule(t)
-	ev.h = h
-	ev.op = op
+	ev := e.queue(t, e.seq, h, op)
+	e.seq++
+	e.notePending()
 	return ev
 }
 
@@ -272,11 +289,15 @@ func (e *Engine) ImmediatelyOp(h Handler, op int) *Event { return e.AtOp(e.now, 
 func (e *Engine) Stop() { e.stopped = true }
 
 // lastAt reports whether the queued event ev is the last-sorting entry at
-// its time: no queued event at that time sorts after it, and no ticker
-// armed for that time has a higher seq.
+// its time: no queued event at that time sorts after it, no ticker armed
+// for that time has a higher seq, and no reserved seq above ev's may
+// still be queued (its time is not known until it is).
 //
 //koalalint:hotpath
 func (e *Engine) lastAt(ev *Event) bool {
+	if e.reserved > 0 && ev.seq < e.reservedEnd {
+		return false
+	}
 	for _, tk := range e.tickers {
 		if tk.armed && tk.at == ev.time && tk.seq > ev.seq {
 			return false
@@ -305,7 +326,7 @@ func (e *Engine) step(horizon float64) bool {
 	if ev.time < e.now {
 		panic("sim: event queue returned an event from the past")
 	}
-	e.now = ev.time
+	e.now, e.nowSeq = ev.time, ev.seq
 	e.fired++
 	ev.h.OnEvent(ev.op)
 	// Recycle only after the handler returns so a handle canceled
@@ -335,7 +356,7 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	for !e.stopped && e.step(horizon) {
 	}
 	if e.now < horizon {
-		e.now = horizon
+		e.now, e.nowSeq = horizon, 0
 	}
 	return e.now
 }

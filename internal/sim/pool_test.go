@@ -166,14 +166,15 @@ func BenchmarkEngineChurn(b *testing.B) {
 }
 
 // TestTeardownLeavesEngineEmpty pins the teardown contract: events still
-// queued when an engine is torn down never fire, and a later engine
-// reuses the released memory zeroed.
+// queued or reserved when an engine is torn down never fire, and a later
+// engine reuses the released memory zeroed.
 func TestTeardownLeavesEngineEmpty(t *testing.T) {
 	a := New()
 	fired := false
 	for i := 0; i < 2*warmEvents; i++ {
 		a.At(float64(i), func() { fired = true })
 	}
+	a.Reserve(5)
 	a.Teardown()
 	if a.Pending() != 0 {
 		t.Fatalf("Pending() = %d after Teardown, want 0", a.Pending())

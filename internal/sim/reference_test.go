@@ -4,9 +4,9 @@ import "testing"
 
 // The kernel-level reference model. calqueue_test.go pins the queue alone
 // against refQueue; here whole randomized programs (queued events, tickers
-// started and stopped mid-run, Batch joins) run on the real engine and on
-// an all-queued, unbatched reference built on refQueue, and both must fire
-// the same (time, label) stream.
+// started and stopped mid-run, Batch joins, reserved streams) run on the
+// real engine and on an all-queued, unbatched reference built on
+// refQueue, and both must fire the same (time, label) stream.
 
 // fire is one entry of a program's output: the clock and the label of
 // what fired. Label -1 marks the end of a RunUntil stretch.
@@ -24,6 +24,9 @@ type kernel interface {
 	batch(kind int, t float64, fn func())
 	// ticker starts fn every period and returns its stop.
 	ticker(period float64, fn func()) (stop func())
+	// stream fires fn(i) at times[i] for every i, in order, with seqs
+	// taken now; the times do not decrease.
+	stream(times []float64, fn func(i int))
 	runUntil(h float64)
 	run()
 }
@@ -89,6 +92,26 @@ func (k *engineKernel) ticker(period float64, fn func()) func() {
 	return NewTicker(k.e, period, func() { k.ticks++; fn() }).Stop
 }
 
+// reservedStream chains a stream through its Reservation the way
+// workload.Submit does: each fire queues the next item first.
+type reservedStream struct {
+	r     *Reservation
+	times []float64
+	fn    func(int)
+}
+
+func (s *reservedStream) OnEvent(i int) {
+	if i+1 < len(s.times) {
+		s.r.AtOp(s.times[i+1], s, i+1)
+	}
+	s.fn(i)
+}
+
+func (k *engineKernel) stream(times []float64, fn func(int)) {
+	s := &reservedStream{r: k.e.Reserve(len(times)), times: times, fn: fn}
+	s.r.AtOp(times[0], s, 0)
+}
+
 func (k *engineKernel) runUntil(h float64) { k.e.RunUntil(h) }
 func (k *engineKernel) run()               { k.e.Run() }
 
@@ -138,6 +161,13 @@ func (r *refKernel) ticker(period float64, fn func()) func() {
 	}
 }
 
+// stream queues the whole stream at once, with consecutive seqs.
+func (r *refKernel) stream(times []float64, fn func(int)) {
+	for i, t := range times {
+		r.push(t, func() { fn(i) })
+	}
+}
+
 func (r *refKernel) runUntil(h float64) {
 	for r.q.len() > 0 {
 		ev := r.q.popMin()
@@ -171,7 +201,16 @@ type program struct {
 	out     []fire
 	live    []labelled // queued events not yet fired or canceled
 	tickers []labelled // running tickers, with their stop
+	kinds   []byte     // what each label is: see the kind constants
 }
+
+// The label kinds a program schedules.
+const (
+	kindEvent byte = iota
+	kindBatch
+	kindTicker
+	kindStream
+)
 
 type labelled struct {
 	label int
@@ -181,7 +220,14 @@ type labelled struct {
 // programLabels bounds how much a program schedules, so it terminates.
 const programLabels = 2500
 
-func (p *program) label() int { p.labels++; return p.labels }
+func (p *program) label(kind byte) int {
+	p.labels++
+	p.kinds = append(p.kinds, kind)
+	return p.labels
+}
+
+// kind returns what label l is.
+func (p *program) kind(l int) byte { return p.kinds[l-1] }
 
 // delay mixes zero delays (same-instant work), small integers (exact
 // ties with tickers and with each other) and a far tail.
@@ -206,7 +252,7 @@ func (p *program) fired(l int) {
 }
 
 func (p *program) event() {
-	l := p.label()
+	l := p.label(kindEvent)
 	cancel := p.k.at(p.k.now()+p.delay(), func() {
 		p.live = drop(p.live, l)
 		p.fired(l)
@@ -222,20 +268,38 @@ func (p *program) burst() {
 	kind := p.rng.Intn(2)
 	t := p.k.now() + p.delay()
 	for n := 1 + p.rng.Intn(5); n > 0; n-- {
-		l := p.label()
+		l := p.label(kindBatch)
 		p.k.batch(kind, t, func() { p.fired(l) })
 		switch r := p.rng.Float64(); {
 		case r < 0.1:
 			p.event()
 		case r < 0.2:
-			l := p.label()
+			l := p.label(kindBatch)
 			p.k.batch(1-kind, t, func() { p.fired(l) })
 		}
 	}
 }
 
+// stream reserves a run of items whose gaps are delays: zero gaps give
+// same-time items, integer ones tie with tickers and batches. A stream
+// reserved mid-run takes its seqs above batches still open, which then
+// must not take late members while it is outstanding.
+func (p *program) stream() {
+	times := make([]float64, 1+p.rng.Intn(6))
+	t := p.k.now() + p.delay()
+	for i := range times {
+		times[i] = t
+		t += p.delay()
+	}
+	first := p.labels + 1
+	for range times {
+		p.label(kindStream)
+	}
+	p.k.stream(times, func(i int) { p.fired(first + i) })
+}
+
 func (p *program) startTicker() {
-	l := p.label()
+	l := p.label(kindTicker)
 	var stop func()
 	stop = p.k.ticker(float64(1+p.rng.Intn(8)), func() {
 		p.fired(l)
@@ -250,10 +314,12 @@ func (p *program) startTicker() {
 func (p *program) act() {
 	for n := p.rng.Intn(3); n > 0; n-- {
 		switch r := p.rng.Float64(); {
-		case r < 0.35:
+		case r < 0.3:
 			p.event()
-		case r < 0.7:
+		case r < 0.6:
 			p.burst()
+		case r < 0.7:
+			p.stream()
 		case r < 0.8:
 			if len(p.tickers) < 6 {
 				p.startTicker()
@@ -285,12 +351,13 @@ func drop(s []labelled, l int) []labelled {
 
 // runProgram drives one seeded program on k in RunUntil stretches, then
 // stops every ticker and drains; check runs after every Run/RunUntil.
-func runProgram(k kernel, seed uint64, check func()) []fire {
+func runProgram(k kernel, seed uint64, check func()) *program {
 	p := &program{k: k, rng: NewRNG(seed)}
 	for i := 0; i < 6; i++ {
 		p.event()
 		p.burst()
 	}
+	p.stream()
 	p.startTicker()
 	p.startTicker()
 	for h := 0.0; h < 500; h += float64(p.rng.Intn(30)) {
@@ -304,22 +371,47 @@ func runProgram(k kernel, seed uint64, check func()) []fire {
 	p.tickers = nil
 	k.run()
 	check()
-	return p.out
+	return p
+}
+
+// reservedTies counts the stream fires that share their time with a
+// ticker fire and with a batch member.
+func (p *program) reservedTies() (withTicker, withBatch int) {
+	for i := 0; i < len(p.out); {
+		j := i
+		var has [4]bool
+		for ; j < len(p.out) && p.out[j].t == p.out[i].t; j++ {
+			if l := p.out[j].label; l > 0 {
+				has[p.kind(l)] = true
+			}
+		}
+		for ; i < j; i++ {
+			if l := p.out[i].label; l > 0 && p.kind(l) == kindStream {
+				if has[kindTicker] {
+					withTicker++
+				}
+				if has[kindBatch] {
+					withBatch++
+				}
+			}
+		}
+	}
+	return withTicker, withBatch
 }
 
 func TestEngineMatchesReferenceModel(t *testing.T) {
 	debugCheck = true
 	defer func() { debugCheck = false }()
-	joins, lateJoins, ticks := 0, 0, 0
+	joins, lateJoins, ticks, tickerTies, batchTies := 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
-		ref := runProgram(&refKernel{}, seed, func() {})
+		ref := runProgram(&refKernel{}, seed, func() {}).out
 
 		k := &engineKernel{e: New()}
 		for i := range k.batches {
 			k.batches[i].k = k
 		}
 		e := k.e
-		got := runProgram(k, seed, func() {
+		p := runProgram(k, seed, func() {
 			// Every schedule (event or ticker arming) has fired, been
 			// canceled, or is still pending.
 			if e.Scheduled() != e.Fired()+e.Canceled()+uint64(e.Pending()) {
@@ -327,6 +419,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 					seed, e.Now(), e.Scheduled(), e.Fired(), e.Canceled(), e.Pending())
 			}
 		})
+		got := p.out
 
 		for i := 0; i < len(got) && i < len(ref); i++ {
 			if got[i] != ref[i] {
@@ -343,10 +436,18 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		joins += k.joins
 		lateJoins += k.lateJoins
 		ticks += k.ticks
+		withTicker, withBatch := p.reservedTies()
+		tickerTies += withTicker
+		batchTies += withBatch
 	}
 	if joins == 0 || lateJoins == 0 || ticks == 0 {
 		t.Fatalf("%d batch joins (%d after the seq counter moved) and %d ticker fires: the programs do not exercise all three",
 			joins, lateJoins, ticks)
 	}
-	t.Logf("%d batch joins, %d of them after the seq counter moved; %d ticker fires", joins, lateJoins, ticks)
+	if tickerTies == 0 || batchTies == 0 {
+		t.Fatalf("%d reserved fires tie with a ticker fire and %d with a batch member: the programs do not exercise both",
+			tickerTies, batchTies)
+	}
+	t.Logf("%d batch joins, %d of them after the seq counter moved; %d ticker fires; %d reserved fires tie with a ticker, %d with a batch",
+		joins, lateJoins, ticks, tickerTies, batchTies)
 }

@@ -96,7 +96,7 @@ func (e *Engine) disarm(t *Ticker) {
 //koalalint:hotpath
 func (e *Engine) fireTicker(t *Ticker) {
 	e.disarm(t)
-	e.now = t.at
+	e.now, e.nowSeq = t.at, t.seq
 	e.fired++
 	t.fn()
 	if !t.stopped {

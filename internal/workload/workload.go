@@ -295,25 +295,32 @@ func SpecByName(name string, seed uint64) (Spec, error) {
 // event with the item index as the op code, so replaying a 300-job
 // workload schedules zero per-item closures.
 type Submitter struct {
-	engine    *sim.Engine
 	w         *Workload
 	submit    func(koala.JobSpec) error
+	arrivals  *sim.Reservation
 	submitted int
 	errs      []error
 }
 
-// Submit schedules every item of w for submission through submit. The
-// returned Submitter reports progress and collected errors.
+// Submit schedules every item of w for submission through submit. It
+// reserves one seq per item, so the items fire in the order and with the
+// seqs they would have if all were queued now, but only the next item
+// waits in the queue: each submission queues the one after it. The items'
+// submit times must not decrease (Generate and ReadTrace guarantee it).
+// The returned Submitter reports progress and collected errors.
 func Submit(engine *sim.Engine, w *Workload, submit func(koala.JobSpec) error) *Submitter {
-	s := &Submitter{engine: engine, w: w, submit: submit}
-	for i, it := range w.Items {
-		engine.AtOp(it.SubmitAt, s, i)
+	s := &Submitter{w: w, submit: submit, arrivals: engine.Reserve(len(w.Items))}
+	if len(w.Items) > 0 {
+		s.arrivals.AtOp(w.Items[0].SubmitAt, s, 0)
 	}
 	return s
 }
 
-// OnEvent implements sim.Handler: submit item op.
+// OnEvent implements sim.Handler: queue item op+1, then submit item op.
 func (s *Submitter) OnEvent(op int) {
+	if next := op + 1; next < len(s.w.Items) {
+		s.arrivals.AtOp(s.w.Items[next].SubmitAt, s, next)
+	}
 	it := s.w.Items[op]
 	if err := s.submit(it.JobSpec()); err != nil {
 		s.errs = append(s.errs, fmt.Errorf("submit %s: %w", it.ID, err))
