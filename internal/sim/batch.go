@@ -12,9 +12,11 @@ package sim
 // batch's time with a seq in between could fire between the two: queued
 // ones and armed tickers are checked, later schedules take higher seqs,
 // none has fired (the batch's own event has not), and canceled ones never
-// fire. Join tests exactly that against the engine, so no model reads
-// seqs itself. When nothing was scheduled since the batch's event, its
-// answer is immediate.
+// fire. A seq reserved above the batch's event and not queued yet might
+// be due at the batch's time, so while one is outstanding the batch takes
+// no late member. Join tests exactly that against the engine, so no model
+// reads seqs itself. When nothing was scheduled since the batch's event,
+// its answer is immediate.
 //
 // The model links the members through a field of its own (the batch's
 // event targets the first member), and its handler calls Close before it

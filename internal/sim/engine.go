@@ -7,13 +7,15 @@
 // Determinism is guaranteed by (a) firing everything in strict
 // (time, insertion sequence) order so simultaneous events fire in scheduling
 // order, and (b) the SplitMix64-based RNG in rng.go, seeded explicitly by
-// every experiment. Events wait in a calendar queue with an unsorted
-// overflow rung (calqueue.go): amortized O(1) insert and pop for the
-// mostly-monotonic event streams the simulator produces, with a pop order
-// byte-identical to a (time, seq) min-heap's. Periodic sources (Ticker)
-// stay out of the queue: each keeps its next (time, seq) beside it, and
-// every step fires whichever comes first of the earliest armed ticker and
-// the queue head, by the same rule.
+// every experiment. Events wait in a binary min-heap over (time, seq)
+// (queue.go); each records its index there, so a cancel removes it at
+// once. Periodic sources (Ticker) stay out of the queue: each keeps its
+// next (time, seq) beside it, and every step fires whichever comes first
+// of the earliest armed ticker and the queue head, by the same rule. A
+// stream of events whose times are known in advance, such as a workload's
+// submissions, takes its seqs at once through a Reservation and queues
+// one event at a time, so the heap holds only what is already in motion:
+// a few dozen events in a replication.
 //
 // A model that schedules several events of one kind for the same instant
 // may fire them as one event through a Batch, as long as nothing queued
@@ -55,14 +57,11 @@ type Event struct {
 	engine *Engine
 	time   float64
 	seq    uint64
-	// bucket/pos locate the event inside the calendar queue for eager
-	// cancellation: the bucket index (or bucketOverflow for the far-future
-	// rung), and the position within that bucket's sorted slice. bucket is
-	// bucketNone while the event is not queued.
-	bucket   int32
+	h      Handler
+	op     int
+	// pos is the event's index in the queue's heap, so a cancel removes
+	// it in place; -1 while the event is not queued.
 	pos      int32
-	h        Handler
-	op       int
 	canceled bool
 }
 
@@ -80,7 +79,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.canceled = true
-	if e.bucket != bucketNone {
+	if e.pos >= 0 {
 		eng := e.engine
 		eng.q.remove(e)
 		eng.recycle(e)
@@ -99,7 +98,7 @@ var eventPool slab.Pool[Event]
 type Engine struct {
 	now     float64
 	seq     uint64
-	q       calQueue
+	q       eventQueue
 	stopped bool
 	fired   uint64
 
@@ -151,7 +150,7 @@ func (e *Engine) Teardown() {
 	// them, so a stray use of this engine cannot reach another engine's
 	// events. The tickers go with them.
 	e.free = nil
-	e.q = calQueue{}
+	e.q = eventQueue{}
 	e.tickers, e.tick, e.armed = nil, nil, 0
 	e.reserved = 0
 }

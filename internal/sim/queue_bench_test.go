@@ -3,12 +3,12 @@ package sim
 import "testing"
 
 // benchQueue measures steady-state push/pop (and optionally cancel+
-// reschedule) throughput of the calendar queue at a resident population of
-// 1024 events, for one insert pattern. Everything is preallocated: a
+// reschedule) throughput of the event queue at a resident population of
+// n events, for one insert pattern. Everything is preallocated: a
 // non-zero allocs/op here is a hot-path regression.
-func benchQueue(b *testing.B, next pattern, cancelHeavy bool) {
-	var q calQueue
-	events := make([]Event, 1024)
+func benchQueue(b *testing.B, n int, next pattern, cancelHeavy bool) {
+	var q eventQueue
+	events := make([]Event, n)
 	rng := NewRNG(1)
 	now := 0.0
 	for i := range events {
@@ -25,7 +25,7 @@ func benchQueue(b *testing.B, next pattern, cancelHeavy bool) {
 			// Cancel a pseudo-random live event and reschedule it — the
 			// eager-cancel path under churn.
 			ev := &events[int(rng.Float64()*float64(len(events)))]
-			if ev.bucket != bucketNone {
+			if ev.pos >= 0 {
 				q.remove(ev)
 				ev.time = next(rng, now)
 				ev.seq = seq
@@ -43,11 +43,15 @@ func benchQueue(b *testing.B, next pattern, cancelHeavy bool) {
 	}
 }
 
-// BenchmarkEventQueue covers the insert regimes the queue is tuned for;
-// the entries are gated by tools/benchjson -compare in CI.
+// BenchmarkEventQueue covers the insert regimes at 1024 resident events
+// and at 40, about what a replication's queue holds once its workload's
+// submissions are queued one at a time; the entries are gated by
+// tools/benchjson -compare in CI.
 func BenchmarkEventQueue(b *testing.B) {
-	b.Run("monotonic", func(b *testing.B) { benchQueue(b, patterns["monotonic"], false) })
-	b.Run("bimodal", func(b *testing.B) { benchQueue(b, patterns["bimodal"], false) })
-	b.Run("farfuture", func(b *testing.B) { benchQueue(b, patterns["farfuture"], false) })
-	b.Run("cancelheavy", func(b *testing.B) { benchQueue(b, patterns["bimodal"], true) })
+	b.Run("monotonic", func(b *testing.B) { benchQueue(b, 1024, patterns["monotonic"], false) })
+	b.Run("bimodal", func(b *testing.B) { benchQueue(b, 1024, patterns["bimodal"], false) })
+	b.Run("farfuture", func(b *testing.B) { benchQueue(b, 1024, patterns["farfuture"], false) })
+	b.Run("cancelheavy", func(b *testing.B) { benchQueue(b, 1024, patterns["bimodal"], true) })
+	b.Run("monotonic-40", func(b *testing.B) { benchQueue(b, 40, patterns["monotonic"], false) })
+	b.Run("bimodal-40", func(b *testing.B) { benchQueue(b, 40, patterns["bimodal"], false) })
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// refQueue is the reference model the calendar queue is tested against: a
+// refQueue is the reference model the event queue is tested against: a
 // flat slice popped by linear minimum scan over the same (time, seq) total
 // order. Too slow to ship, trivially correct.
 type refQueue struct {
@@ -40,14 +40,28 @@ func (r *refQueue) remove(ev *Event) {
 func (r *refQueue) len() int { return len(r.events) }
 
 // popMin is the engine's pop, head then take, for the queue-level tests.
-func (q *calQueue) popMin() *Event {
+func (q *eventQueue) popMin() *Event {
 	ev := q.head()
 	q.take()
 	return ev
 }
 
-// pattern generates the time of the next insert for one of the insert
-// regimes the queue is tuned for.
+// checkHeap fails the test unless every queued event records its index
+// and none sorts before its parent.
+func checkHeap(t *testing.T, q *eventQueue) {
+	t.Helper()
+	for i, ev := range q.h {
+		if ev == nil || int(ev.pos) != i {
+			t.Fatalf("heap slot %d holds %+v", i, ev)
+		}
+		if p := (i - 1) / 2; i > 0 && eventBefore(ev, q.h[p]) {
+			t.Fatalf("heap slot %d (t=%g seq=%d) sorts before its parent (t=%g seq=%d)",
+				i, ev.time, ev.seq, q.h[p].time, q.h[p].seq)
+		}
+	}
+}
+
+// pattern generates the time of the next insert for one insert regime.
 type pattern func(rng *RNG, now float64) float64
 
 var patterns = map[string]pattern{
@@ -56,16 +70,14 @@ var patterns = map[string]pattern{
 	"monotonic": func(rng *RNG, now float64) float64 {
 		return now + rng.Float64()*10
 	},
-	// Bimodal: dense near-now traffic plus a sparse far tail (the
-	// pre-scheduled workload submissions), exercising the overflow rung.
+	// Bimodal: dense near-now traffic plus a sparse far tail.
 	"bimodal": func(rng *RNG, now float64) float64 {
 		if rng.Bool(0.2) {
 			return now + 1e4 + rng.Float64()*1e5
 		}
 		return now + rng.Float64()*10
 	},
-	// Far-future-heavy: most events beyond the year, so year advances and
-	// migrations dominate.
+	// Far-future-heavy: most events land far beyond the clock.
 	"farfuture": func(rng *RNG, now float64) float64 {
 		return now + 100 + rng.Float64()*1e6
 	},
@@ -76,16 +88,13 @@ var patterns = map[string]pattern{
 	},
 }
 
-// runEquivalence drives the calendar queue and the reference model through
+// runEquivalence drives the event queue and the reference model through
 // an identical randomized schedule/cancel/pop sequence and asserts the pop
-// streams are the same events in the same order. debugCheck validates
-// every queue invariant on every operation for the duration.
+// streams are the same events in the same order. checkHeap validates the
+// heap after every operation.
 func runEquivalence(t *testing.T, seed uint64, next pattern, cancelP float64) {
 	t.Helper()
-	debugCheck = true
-	defer func() { debugCheck = false }()
-
-	var q calQueue
+	var q eventQueue
 	var ref refQueue
 	rng := NewRNG(seed)
 	var live []*Event // events queued in both structures
@@ -132,6 +141,7 @@ func runEquivalence(t *testing.T, seed uint64, next pattern, cancelP float64) {
 		if q.pending() != ref.len() {
 			t.Fatalf("pending = %d, reference = %d", q.pending(), ref.len())
 		}
+		checkHeap(t, &q)
 	}
 
 	for i := 0; i < 4000; i++ {
@@ -171,14 +181,12 @@ func TestCalQueueCancelHeavy(t *testing.T) {
 }
 
 // TestCalQueuePendingExactAfterCancels pins that remove keeps pending
-// exact in both the in-year buckets and the overflow rung.
+// exact, for events removed from anywhere in the heap.
 func TestCalQueuePendingExactAfterCancels(t *testing.T) {
-	debugCheck = true
-	defer func() { debugCheck = false }()
-	var q calQueue
+	var q eventQueue
 	var evs []*Event
 	for i := 0; i < 100; i++ {
-		// Half in the first year, half far future (the rung).
+		// Half near, half far future, interleaved.
 		tm := float64(i)
 		if i%2 == 1 {
 			tm = 1e6 + float64(i)
@@ -192,63 +200,17 @@ func TestCalQueuePendingExactAfterCancels(t *testing.T) {
 	}
 	for i, ev := range evs {
 		q.remove(ev)
-		if q.pending() != 100-i-1 {
-			t.Fatalf("pending = %d after %d removes", q.pending(), i+1)
+		checkHeap(t, &q)
+		if q.pending() != 100-i-1 || ev.pos != -1 {
+			t.Fatalf("pending = %d, removed event at %d after %d removes", q.pending(), ev.pos, i+1)
 		}
 	}
 }
 
-// TestCalQueueGrowPreservesOrder forces bucket-array doubling mid-year and
-// checks the pop order is still globally sorted.
-func TestCalQueueGrowPreservesOrder(t *testing.T) {
-	debugCheck = true
-	defer func() { debugCheck = false }()
-	var q calQueue
-	rng := NewRNG(3)
-	n := 6 * minBuckets // over the 2×buckets growth threshold, twice
-	for i := 0; i < n; i++ {
-		q.push(&Event{time: rng.Float64() * float64(minBuckets), seq: uint64(i)})
-	}
-	if len(q.buckets) <= minBuckets {
-		t.Fatalf("bucket array did not grow: %d", len(q.buckets))
-	}
-	var last *Event
-	for q.pending() > 0 {
-		ev := q.popMin()
-		if last != nil && !eventBefore(last, ev) {
-			t.Fatalf("pop order broken: (t=%g seq=%d) after (t=%g seq=%d)",
-				ev.time, ev.seq, last.time, last.seq)
-		}
-		last = ev
-	}
-}
-
-// TestCalQueueYearAdvanceAfterCancel is the regression for the year's last
-// event being canceled rather than popped: the next head() must re-anchor
-// on the rung without tripping over the stale current bucket.
-func TestCalQueueYearAdvanceAfterCancel(t *testing.T) {
-	debugCheck = true
-	defer func() { debugCheck = false }()
-	var q calQueue
-	near := &Event{time: 1, seq: 0}
-	far := &Event{time: 1e9, seq: 1}
-	q.push(near)
-	q.push(far)
-	q.remove(near)
-	if got := q.popMin(); got != far {
-		t.Fatalf("popped (t=%g seq=%d), want the far event", got.time, got.seq)
-	}
-	if q.pending() != 0 {
-		t.Fatalf("pending = %d", q.pending())
-	}
-}
-
-// TestCalQueueInfiniteTime covers the infinite-anchor path of advanceYear
-// (the engine parks horizon sentinels at +Inf).
+// TestCalQueueInfiniteTime pins that events at an infinite time pop in
+// seq order, like any other tie.
 func TestCalQueueInfiniteTime(t *testing.T) {
-	debugCheck = true
-	defer func() { debugCheck = false }()
-	var q calQueue
+	var q eventQueue
 	inf := &Event{time: math.Inf(1), seq: 0}
 	later := &Event{time: math.Inf(1), seq: 1}
 	q.push(inf)
@@ -262,20 +224,20 @@ func TestCalQueueInfiniteTime(t *testing.T) {
 }
 
 // TestCalQueueLastAt pins lastAt's answers: false when a same-time event
-// follows in the bucket, true when the successor is later or there is
-// none, and false for an event waiting in the unsorted rung.
+// sorts after, true when every later event is due later or there is none,
+// also for an event far in the future and for one whose same-time
+// successor was canceled.
 func TestCalQueueLastAt(t *testing.T) {
-	var q calQueue
+	var q eventQueue
 	a := &Event{time: 2, seq: 0}
 	b := &Event{time: 2, seq: 1}
 	c := &Event{time: 2.5, seq: 2}
 	far := &Event{time: 1e9, seq: 3}
-	for _, ev := range []*Event{a, b, c, far} {
+	farNext := &Event{time: 1e9, seq: 4}
+	for _, ev := range []*Event{c, far, b, a, farNext} {
 		q.push(ev)
 	}
-	if a.bucket != b.bucket || b.bucket != c.bucket {
-		t.Fatalf("buckets %d, %d, %d: the case needs one bucket", a.bucket, b.bucket, c.bucket)
-	}
+	checkHeap(t, &q)
 	if q.lastAt(a) {
 		t.Error("lastAt true with a same-time successor")
 	}
@@ -283,12 +245,13 @@ func TestCalQueueLastAt(t *testing.T) {
 		t.Error("lastAt false with a later-time successor")
 	}
 	if !q.lastAt(c) {
-		t.Error("lastAt false for the last event of the bucket")
-	}
-	if far.bucket != bucketOverflow {
-		t.Fatalf("far event in bucket %d, want the overflow rung", far.bucket)
+		t.Error("lastAt false with no event due at its time after it")
 	}
 	if q.lastAt(far) {
-		t.Error("lastAt true for an event in the overflow rung")
+		t.Error("lastAt true for a far-future event with a same-time successor")
+	}
+	q.remove(farNext)
+	if !q.lastAt(far) {
+		t.Error("lastAt false for the last far-future event")
 	}
 }

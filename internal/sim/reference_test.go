@@ -2,7 +2,7 @@ package sim
 
 import "testing"
 
-// The kernel-level reference model. calqueue_test.go pins the queue alone
+// The kernel-level reference model. queue_test.go pins the queue alone
 // against refQueue; here whole randomized programs (queued events, tickers
 // started and stopped mid-run, Batch joins, reserved streams) run on the
 // real engine and on an all-queued, unbatched reference built on
@@ -400,8 +400,6 @@ func (p *program) reservedTies() (withTicker, withBatch int) {
 }
 
 func TestEngineMatchesReferenceModel(t *testing.T) {
-	debugCheck = true
-	defer func() { debugCheck = false }()
 	joins, lateJoins, ticks, tickerTies, batchTies := 0, 0, 0, 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		ref := runProgram(&refKernel{}, seed, func() {}).out
@@ -412,6 +410,7 @@ func TestEngineMatchesReferenceModel(t *testing.T) {
 		}
 		e := k.e
 		p := runProgram(k, seed, func() {
+			checkHeap(t, &e.q)
 			// Every schedule (event or ticker arming) has fired, been
 			// canceled, or is still pending.
 			if e.Scheduled() != e.Fired()+e.Canceled()+uint64(e.Pending()) {
