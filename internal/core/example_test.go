@@ -60,7 +60,7 @@ func ExampleManual() {
 			maxSeen = p
 		}
 	}
-	if err := sys.RunUntilDone(10000); err != nil {
+	if err := sys.RunUntilDone(10000, nil); err != nil {
 		panic(err)
 	}
 	fmt.Printf("application-initiated grow requests granted by the manager: %d\n",

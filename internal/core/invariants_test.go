@@ -54,7 +54,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		workload.Submit(sys.Engine, wl, func(js koala.JobSpec) error {
+		sub := workload.Submit(sys.Engine, wl, func(js koala.JobSpec) error {
 			_, err := sys.Scheduler.Submit(js)
 			return err
 		})
@@ -95,11 +95,15 @@ func TestPropertySystemInvariants(t *testing.T) {
 		for sys.Engine.Now() < horizon && ok {
 			sys.Engine.RunUntil(sys.Engine.Now() + 50)
 			check()
-			if sys.allDone() {
+			if sub.Submitted()+len(sub.Errs()) == nJobs && sys.Scheduler.Terminal() == len(sys.Scheduler.Jobs()) {
 				break
 			}
 		}
 		if !ok {
+			return false
+		}
+		if sub.Submitted() != nJobs {
+			t.Logf("seed=%d pol=%s apr=%s: %d of %d jobs submitted, errors %v", seed, pol.Name(), apr.Name(), sub.Submitted(), nJobs, sub.Errs())
 			return false
 		}
 		for _, j := range sys.Scheduler.Jobs() {

@@ -198,7 +198,7 @@ func TestSystemRunUntilDone(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: EGS{}, Approach: PRA{}})
 	sys.SubmitMalleable("a", app.FTProfile(), 2)
 	sys.SubmitMalleable("b", app.FTProfile(), 2)
-	if err := sys.RunUntilDone(10000); err != nil {
+	if err := sys.RunUntilDone(10000, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range sys.Scheduler.Jobs() {
@@ -219,7 +219,7 @@ func TestRunUntilDoneStopsAtHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Submitted at 0, it starts after the 5 s GRAM latency and ends at 105.
-	if err := sys.RunUntilDone(90); err == nil {
+	if err := sys.RunUntilDone(90, nil); err == nil {
 		t.Fatalf("RunUntilDone(90) returned nil; job %s is %v, ended at %g", j.Spec.ID, j.State(), j.EndTime())
 	}
 	if now := sys.Engine.Now(); now != 90 {
@@ -228,7 +228,7 @@ func TestRunUntilDoneStopsAtHorizon(t *testing.T) {
 	if j.State() != koala.Running {
 		t.Fatalf("job state %v at the horizon, want running", j.State())
 	}
-	if err := sys.RunUntilDone(200); err != nil {
+	if err := sys.RunUntilDone(200, nil); err != nil {
 		t.Fatal(err)
 	}
 	if j.EndTime() != 105 {

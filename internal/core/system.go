@@ -82,25 +82,23 @@ func (s *System) Teardown() {
 // Run drives the simulation until the horizon (seconds of virtual time).
 func (s *System) Run(horizon float64) { s.Engine.RunUntil(horizon) }
 
-// RunUntilDone drives the simulation until every submitted job reached a
-// terminal state, checking every 60 simulated seconds. It never runs past
-// horizon: if jobs are still live there, it returns an error reporting
-// how many.
-func (s *System) RunUntilDone(horizon float64) error {
+// RunUntilDone drives the simulation until no submission is left to come
+// and every submitted job reached a terminal state, checking every 60
+// simulated seconds. arriving reports whether submissions are still to
+// come; nil means every job was submitted before the call. It never runs
+// past horizon: if jobs are still live there, or submissions still to
+// come, it returns an error saying so.
+func (s *System) RunUntilDone(horizon float64, arriving func() bool) error {
 	for s.Engine.Now() < horizon {
 		s.Engine.RunUntil(min(s.Engine.Now()+60, horizon))
-		if s.allDone() {
+		if (arriving == nil || !arriving()) && s.Scheduler.Terminal() == len(s.Scheduler.Jobs()) {
 			s.Scheduler.Stop()
 			return nil
 		}
 	}
 	stuck := len(s.Scheduler.Jobs()) - s.Scheduler.Terminal()
+	if arriving != nil && arriving() {
+		return fmt.Errorf("core: %d jobs not terminal and submissions still to come at horizon %g", stuck, horizon)
+	}
 	return fmt.Errorf("core: %d jobs not terminal at horizon %g", stuck, horizon)
-}
-
-// allDone reports whether jobs were submitted and all of them are
-// terminal.
-func (s *System) allDone() bool {
-	n := len(s.Scheduler.Jobs())
-	return n > 0 && s.Scheduler.Terminal() == n
 }

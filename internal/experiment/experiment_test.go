@@ -230,3 +230,40 @@ func TestBackgroundLoadIntegration(t *testing.T) {
 		t.Fatalf("records = %d", len(res.Records))
 	}
 }
+
+// TestSparseArrivalsRunEveryJob pins that a replication ends only once no
+// submission is left: arrivals sparse enough for the grid to drain
+// between them must still run every job of the workload.
+func TestSparseArrivalsRunEveryJob(t *testing.T) {
+	sparse := workload.Wm(1)
+	sparse.InterArrival = 600
+	poisson := workload.Wmr(1)
+	poisson.PoissonArrivals = true
+	for _, spec := range []workload.Spec{sparse, poisson} {
+		res, err := Run(Config{Workload: spec, Runs: 4, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		for i, run := range res.Runs {
+			if len(run.Records) != 300 {
+				t.Errorf("%s (inter-arrival %g, Poisson %v) replication %d: %d of 300 jobs",
+					spec.Name, spec.InterArrival, spec.PoissonArrivals, i, len(run.Records))
+			}
+		}
+	}
+}
+
+// TestSubmissionErrorsEndTheRun pins that a workload whose every
+// submission fails ends once its submissions are out, with the
+// submission error.
+func TestSubmissionErrorsEndTheRun(t *testing.T) {
+	cfg := Config{
+		Workload:     workload.Spec{Name: "toobig", Jobs: 2, InterArrival: 30, MalleableFraction: 1, InitialSize: 64, RigidSize: 2},
+		Grid:         func() *cluster.Multicluster { return cluster.NewMulticluster(cluster.New("A", 4)) },
+		NoBackground: true,
+	}
+	_, err := RunOnce(cfg, 1)
+	if err == nil || !strings.Contains(err.Error(), "2 submission errors") {
+		t.Fatalf("RunOnce error %v, want the 2 submission errors", err)
+	}
+}

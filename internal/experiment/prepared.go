@@ -146,8 +146,9 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 		_, err := sys.Scheduler.Submit(js)
 		return err
 	})
+	arriving := func() bool { return sub.Submitted()+len(sub.Errs()) < len(wl.Items) }
 
-	if err := sys.RunUntilDone(cfg.Horizon); err != nil {
+	if err := sys.RunUntilDone(cfg.Horizon, arriving); err != nil {
 		return nil, fmt.Errorf("experiment %s (seed %d): %w", cfg.Name, seed, err)
 	}
 	col.Stop()
