@@ -254,8 +254,8 @@ func TestTickerFiresPeriodically(t *testing.T) {
 			t.Fatalf("ticker fired at %v, want %v", times, want)
 		}
 	}
-	if !tk.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	if !tk.stopped {
+		t.Fatal("ticker not stopped after Stop")
 	}
 }
 

@@ -62,16 +62,3 @@ func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
 // Split returns a new RNG whose stream is independent of the receiver's
 // future output. It consumes one value from the receiver.
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03) }
-
-// Perm returns a random permutation of [0,n) (Fisher–Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -126,28 +125,5 @@ func TestSplitIndependence(t *testing.T) {
 	}
 	if same > 0 {
 		t.Fatalf("parent/child streams collided %d times", same)
-	}
-}
-
-// Property: Perm always returns a permutation of [0,n).
-func TestPropertyPermIsPermutation(t *testing.T) {
-	r := NewRNG(29)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -50,9 +50,6 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stopped }
-
 // arm stamps t's next fire one period from now with the next seq, which
 // it consumes exactly as scheduling an event would.
 //

@@ -14,8 +14,8 @@ func TestTickerStopBeforeFirstFire(t *testing.T) {
 	if fired != 0 {
 		t.Fatalf("stopped ticker fired %d times", fired)
 	}
-	if !tk.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+	if !tk.stopped {
+		t.Fatal("ticker not stopped after Stop")
 	}
 }
 
