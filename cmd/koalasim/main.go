@@ -21,7 +21,9 @@
 // replication; plus any spans a remote worker streamed back) as JSON.
 // -simstats prints the simulation engine's counters after the run —
 // events scheduled/fired/canceled, peak pending, grow/shrink decisions
-// — collected through a passive hook that never perturbs results.
+// — read from counters the engine and the malleability manager keep
+// anyway, once per replication after its last run loop, so collecting
+// them cannot perturb results.
 package main
 
 import (
