@@ -341,7 +341,14 @@ func BenchmarkAblationGramGatekeeper(b *testing.B) {
 			g := gram.Config{SubmitLatency: 5, ReleaseLatency: 0.5, SubmitConcurrency: conc}
 			cfg := experiment.Config{Workload: workload.Wm(1), Policy: "EGS", Approach: "PRA", GramOverride: &g}
 			b.ReportMetric(warmLoop(b, func() float64 {
-				return stats.Mean(metrics.AvgProcsOf(metrics.OnlyMalleable(runOnce(b, cfg))))
+				recs := runOnce(b, cfg)
+				avg := make([]float64, 0, len(recs))
+				for _, r := range recs {
+					if r.Malleable {
+						avg = append(avg, r.AvgProcs)
+					}
+				}
+				return stats.Mean(avg)
 			}), "mean-avg-procs")
 		})
 	}

@@ -78,6 +78,18 @@ func TestClaimMalleabilityImprovesPerformance(t *testing.T) {
 	}
 }
 
+// malleableOnly returns the malleable records, app's only unless app is
+// empty.
+func malleableOnly(recs []metrics.JobRecord, app string) []metrics.JobRecord {
+	var out []metrics.JobRecord
+	for _, r := range recs {
+		if r.Malleable && (app == "" || r.App == app) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // stuckAtMin returns the fraction of the records that never grew beyond
 // their minimal size of 2 processors.
 func stuckAtMin(recs []metrics.JobRecord) float64 {
@@ -99,8 +111,8 @@ func stuckAtMin(recs []metrics.JobRecord) float64 {
 // at the minimum (Fig. 7a).
 func TestClaimEGSLeavesFewerJobsStuck(t *testing.T) {
 	set := praResults(t)
-	egs := stuckAtMin(metrics.OnlyMalleable(set.Results["EGS/Wm"].Pooled))
-	fpsma := stuckAtMin(metrics.OnlyMalleable(set.Results["FPSMA/Wm"].Pooled))
+	egs := stuckAtMin(malleableOnly(set.Results["EGS/Wm"].Pooled, ""))
+	fpsma := stuckAtMin(malleableOnly(set.Results["FPSMA/Wm"].Pooled, ""))
 	if egs >= fpsma {
 		t.Errorf("stuck-at-min fraction: EGS %.2f ≥ FPSMA %.2f", egs, fpsma)
 	}
@@ -110,9 +122,9 @@ func TestClaimEGSLeavesFewerJobsStuck(t *testing.T) {
 // it is their turn to grow far more often than the long GADGET-2 jobs.
 func TestClaimFPSMAStrandsShortJobs(t *testing.T) {
 	set := praResults(t)
-	recs := metrics.OnlyMalleable(set.Results["FPSMA/Wm"].Pooled)
-	ft := stuckAtMin(metrics.OnlyApp(recs, "FT"))
-	gadget := stuckAtMin(metrics.OnlyApp(recs, "GADGET2"))
+	recs := set.Results["FPSMA/Wm"].Pooled
+	ft := stuckAtMin(malleableOnly(recs, "FT"))
+	gadget := stuckAtMin(malleableOnly(recs, "GADGET2"))
 	if ft <= gadget {
 		t.Errorf("stuck-at-min: FT %.2f ≤ GADGET %.2f under FPSMA", ft, gadget)
 	}
@@ -152,8 +164,8 @@ func TestClaimPRANeverShrinks(t *testing.T) {
 func TestClaimPWAStrandsJobsAtMinimum(t *testing.T) {
 	pra := praResults(t)
 	pwa := pwaResults(t)
-	praStuck := stuckAtMin(metrics.OnlyMalleable(pra.Results["FPSMA/Wm"].Pooled))
-	pwaStuck := stuckAtMin(metrics.OnlyMalleable(pwa.Results["FPSMA/W'm"].Pooled))
+	praStuck := stuckAtMin(malleableOnly(pra.Results["FPSMA/Wm"].Pooled, ""))
+	pwaStuck := stuckAtMin(malleableOnly(pwa.Results["FPSMA/W'm"].Pooled, ""))
 	if pwaStuck <= praStuck {
 		t.Errorf("stuck-at-min: PWA %.2f ≤ PRA %.2f", pwaStuck, praStuck)
 	}
@@ -165,7 +177,13 @@ func TestClaimPWAExecutionTimesHigher(t *testing.T) {
 	pra := praResults(t)
 	pwa := pwaResults(t)
 	g := func(r *Result) float64 {
-		return stats.Mean(metrics.ExecTimesOf(metrics.OnlyApp(r.Pooled, "GADGET2")))
+		var execs []float64
+		for _, rec := range r.Pooled {
+			if rec.App == "GADGET2" {
+				execs = append(execs, rec.ExecutionTime)
+			}
+		}
+		return stats.Mean(execs)
 	}
 	for _, policy := range []string{"FPSMA", "EGS"} {
 		praT := g(pra.Results[policy+"/Wm"])
@@ -221,11 +239,23 @@ func TestClaimPWAWaitTimesExceedPRA(t *testing.T) {
 
 // Utilisation sanity: the platform is busier under the loaded PWA
 // workloads than the utilisation floor, and never exceeds the 272 nodes of
-// DAS-3 (Figs. 7e, 8e).
+// DAS-3 (Figs. 7e, 8e). A batch keeps only its plotted run's series, so
+// the other runs are rebuilt, each from its own seed, to check every
+// peak.
 func TestClaimUtilizationBounds(t *testing.T) {
 	for _, set := range []*Set{praResults(t), pwaResults(t)} {
 		for _, label := range set.Labels {
-			for _, run := range set.Results[label].Runs {
+			res := set.Results[label]
+			prep, err := Prepare(res.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, run := range res.Runs {
+				if i > 0 {
+					if run, err = prep.RunOnce(run.Seed); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if peak := run.Utilization.MaxValue(); peak > 272 {
 					t.Errorf("%s/%s: peak utilisation %g exceeds the testbed", set.Approach, label, peak)
 				}

@@ -157,13 +157,22 @@ type RunResult struct {
 	// batch Result it is the run's window of Result.Pooled, capped at
 	// its length, so appending to it copies instead of overwriting the
 	// next run's records.
-	Records     []metrics.JobRecord
-	Rejected    int
+	Records  []metrics.JobRecord
+	Rejected int
+	// Utilization is the sampled series of used processors. Only a run
+	// that may be plotted keeps it: Runs[0] of a batch Result, which
+	// FigUtilization draws, and the result of Prepared.RunOnce (and so
+	// of RunOnce). It is nil for the other runs of a batch and for every
+	// streamed replication.
 	Utilization *stats.TimeSeries
-	GrowOps     *stats.TimeSeries
-	ShrinkOps   *stats.TimeSeries
-	Makespan    float64
-	TotalOps    float64
+	// MeanUtilization is the time-averaged number of used processors
+	// over [0, Makespan], or 0 when Makespan is 0, folded as the series
+	// was sampled: Utilization.MeanOver(0, Makespan) bit for bit.
+	MeanUtilization float64
+	GrowOps         *stats.TimeSeries
+	ShrinkOps       *stats.TimeSeries
+	Makespan        float64
+	TotalOps        float64
 }
 
 // Result pools the runs of one experiment point.
@@ -186,16 +195,6 @@ func RunOnce(cfg Config, seed uint64) (*RunResult, error) {
 		return nil, err
 	}
 	return p.RunOnce(seed)
-}
-
-func lastEnd(recs []metrics.JobRecord) float64 {
-	end := 0.0
-	for _, r := range recs {
-		if r.EndTime > end {
-			end = r.EndTime
-		}
-	}
-	return end
 }
 
 // Run executes cfg.Runs seeded runs and pools their records. The runs are
@@ -252,8 +251,10 @@ func packRecords(pooled []metrics.JobRecord, runs []*RunResult) []metrics.JobRec
 // pooled, when non-nil, holds Runs × Jobs records, and replication i's
 // collector appends into window i, [i·Jobs, (i+1)·Jobs). Each job
 // finishes at most once, so no window overflows, and the replications
-// write disjoint parts of it. The streaming path passes nil: each
-// replication's records get a buffer of their own and die with it.
+// write disjoint parts of it. Replication 0 of such a batch also keeps
+// its utilisation series, which FigUtilization plots. The streaming
+// path passes nil: each replication's records get a buffer of their own
+// and die with it, and no replication keeps its series.
 //
 // A panicking replication (or sink, or hook) becomes an error naming the
 // replication instead of unwinding its worker goroutine: koalad runs
@@ -277,7 +278,7 @@ func runPoint[T any](ctx context.Context, prep *Prepared, lim parallel.Limiter,
 		if pooled != nil {
 			recs = pooled[i*jobs : i*jobs : (i+1)*jobs]
 		}
-		r, err := prep.runOnce(seed, recs)
+		r, err := prep.runOnce(seed, recs, pooled != nil && i == 0)
 		if err != nil {
 			return err
 		}
@@ -316,9 +317,7 @@ func (r *Result) MeanUtilization() float64 {
 	}
 	sum := 0.0
 	for _, run := range r.Runs {
-		if run.Makespan > 0 {
-			sum += run.Utilization.MeanOver(0, run.Makespan)
-		}
+		sum += run.MeanUtilization
 	}
 	return sum / float64(len(r.Runs))
 }

@@ -253,6 +253,42 @@ func TestSparseArrivalsRunEveryJob(t *testing.T) {
 	}
 }
 
+// TestLocalUsersArriveUntilTheLastSubmission pins that local users keep
+// arriving until a little after the measured workload's last
+// submission, which under Poisson arrivals may come after the nominal
+// window of Jobs × InterArrival. On a two-node grid that local users
+// keep full while they arrive, the last job must therefore wait for
+// them; had they stopped 2000 s after the nominal window, it would wait
+// only for GRAM's submit latency.
+func TestLocalUsersArriveUntilTheLastSubmission(t *testing.T) {
+	spec := workload.Spec{Name: "late", Jobs: 2, InterArrival: 3000, PoissonArrivals: true, InitialSize: 2, RigidSize: 2}
+	cfg := Config{
+		Workload:   spec,
+		Grid:       func() *cluster.Multicluster { return cluster.NewMulticluster(cluster.New("A", 2)) },
+		Background: &workload.BackgroundSpec{MeanInterArrival: 1, MeanDuration: 30, MaxNodes: 2},
+	}
+	nominalStop := float64(spec.Jobs)*spec.InterArrival + 2000
+	// Seeds whose second submission comes over 600 s after the nominal
+	// stop, when the local users of a stop there would be long gone.
+	for _, seed := range []uint64{6, 14, 23, 24} {
+		res, err := RunOnce(cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Records {
+			if r.ID != "late-001" {
+				continue
+			}
+			if r.SubmitTime < nominalStop+600 {
+				t.Fatalf("seed %d: last submission at %.1f s, want after %.1f s", seed, r.SubmitTime, nominalStop+600)
+			}
+			if r.WaitTime < 100 {
+				t.Errorf("seed %d: the job submitted at %.1f s waited %.1f s: local users had stopped arriving", seed, r.SubmitTime, r.WaitTime)
+			}
+		}
+	}
+}
+
 // TestSubmissionErrorsEndTheRun pins that a workload whose every
 // submission fails ends once its submissions are out, with the
 // submission error.

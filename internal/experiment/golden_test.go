@@ -86,6 +86,9 @@ func goldenOf(t *testing.T, cfg Config) goldenRun {
 	if res.Makespan > 0 {
 		g.UtilMean = res.Utilization.MeanOver(0, res.Makespan)
 	}
+	if res.MeanUtilization != g.UtilMean {
+		t.Errorf("%s: folded mean utilisation %v, series mean %v", cfg.Name, res.MeanUtilization, g.UtilMean)
+	}
 	return g
 }
 

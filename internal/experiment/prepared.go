@@ -34,8 +34,8 @@ type Prepared struct {
 	gramCfg gram.Config
 	wl      *workload.PreparedSpec
 
-	// span is the measured workload's submission window, used to schedule
-	// the background-load stop.
+	// span is the measured workload's nominal submission window,
+	// Jobs × InterArrival, used to schedule the background-load stop.
 	span float64
 }
 
@@ -90,15 +90,17 @@ func (p *Prepared) Config() Config { return p.cfg }
 // returns, for the next replication on any goroutine: nothing in the
 // RunResult points into it (records are values, and the utilisation and
 // op series are allocated outside the world). The records are returned
-// in their own buffer, which the caller owns.
+// in their own buffer, which the caller owns, and the result keeps its
+// utilisation series.
 func (p *Prepared) RunOnce(seed uint64) (*RunResult, error) {
-	return p.runOnce(seed, nil)
+	return p.runOnce(seed, nil, true)
 }
 
 // runOnce is RunOnce with the collector appending its records to recs, an
 // empty window with capacity for every job of the workload; nil gives the
-// collector a buffer of its own.
-func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, error) {
+// collector a buffer of its own. keepSeries keeps the sampled utilisation
+// series in the result; without it only its time average is kept.
+func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord, keepSeries bool) (*RunResult, error) {
 	cfg := p.cfg
 	wl := p.wl.Generate(seed)
 
@@ -127,7 +129,15 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 	if recs == nil {
 		recs = make([]metrics.JobRecord, 0, cfg.Workload.Jobs)
 	}
-	col.Reserve(recs, int((p.span+2000)/cfg.SamplePeriod)+2)
+	col.Reserve(recs)
+	// Local users stop arriving a little after the measured workload's
+	// last submission so runs can drain (running sessions still
+	// terminate normally). Under Poisson arrivals that submission may
+	// come after the nominal window.
+	stop := max(p.span, wl.Duration()) + 2000
+	if keepSeries {
+		col.KeepUtilization(int(stop/cfg.SamplePeriod) + 2)
+	}
 
 	if cfg.Background != nil {
 		bgSpec := *cfg.Background
@@ -136,10 +146,7 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 		if err != nil {
 			return nil, err
 		}
-		// Local users stop arriving a little after the measured workload's
-		// submission window so runs can drain (running sessions still
-		// terminate normally).
-		sys.Engine.AtOp(p.span+2000, bg, 0)
+		sys.Engine.AtOp(stop, bg, 0)
 	}
 
 	sub := workload.Submit(sys.Engine, wl, func(js koala.JobSpec) error {
@@ -157,11 +164,12 @@ func (p *Prepared) runOnce(seed uint64, recs []metrics.JobRecord) (*RunResult, e
 	}
 
 	res := &RunResult{
-		Seed:        seed,
-		Records:     col.Records(),
-		Rejected:    len(col.Rejected()),
-		Utilization: col.Utilization(),
-		Makespan:    lastEnd(col.Records()),
+		Seed:            seed,
+		Records:         col.Records(),
+		Rejected:        len(col.Rejected()),
+		Utilization:     col.Utilization(),
+		MeanUtilization: col.MeanUtilization(),
+		Makespan:        col.Makespan(),
 	}
 	if sys.Manager != nil {
 		res.GrowOps = sys.Manager.GrowOps().Series()

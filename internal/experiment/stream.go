@@ -68,18 +68,16 @@ func summarizeReplication(i int, r *RunResult) (Replication, *metrics.Aggregate)
 	agg := metrics.NewAggregate()
 	agg.ObserveAll(r.Records)
 	rep := Replication{
-		Rep:           i,
-		Seed:          r.Seed,
-		Jobs:          agg.Jobs,
-		Malleable:     agg.Malleable,
-		Rejected:      r.Rejected,
-		Makespan:      r.Makespan,
-		Ops:           r.TotalOps,
-		MeanExecution: agg.MeanExecution(),
-		MeanResponse:  agg.MeanResponse(),
-	}
-	if r.Makespan > 0 {
-		rep.MeanUtilization = r.Utilization.MeanOver(0, r.Makespan)
+		Rep:             i,
+		Seed:            r.Seed,
+		Jobs:            agg.Jobs,
+		Malleable:       agg.Malleable,
+		Rejected:        r.Rejected,
+		Makespan:        r.Makespan,
+		MeanUtilization: r.MeanUtilization,
+		Ops:             r.TotalOps,
+		MeanExecution:   agg.MeanExecution(),
+		MeanResponse:    agg.MeanResponse(),
 	}
 	return rep, agg
 }

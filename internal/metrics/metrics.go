@@ -46,30 +46,28 @@ type JobRecord struct {
 // Collector hooks a scheduler and a grid and accumulates metrics as the
 // simulation runs.
 type Collector struct {
-	engine *sim.Engine
-	grid   *cluster.Multicluster
-
 	records  []JobRecord
 	rejected []string
 
-	utilization *stats.TimeSeries
-	sampler     *sim.Ticker
+	util    utilFold
+	series  *stats.TimeSeries // nil unless KeepUtilization asked for it
+	sampler *sim.Ticker
 }
 
 // NewCollector attaches a collector to the scheduler's lifecycle callbacks
-// and samples grid utilisation every samplePeriod seconds.
+// and samples grid utilisation every samplePeriod seconds, folding the
+// samples into their time average.
 func NewCollector(engine *sim.Engine, sched *koala.Scheduler, grid *cluster.Multicluster, samplePeriod float64) *Collector {
-	c := &Collector{
-		engine:      engine,
-		grid:        grid,
-		utilization: stats.NewTimeSeries(),
-	}
+	c := &Collector{util: utilFold{t: engine.Now(), v: float64(grid.TotalUsed())}}
 	if samplePeriod <= 0 {
 		samplePeriod = 10
 	}
-	c.utilization.Add(engine.Now(), float64(grid.TotalUsed()))
 	c.sampler = sim.NewTicker(engine, samplePeriod, func() {
-		c.utilization.Add(engine.Now(), float64(grid.TotalUsed()))
+		t, v := engine.Now(), float64(grid.TotalUsed())
+		c.util.add(t, v)
+		if c.series != nil {
+			c.series.Add(t, v)
+		}
 	})
 	prevFinished := sched.OnJobFinished
 	sched.OnJobFinished = func(j *koala.Job) {
@@ -91,13 +89,22 @@ func NewCollector(engine *sim.Engine, sched *koala.Scheduler, grid *cluster.Mult
 // Stop halts utilisation sampling (end of experiment).
 func (c *Collector) Stop() { c.sampler.Stop() }
 
-// Reserve hands the collector the buffer its records are appended to and
-// sizes the utilisation series for samples, so steady-state collection
-// appends without regrowing. recs must be empty, with capacity for every
-// job expected to finish; Records returns a prefix of it.
-func (c *Collector) Reserve(recs []JobRecord, samples int) {
+// Reserve hands the collector the buffer its records are appended to,
+// so steady-state collection appends without regrowing. recs must be
+// empty, with capacity for every job expected to finish; Records returns
+// a prefix of it.
+func (c *Collector) Reserve(recs []JobRecord) {
 	c.records = append(recs, c.records...)
-	c.utilization.Reserve(samples)
+}
+
+// KeepUtilization makes the collector keep the sampled utilisation
+// series, with room for samples samples, for Utilization to return.
+// Without it only the series' time average is kept. Call it before the
+// engine runs, so that the series holds every sample.
+func (c *Collector) KeepUtilization(samples int) {
+	c.series = stats.NewTimeSeries()
+	c.series.Reserve(samples)
+	c.series.Add(c.util.t, c.util.v)
 }
 
 // observe turns a finished job into a record.
@@ -119,6 +126,7 @@ func (c *Collector) observe(j *koala.Job) {
 	}
 	rec.AvgProcs, rec.MaxProcs = procStats(j)
 	c.records = append(c.records, rec)
+	c.util.jobEnded(rec.EndTime)
 }
 
 // procStats integrates the allocation history of the job's execution.
@@ -167,28 +175,20 @@ func (c *Collector) Records() []JobRecord { return c.records }
 // Rejected returns the IDs of rejected jobs.
 func (c *Collector) Rejected() []string { return c.rejected }
 
-// Utilization returns the sampled total-used-processors series.
-func (c *Collector) Utilization() *stats.TimeSeries { return c.utilization }
+// Utilization returns the sampled total-used-processors series, or nil
+// unless KeepUtilization was called.
+func (c *Collector) Utilization() *stats.TimeSeries { return c.series }
+
+// Makespan returns the latest end of a finished job, or 0 when none has
+// finished.
+func (c *Collector) Makespan() float64 { return c.util.end }
+
+// MeanUtilization returns the time-averaged total of used processors
+// over [0, Makespan()], or 0 when no job has finished. It equals
+// MeanOver(0, Makespan()) of the sampled series bit for bit.
+func (c *Collector) MeanUtilization() float64 { return c.util.mean() }
 
 // Field selectors for building CDFs out of records.
-
-// AvgProcsOf extracts AvgProcs from records.
-func AvgProcsOf(recs []JobRecord) []float64 {
-	out := make([]float64, len(recs))
-	for i, r := range recs {
-		out[i] = r.AvgProcs
-	}
-	return out
-}
-
-// MaxProcsOf extracts MaxProcs from records.
-func MaxProcsOf(recs []JobRecord) []float64 {
-	out := make([]float64, len(recs))
-	for i, r := range recs {
-		out[i] = float64(r.MaxProcs)
-	}
-	return out
-}
 
 // ExecTimesOf extracts ExecutionTime from records.
 func ExecTimesOf(recs []JobRecord) []float64 {
@@ -204,39 +204,6 @@ func ResponseTimesOf(recs []JobRecord) []float64 {
 	out := make([]float64, len(recs))
 	for i, r := range recs {
 		out[i] = r.ResponseTime
-	}
-	return out
-}
-
-// OnlyMalleable filters records to malleable jobs, or returns nil when
-// none is. The result is sized exactly: the figure extractors filter every
-// combo of every sweep.
-func OnlyMalleable(recs []JobRecord) []JobRecord {
-	n := 0
-	for i := range recs {
-		if recs[i].Malleable {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]JobRecord, 0, n)
-	for i := range recs {
-		if recs[i].Malleable {
-			out = append(out, recs[i])
-		}
-	}
-	return out
-}
-
-// OnlyApp filters records to the named application.
-func OnlyApp(recs []JobRecord, name string) []JobRecord {
-	var out []JobRecord
-	for _, r := range recs {
-		if r.App == name {
-			out = append(out, r)
-		}
 	}
 	return out
 }

@@ -80,6 +80,7 @@ func TestCollectorTracksMalleableSizes(t *testing.T) {
 
 func TestUtilizationSeries(t *testing.T) {
 	sys, col := system(16)
+	col.KeepUtilization(150)
 	sys.SubmitRigid("r", app.GadgetModel(), 8)
 	sys.Engine.RunUntil(700)
 	u := col.Utilization()
@@ -91,6 +92,9 @@ func TestUtilizationSeries(t *testing.T) {
 	}
 	if u.At(699) != 0 {
 		t.Fatalf("post-run utilisation = %g", u.At(699))
+	}
+	if got, want := col.MeanUtilization(), u.MeanOver(0, col.Makespan()); got != want || got == 0 {
+		t.Fatalf("folded mean = %v, series mean %v", got, want)
 	}
 	sys.Scheduler.Stop()
 	col.Stop()
@@ -119,31 +123,16 @@ func TestRejectedJobsTracked(t *testing.T) {
 	col.Stop()
 }
 
-func TestFieldSelectorsAndFilters(t *testing.T) {
+func TestFieldSelectors(t *testing.T) {
 	recs := []JobRecord{
 		{ID: "a", App: "FT", Malleable: true, AvgProcs: 4, MaxProcs: 8, ExecutionTime: 100, ResponseTime: 150},
 		{ID: "b", App: "GADGET2", Malleable: false, AvgProcs: 2, MaxProcs: 2, ExecutionTime: 600, ResponseTime: 700},
-	}
-	if got := AvgProcsOf(recs); got[0] != 4 || got[1] != 2 {
-		t.Fatalf("AvgProcsOf = %v", got)
-	}
-	if got := MaxProcsOf(recs); got[0] != 8 {
-		t.Fatalf("MaxProcsOf = %v", got)
 	}
 	if got := ExecTimesOf(recs); got[1] != 600 {
 		t.Fatalf("ExecTimesOf = %v", got)
 	}
 	if got := ResponseTimesOf(recs); got[1] != 700 {
 		t.Fatalf("ResponseTimesOf = %v", got)
-	}
-	if got := OnlyMalleable(recs); len(got) != 1 || cap(got) != 1 || got[0].ID != "a" {
-		t.Fatalf("OnlyMalleable = %v (cap %d)", got, cap(got))
-	}
-	if got := OnlyMalleable(recs[1:]); got != nil {
-		t.Fatalf("OnlyMalleable of rigid records = %v, want nil", got)
-	}
-	if got := OnlyApp(recs, "GADGET2"); len(got) != 1 || got[0].ID != "b" {
-		t.Fatalf("OnlyApp = %v", got)
 	}
 }
 

@@ -35,9 +35,15 @@ func TestAggregateMatchesBatchSelectors(t *testing.T) {
 	if a.Jobs != len(recs) {
 		t.Fatalf("Jobs = %d, want %d", a.Jobs, len(recs))
 	}
-	mall := OnlyMalleable(recs)
-	if a.Malleable != len(mall) {
-		t.Fatalf("Malleable = %d, want %d", a.Malleable, len(mall))
+	var avgProcs, maxProcs []float64
+	for _, r := range recs {
+		if r.Malleable {
+			avgProcs = append(avgProcs, r.AvgProcs)
+			maxProcs = append(maxProcs, float64(r.MaxProcs))
+		}
+	}
+	if a.Malleable != len(avgProcs) {
+		t.Fatalf("Malleable = %d, want %d", a.Malleable, len(avgProcs))
 	}
 	// A serial feed is bit-identical to the batch mean over the same
 	// order (stats.Online accumulates the sum the same way).
@@ -47,10 +53,10 @@ func TestAggregateMatchesBatchSelectors(t *testing.T) {
 	if got, want := a.MeanResponse(), stats.Mean(ResponseTimesOf(recs)); got != want {
 		t.Errorf("MeanResponse = %v, want %v", got, want)
 	}
-	if got, want := a.AvgProcs.Online.Mean(), stats.Mean(AvgProcsOf(mall)); got != want {
+	if got, want := a.AvgProcs.Online.Mean(), stats.Mean(avgProcs); got != want {
 		t.Errorf("AvgProcs mean = %v, want %v", got, want)
 	}
-	if got, want := a.MaxProcs.Online.Max(), stats.Max(MaxProcsOf(mall)); got != want {
+	if got, want := a.MaxProcs.Online.Max(), stats.Max(maxProcs); got != want {
 		t.Errorf("MaxProcs max = %v, want %v", got, want)
 	}
 }
