@@ -59,7 +59,7 @@ vuln:
 # metric with its sample count and quartile spread.
 # Two steps so a failing benchmark run fails the target instead of being
 # masked by the pipe's exit status.
-BENCH_OUT ?= BENCH_PR27.json
+BENCH_OUT ?= BENCH_PR28.json
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem -count=6 . ./internal/sim ./internal/koala ./internal/gram ./internal/core ./internal/experiment > bench.raw.tmp
@@ -73,7 +73,7 @@ bench-smoke:
 # The CI regression gate, locally: a 1x smoke run diffed against the
 # committed baseline (allocs/op and custom */op counts gate; ns/op needs
 # >1 iteration).
-BENCH_BASELINE ?= BENCH_PR27.json
+BENCH_BASELINE ?= BENCH_PR28.json
 
 bench-compare:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -benchmem ./... > bench.smoke.tmp

@@ -47,7 +47,6 @@ type Execution struct {
 	done       bool
 	onFinish   func()
 
-	startTime float64
 	// allocation history for metrics: (time, procs) steps. The inline
 	// buffers cover rigid jobs and lightly-adapted malleable ones without
 	// heap growth.
@@ -57,16 +56,9 @@ type Execution struct {
 	histProcsBuf [8]int
 }
 
-// NewExecution starts an application of the given profile at procs
-// processors. onFinish fires exactly when accumulated progress reaches 1.
-func NewExecution(engine *sim.Engine, profile *Profile, procs int, onFinish func()) *Execution {
-	x := &Execution{}
-	x.Start(engine, profile, procs, onFinish)
-	return x
-}
-
-// Start starts a zero Execution in place — the allocation-free form of
-// NewExecution for owners that embed the execution by value.
+// Start starts a zero Execution of the given profile at procs processors,
+// in place, so owners can embed the execution by value. onFinish fires
+// exactly when accumulated progress reaches 1.
 func (x *Execution) Start(engine *sim.Engine, profile *Profile, procs int, onFinish func()) {
 	if err := profile.Validate(); err != nil {
 		panic(err)
@@ -79,7 +71,6 @@ func (x *Execution) Start(engine *sim.Engine, profile *Profile, procs int, onFin
 	x.profile = profile
 	x.procs = procs
 	x.onFinish = onFinish
-	x.startTime = engine.Now()
 	x.lastUpdate = engine.Now()
 	x.histTimes = x.histTimesBuf[:0]
 	x.histProcs = x.histProcsBuf[:0]
@@ -105,17 +96,11 @@ func (x *Execution) OnEvent(op int) {
 	}
 }
 
-// Profile returns the application profile.
-func (x *Execution) Profile() *Profile { return x.profile }
-
 // Procs returns the current effective processor count.
 func (x *Execution) Procs() int { return x.procs }
 
 // Done reports whether the application has finished.
 func (x *Execution) Done() bool { return x.done }
-
-// StartTime returns the virtual time at which execution began.
-func (x *Execution) StartTime() float64 { return x.startTime }
 
 // Progress returns the completed fraction in [0,1] as of the current
 // virtual time.
@@ -250,19 +235,4 @@ func (x *Execution) PauseFor(d float64) {
 	}
 	x.Pause()
 	x.engine.AfterOp(d, x, opResume)
-}
-
-// Abort cancels the execution without firing onFinish (used when a job is
-// killed). Progress stops accruing.
-func (x *Execution) Abort() {
-	if x.done {
-		return
-	}
-	x.integrate()
-	x.done = true
-	x.record(0)
-	if x.finishEv != nil {
-		x.finishEv.Cancel()
-		x.finishEv = nil
-	}
 }

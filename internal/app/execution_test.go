@@ -22,7 +22,7 @@ func TestConstantSizeRunFinishesAtModelTime(t *testing.T) {
 	e := sim.New()
 	g := GadgetProfile()
 	var finishedAt float64 = -1
-	NewExecution(e, g, 2, func() { finishedAt = e.Now() })
+	new(Execution).Start(e, g, 2, func() { finishedAt = e.Now() })
 	e.Run()
 	if math.Abs(finishedAt-600) > 1e-6 {
 		t.Fatalf("finished at %g, want 600", finishedAt)
@@ -33,9 +33,11 @@ func TestGrowSpeedsUpCompletion(t *testing.T) {
 	e := sim.New()
 	g := GadgetProfile()
 	var finishedAt float64 = -1
-	x := NewExecution(e, g, 2, func() { finishedAt = e.Now() })
+	x := new(Execution)
+	x.Start(e, g, 2, func() { finishedAt = e.Now() })
 	// At t=300 half the work is done; grow to 46 procs.
-	e.At(300, func() { x.SetProcs(46) })
+	e.RunUntil(300)
+	x.SetProcs(46)
 	e.Run()
 	// Remaining half at T(46)=240 takes 120 s → finish at 420.
 	if math.Abs(finishedAt-420) > 1e-6 {
@@ -47,8 +49,10 @@ func TestShrinkSlowsDownCompletion(t *testing.T) {
 	e := sim.New()
 	g := GadgetProfile()
 	var finishedAt float64 = -1
-	x := NewExecution(e, g, 46, func() { finishedAt = e.Now() })
-	e.At(120, func() { x.SetProcs(2) }) // half done at 120
+	x := new(Execution)
+	x.Start(e, g, 46, func() { finishedAt = e.Now() })
+	e.RunUntil(120)
+	x.SetProcs(2) // half done at 120
 	e.Run()
 	if math.Abs(finishedAt-(120+300)) > 1e-6 {
 		t.Fatalf("finished at %g, want 420", finishedAt)
@@ -58,12 +62,12 @@ func TestShrinkSlowsDownCompletion(t *testing.T) {
 func TestProgressReporting(t *testing.T) {
 	e := sim.New()
 	g := GadgetProfile()
-	x := NewExecution(e, g, 2, nil)
-	e.At(150, func() {
-		if p := x.Progress(); math.Abs(p-0.25) > 1e-9 {
-			t.Errorf("Progress at 150 = %g, want 0.25", p)
-		}
-	})
+	x := new(Execution)
+	x.Start(e, g, 2, nil)
+	e.RunUntil(150)
+	if p := x.Progress(); math.Abs(p-0.25) > 1e-9 {
+		t.Errorf("Progress at 150 = %g, want 0.25", p)
+	}
 	e.Run()
 	if !x.Done() || x.Progress() != 1 {
 		t.Fatalf("done=%v progress=%g", x.Done(), x.Progress())
@@ -74,9 +78,12 @@ func TestPauseStopsProgress(t *testing.T) {
 	e := sim.New()
 	p := constProfile("p", 100, 1, 8)
 	var finishedAt float64 = -1
-	x := NewExecution(e, p, 2, func() { finishedAt = e.Now() })
-	e.At(10, func() { x.Pause() })
-	e.At(40, func() { x.Resume() })
+	x := new(Execution)
+	x.Start(e, p, 2, func() { finishedAt = e.Now() })
+	e.RunUntil(10)
+	x.Pause()
+	e.RunUntil(40)
+	x.Resume()
 	e.Run()
 	if math.Abs(finishedAt-130) > 1e-6 {
 		t.Fatalf("finished at %g, want 130 (100 + 30 pause)", finishedAt)
@@ -87,8 +94,10 @@ func TestPauseForAutoResumes(t *testing.T) {
 	e := sim.New()
 	p := constProfile("p", 100, 1, 8)
 	var finishedAt float64 = -1
-	x := NewExecution(e, p, 2, func() { finishedAt = e.Now() })
-	e.At(50, func() { x.PauseFor(25) })
+	x := new(Execution)
+	x.Start(e, p, 2, func() { finishedAt = e.Now() })
+	e.RunUntil(50)
+	x.PauseFor(25)
 	e.Run()
 	if math.Abs(finishedAt-125) > 1e-6 {
 		t.Fatalf("finished at %g, want 125", finishedAt)
@@ -99,11 +108,16 @@ func TestNestedPause(t *testing.T) {
 	e := sim.New()
 	p := constProfile("p", 100, 1, 8)
 	var finishedAt float64 = -1
-	x := NewExecution(e, p, 2, func() { finishedAt = e.Now() })
-	e.At(10, func() { x.Pause() })
-	e.At(20, func() { x.Pause() })
-	e.At(30, func() { x.Resume() }) // still paused
-	e.At(50, func() { x.Resume() }) // now resumes
+	x := new(Execution)
+	x.Start(e, p, 2, func() { finishedAt = e.Now() })
+	e.RunUntil(10)
+	x.Pause()
+	e.RunUntil(20)
+	x.Pause()
+	e.RunUntil(30)
+	x.Resume() // still paused
+	e.RunUntil(50)
+	x.Resume() // now resumes
 	e.Run()
 	if math.Abs(finishedAt-140) > 1e-6 {
 		t.Fatalf("finished at %g, want 140", finishedAt)
@@ -112,7 +126,8 @@ func TestNestedPause(t *testing.T) {
 
 func TestResumeWithoutPausePanics(t *testing.T) {
 	e := sim.New()
-	x := NewExecution(e, GadgetProfile(), 2, nil)
+	x := new(Execution)
+	x.Start(e, GadgetProfile(), 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("Resume without Pause did not panic")
@@ -121,23 +136,10 @@ func TestResumeWithoutPausePanics(t *testing.T) {
 	x.Resume()
 }
 
-func TestAbortStopsWithoutFinish(t *testing.T) {
-	e := sim.New()
-	finished := false
-	x := NewExecution(e, GadgetProfile(), 2, func() { finished = true })
-	e.At(100, func() { x.Abort() })
-	e.Run()
-	if finished {
-		t.Fatal("onFinish fired after Abort")
-	}
-	if !x.Done() {
-		t.Fatal("aborted execution should be done")
-	}
-}
-
 func TestSetProcsOutOfRangePanics(t *testing.T) {
 	e := sim.New()
-	x := NewExecution(e, FTProfile(), 2, nil)
+	x := new(Execution)
+	x.Start(e, FTProfile(), 2, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range SetProcs did not panic")
@@ -153,14 +155,16 @@ func TestStartOutOfRangePanics(t *testing.T) {
 			t.Error("out-of-range start did not panic")
 		}
 	}()
-	NewExecution(e, FTProfile(), 1, nil)
+	new(Execution).Start(e, FTProfile(), 1, nil)
 }
 
 func TestHistoryRecordsSteps(t *testing.T) {
 	e := sim.New()
 	g := GadgetProfile()
-	x := NewExecution(e, g, 2, nil)
-	e.At(100, func() { x.SetProcs(10) })
+	x := new(Execution)
+	x.Start(e, g, 2, nil)
+	e.RunUntil(100)
+	x.SetProcs(10)
 	e.Run()
 	times, procs := x.History()
 	if len(times) != 3 { // start, resize, finish(0)
@@ -188,17 +192,15 @@ func TestPropertyWorkConservation(t *testing.T) {
 	f := func(resizes []uint8) bool {
 		e := sim.New()
 		var finishedAt float64 = -1
-		x := NewExecution(e, g, 2, func() { finishedAt = e.Now() })
+		x := new(Execution)
+		x.Start(e, g, 2, func() { finishedAt = e.Now() })
 		tm := 0.0
 		for _, r := range resizes {
 			tm += float64(r%50) + 1
-			at := tm
-			p := 2 + int(r)%(g.Max-1)
-			e.At(at, func() {
-				if !x.Done() {
-					x.SetProcs(p)
-				}
-			})
+			e.RunUntil(tm)
+			if !x.Done() {
+				x.SetProcs(2 + int(r)%(g.Max-1))
+			}
 		}
 		e.Run()
 		if finishedAt < 0 {

@@ -12,7 +12,6 @@ package app
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -80,58 +79,6 @@ func (m *TableModel) Time(p int) float64 {
 	lo, hi := pts[i-1], pts[i]
 	frac := float64(p-lo.Procs) / float64(hi.Procs-lo.Procs)
 	return lo.Time + frac*(hi.Time-lo.Time)
-}
-
-// AmdahlModel is the classic T(p) = T1·(f + (1-f)/p) law with serial
-// fraction f. Used by ablation benches and property tests as a smooth,
-// monotone reference curve.
-type AmdahlModel struct {
-	T1         float64 // single-processor time
-	SerialFrac float64 // f in [0,1]
-}
-
-// Name implements RuntimeModel.
-func (m AmdahlModel) Name() string { return fmt.Sprintf("amdahl(f=%.2f)", m.SerialFrac) }
-
-// Time implements RuntimeModel.
-func (m AmdahlModel) Time(p int) float64 {
-	if p < 1 {
-		panic(fmt.Sprintf("app: Time(%d) with p < 1", p))
-	}
-	return m.T1 * (m.SerialFrac + (1-m.SerialFrac)/float64(p))
-}
-
-// CommOverheadModel is T(p) = W/p + C·log2(p) + B: perfect work splitting
-// plus a logarithmic communication term. It has a true optimum processor
-// count, matching applications whose maximum useful size is below the
-// paper's chosen maximum job sizes (§VI-C discussion).
-type CommOverheadModel struct {
-	W float64 // total sequential work (seconds at p=1, minus overheads)
-	C float64 // per-doubling communication cost
-	B float64 // fixed startup cost
-}
-
-// Name implements RuntimeModel.
-func (m CommOverheadModel) Name() string { return "comm-overhead" }
-
-// Time implements RuntimeModel.
-func (m CommOverheadModel) Time(p int) float64 {
-	if p < 1 {
-		panic(fmt.Sprintf("app: Time(%d) with p < 1", p))
-	}
-	return m.W/float64(p) + m.C*math.Log2(float64(p)) + m.B
-}
-
-// BestProcs returns the processor count in [1, maxP] minimising m.Time —
-// the "size that gives the best execution time" of §VI-C.
-func BestProcs(m RuntimeModel, maxP int) int {
-	best, bestT := 1, m.Time(1)
-	for p := 2; p <= maxP; p++ {
-		if t := m.Time(p); t < bestT {
-			best, bestT = p, t
-		}
-	}
-	return best
 }
 
 // FTModel returns the NPB FT scaling curve digitised from Fig. 6: about two

@@ -57,35 +57,6 @@ func TestTableModelUnsortedInput(t *testing.T) {
 	}
 }
 
-func TestAmdahlModel(t *testing.T) {
-	m := AmdahlModel{T1: 100, SerialFrac: 0.1}
-	if got := m.Time(1); got != 100 {
-		t.Fatalf("Time(1) = %g", got)
-	}
-	// f + (1-f)/p = 0.1 + 0.9/10 = 0.19
-	if got := m.Time(10); math.Abs(got-19) > 1e-9 {
-		t.Fatalf("Time(10) = %g, want 19", got)
-	}
-	if m.Name() == "" {
-		t.Fatal("Name empty")
-	}
-}
-
-func TestCommOverheadModelHasOptimum(t *testing.T) {
-	m := CommOverheadModel{W: 1000, C: 20, B: 5}
-	best := BestProcs(m, 256)
-	if best <= 1 || best >= 256 {
-		t.Fatalf("optimum %d should be interior", best)
-	}
-	// The curve must rise past the optimum.
-	if m.Time(256) <= m.Time(best) {
-		t.Fatal("no degradation beyond optimum")
-	}
-	if m.Name() == "" {
-		t.Fatal("Name empty")
-	}
-}
-
 // Fig. 6 anchors: FT ≈ 2 min at 2 procs, best ≈ 1 min; GADGET ≈ 10 min at 2
 // procs, best ≈ 4 min.
 func TestFig6Anchors(t *testing.T) {
@@ -93,14 +64,14 @@ func TestFig6Anchors(t *testing.T) {
 	if got := ft.Time(2); got != 120 {
 		t.Fatalf("FT T(2) = %g, want 120", got)
 	}
-	if best := BestProcs(ft, 32); ft.Time(best) != 60 {
+	if best := bestProcs(ft, 32); ft.Time(best) != 60 {
 		t.Fatalf("FT best = %g at %d, want 60", ft.Time(best), best)
 	}
 	g := GadgetModel()
 	if got := g.Time(2); got != 600 {
 		t.Fatalf("GADGET T(2) = %g, want 600", got)
 	}
-	if best := BestProcs(g, 46); g.Time(best) != 240 {
+	if best := bestProcs(g, 46); g.Time(best) != 240 {
 		t.Fatalf("GADGET best = %g at %d, want 240", g.Time(best), best)
 	}
 }
@@ -109,8 +80,8 @@ func TestFig6Anchors(t *testing.T) {
 // with minimum execution time.
 func TestMaxSizesExceedBestSizes(t *testing.T) {
 	ft := FTProfile()
-	if best := BestProcs(ft.Model, ft.Max); best > ft.Max {
-		t.Fatalf("FT best %d beyond max %d", best, ft.Max)
+	if best := bestProcs(ft.Model, ft.Max); best >= ft.Max {
+		t.Fatalf("FT best %d not below max %d", best, ft.Max)
 	}
 	if ft.Model.Time(ft.Max) <= ft.Model.Time(16) {
 		t.Fatal("FT should degrade slightly beyond 16")
@@ -130,9 +101,14 @@ func TestPropertyTableModelBounded(t *testing.T) {
 	}
 }
 
-func TestBestProcsOnMonotoneCurve(t *testing.T) {
-	m := AmdahlModel{T1: 100, SerialFrac: 0}
-	if best := BestProcs(m, 32); best != 32 {
-		t.Fatalf("best = %d, want 32 for perfectly scalable app", best)
+// bestProcs is the processor count in [1, maxP] minimising m.Time: the
+// "size that gives the best execution time" of §VI-C.
+func bestProcs(m RuntimeModel, maxP int) int {
+	best := 1
+	for p := 2; p <= maxP; p++ {
+		if m.Time(p) < m.Time(best) {
+			best = p
+		}
 	}
+	return best
 }

@@ -171,9 +171,3 @@ func GadgetProfile() *Profile {
 func RigidProfile(name string, model RuntimeModel, size int) *Profile {
 	return &Profile{Name: name, Class: Rigid, Model: model, Min: size, Max: size}
 }
-
-// MoldableProfile returns a moldable variant: the scheduler may pick any
-// start size in [min,max] but the size is then frozen.
-func MoldableProfile(name string, model RuntimeModel, min, max int) *Profile {
-	return &Profile{Name: name, Class: Moldable, Model: model, Min: min, Max: max}
-}

@@ -103,9 +103,9 @@ func TestRigidAndMoldableProfiles(t *testing.T) {
 	if got := r.AcceptShrink(2, 1); got != 0 {
 		t.Fatal("rigid job should never shrink")
 	}
-	m := MoldableProfile("m", GadgetModel(), 2, 16)
-	if m.Class != Moldable || m.Min != 2 || m.Max != 16 {
-		t.Fatalf("moldable profile: %+v", m)
+	m := &Profile{Name: "m", Class: Moldable, Model: GadgetModel(), Min: 2, Max: 16}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("moldable profile: %v", err)
 	}
 }
 

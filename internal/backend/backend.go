@@ -1,9 +1,9 @@
-// Package backend is the execution substrate behind the streaming
-// sweep driver and koalad: a Backend turns one experiment point (a
+// Package backend is the execution substrate behind koalad and
+// koalasim's -workers mode: a Backend turns one experiment point (a
 // config's full set of seeded replications) into its streaming result.
-// experiment.RunSetStreamVia and the koalad dispatcher are policy —
-// what to run, in what order, what to do with the result; a Backend is
-// mechanism — where the simulations actually execute.
+// The koalad dispatcher is policy — what to run, in what order, what to
+// do with the result; a Backend is mechanism — where the simulations
+// actually execute.
 //
 // Two backends ship:
 //

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -19,6 +21,29 @@ import (
 	"repro/internal/server"
 	"repro/internal/workload"
 )
+
+// runPoints dispatches every combo point of a PRA sweep through b at
+// once, as koalad's dispatcher does, and returns the results in combo
+// order.
+func runPoints(t *testing.T, b backend.Backend, combos []experiment.Combo, base experiment.Config) []*experiment.StreamResult {
+	t.Helper()
+	cfgs := experiment.ComboConfigs("PRA", combos, base)
+	out := make([]*experiment.StreamResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = b.RunPoint(context.Background(), cfg, experiment.StreamHooks{})
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 // testLogger routes a backend's structured log lines into the test log.
 func testLogger(t *testing.T) *slog.Logger {
@@ -171,7 +196,7 @@ func TestRemoteSingleWorkerByteIdentical(t *testing.T) {
 	}
 	// The remote result exposes the same accessors the local one does.
 	if remote.Jobs() != local.Jobs() || remote.MeanExecution() != local.MeanExecution() ||
-		remote.MeanResponse() != local.MeanResponse() || remote.Malleable() != local.Malleable() {
+		remote.MeanResponse() != local.MeanResponse() || remote.Summary().Malleable != local.Summary().Malleable {
 		t.Fatal("remote result accessors diverge from local")
 	}
 	rb.RefreshHealth(context.Background())
@@ -382,10 +407,7 @@ func TestRemoteSweepWithFailoverRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := experiment.RunSetStreamVia(context.Background(), rb, "PRA", combos, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := runPoints(t, rb, combos, base)
 	if len(sharded) != len(serial) {
 		t.Fatalf("results = %d, want %d", len(sharded), len(serial))
 	}

@@ -536,10 +536,7 @@ func TestSweepFaultScheduleEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := experiment.RunSetStreamVia(context.Background(), rb, "PRA", combos, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	faulted := runPoints(t, rb, combos, base)
 	if len(faulted) != len(serial) {
 		t.Fatalf("results = %d, want %d", len(faulted), len(serial))
 	}

@@ -146,19 +146,17 @@ func TestPropertyAccountingInvariant(t *testing.T) {
 }
 
 func TestMulticlusterTotals(t *testing.T) {
-	m := NewMulticluster(New("a", 10), New("b", 20))
-	if m.TotalNodes() != 30 || m.TotalIdle() != 30 {
-		t.Fatalf("totals wrong: %d/%d", m.TotalNodes(), m.TotalIdle())
+	a, b := New("a", 10), New("b", 20)
+	m := NewMulticluster(a, b)
+	if m.TotalNodes() != 30 || m.TotalUsed() != 0 {
+		t.Fatalf("totals wrong: %d/%d", m.TotalNodes(), m.TotalUsed())
 	}
-	m.Get("a").Allocate(4)
-	m.Get("b").SeizeBackground(5)
-	if m.TotalUsed() != 4 || m.TotalBackground() != 5 || m.TotalIdle() != 21 {
-		t.Fatalf("totals: used=%d bg=%d idle=%d", m.TotalUsed(), m.TotalBackground(), m.TotalIdle())
+	a.Allocate(4)
+	b.SeizeBackground(5)
+	if m.TotalUsed() != 4 || b.Background() != 5 || a.Idle()+b.Idle() != 21 {
+		t.Fatalf("totals: used=%d bg=%d idle=%d", m.TotalUsed(), b.Background(), a.Idle()+b.Idle())
 	}
-	m.Get("a").Free(4)
-	if m.Get("missing") != nil {
-		t.Fatal("Get of missing cluster should be nil")
-	}
+	a.Free(4)
 	if m.String() == "" {
 		t.Fatal("String should render")
 	}
@@ -179,13 +177,9 @@ func TestDAS3MatchesTableI(t *testing.T) {
 	if len(m.Clusters()) != 5 {
 		t.Fatalf("DAS3 has %d clusters, want 5", len(m.Clusters()))
 	}
-	for name, nodes := range want {
-		c := m.Get(name)
-		if c == nil {
-			t.Fatalf("missing cluster %s", name)
-		}
-		if c.Nodes() != nodes {
-			t.Errorf("%s has %d nodes, want %d", name, c.Nodes(), nodes)
+	for _, c := range m.Clusters() {
+		if nodes, ok := want[c.Name()]; !ok || c.Nodes() != nodes {
+			t.Errorf("%s has %d nodes, want %d", c.Name(), c.Nodes(), nodes)
 		}
 	}
 	if m.TotalNodes() != 272 {

@@ -31,16 +31,6 @@ func NewMulticluster(clusters ...*Cluster) *Multicluster {
 // must not be modified.
 func (m *Multicluster) Clusters() []*Cluster { return m.clusters }
 
-// Get returns the cluster with the given name, or nil.
-func (m *Multicluster) Get(name string) *Cluster {
-	for _, c := range m.clusters {
-		if c.Name() == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // TotalNodes returns the node count across all clusters.
 func (m *Multicluster) TotalNodes() int {
 	total := 0
@@ -55,24 +45,6 @@ func (m *Multicluster) TotalUsed() int {
 	total := 0
 	for _, c := range m.clusters {
 		total += c.Used()
-	}
-	return total
-}
-
-// TotalBackground returns the background-held node count across clusters.
-func (m *Multicluster) TotalBackground() int {
-	total := 0
-	for _, c := range m.clusters {
-		total += c.Background()
-	}
-	return total
-}
-
-// TotalIdle returns the idle node count across all clusters.
-func (m *Multicluster) TotalIdle() int {
-	total := 0
-	for _, c := range m.clusters {
-		total += c.Idle()
 	}
 	return total
 }

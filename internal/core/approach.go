@@ -83,23 +83,6 @@ func (PWA) OnPlacementBlocked(m *Manager, j *koala.Job) bool {
 	return ok
 }
 
-// Manual is a degenerate approach for studies of application-initiated
-// malleability (§II-C): the manager never grows or shrinks jobs on its own —
-// it only serves the placement queue and answers AppGrowRequest calls.
-type Manual struct{}
-
-// Name implements Approach.
-func (Manual) Name() string { return "MANUAL" }
-
-// OnPoll implements Approach.
-func (Manual) OnPoll(m *Manager, _ koala.Snapshot) { m.sched.ScanQueue() }
-
-// OnProcessorsAvailable implements Approach.
-func (Manual) OnProcessorsAvailable(m *Manager) { m.sched.ScanQueue() }
-
-// OnPlacementBlocked implements Approach.
-func (Manual) OnPlacementBlocked(*Manager, *koala.Job) bool { return false }
-
 // ApproachByName returns the approach registered under name.
 func ApproachByName(name string) (Approach, bool) {
 	switch name {
@@ -109,8 +92,6 @@ func ApproachByName(name string) (Approach, bool) {
 		return PWA{}, true
 	case "PWAV", "pwav":
 		return PWAVoluntary{}, true
-	case "MANUAL", "manual":
-		return Manual{}, true
 	default:
 		return nil, false
 	}

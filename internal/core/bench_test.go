@@ -32,10 +32,10 @@ func BenchmarkGrowShrinkRound(b *testing.B) {
 				PollInterval:  1e12, // no polls: the benchmark drives the rounds
 				MRunnerConfig: runner.MRunnerConfig{AcquireTimeout: 60},
 			},
-			Manager: ManagerConfig{Policy: EGS{}, Approach: Manual{}},
+			Manager: ManagerConfig{Policy: EGS{}, Approach: passive{}},
 		})
 		for k := 0; k < jobs; k++ {
-			if _, err := sys.SubmitMalleable(fmt.Sprint("j", k), forever, size); err != nil {
+			if _, err := sys.Scheduler.Submit(malleableSpec(fmt.Sprint("j", k), forever, size)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -65,7 +65,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			sys.Engine.At(wl.Duration()+1000, bg.Stop)
+			sys.Engine.AtOp(wl.Duration()+1000, bg, 0)
 		}
 
 		horizon := wl.Duration() + 30000
@@ -80,7 +80,7 @@ func TestPropertySystemInvariants(t *testing.T) {
 			for _, site := range sys.Sites {
 				i, inflight := site.Index(), 0
 				for _, j := range sys.Scheduler.RunningMalleableJobsAt(i) {
-					if j.PlannedProcs() < j.MinProcs() || j.PlannedProcs() > j.MaxProcs() {
+					if j.PlannedProcs() < j.MinProcs() || j.PlannedProcs() > j.Spec.Profile.Max {
 						ok = false
 					}
 					inflight += max(j.PlannedProcs()-j.HeldProcs(), 0)

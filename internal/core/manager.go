@@ -32,9 +32,8 @@ type Manager struct {
 	sched  *koala.Scheduler
 	cfg    ManagerConfig
 
-	growMsgs    *stats.Counter // grow messages over time (Fig. 7f)
-	shrinkMsgs  *stats.Counter // shrink messages over time (Fig. 8f)
-	appGrowMsgs uint64
+	growMsgs   *stats.Counter // grow messages over time (Fig. 7f)
+	shrinkMsgs *stats.Counter // shrink messages over time (Fig. 8f)
 
 	// prevAvail remembers the last observed growth headroom per site (by
 	// dense site index), with prevSeen marking sites observed at least
@@ -68,12 +67,6 @@ func NewManager(engine *sim.Engine, sched *koala.Scheduler, cfg ManagerConfig) *
 	sched.SetHooks(m)
 	return m
 }
-
-// Policy returns the configured malleability management policy.
-func (m *Manager) Policy() Policy { return m.cfg.Policy }
-
-// Approach returns the configured job management approach.
-func (m *Manager) Approach() Approach { return m.cfg.Approach }
 
 // GrowOps returns the cumulative count of grow operations (Fig. 7f).
 func (m *Manager) GrowOps() *stats.Counter { return m.growMsgs }

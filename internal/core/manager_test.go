@@ -23,9 +23,26 @@ func managedSystem(nodes int, mgr ManagerConfig) *System {
 	})
 }
 
+func malleableSpec(id string, p *app.Profile, initial int) koala.JobSpec {
+	return koala.JobSpec{ID: id, Profile: p, Size: initial}
+}
+
+func rigidSpec(id string, model app.RuntimeModel, size int) koala.JobSpec {
+	return koala.JobSpec{ID: id, Profile: app.RigidProfile(id, model, size), Size: size}
+}
+
+// passive never grows or shrinks jobs on its own: it only serves the
+// placement queue, so a test or benchmark drives every policy round.
+type passive struct{}
+
+func (passive) Name() string                                 { return "passive" }
+func (passive) OnPoll(m *Manager, _ koala.Snapshot)          { m.sched.ScanQueue() }
+func (passive) OnProcessorsAvailable(m *Manager)             { m.sched.ScanQueue() }
+func (passive) OnPlacementBlocked(*Manager, *koala.Job) bool { return false }
+
 func TestPRAGrowsRunningJobOnPoll(t *testing.T) {
 	sys := managedSystem(64, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	j, err := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+	j, err := sys.Scheduler.Submit(malleableSpec("g", app.GadgetProfile(), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +58,13 @@ func TestPRAGrowsRunningJobOnPoll(t *testing.T) {
 
 func TestPRANeverShrinks(t *testing.T) {
 	sys := managedSystem(8, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	long, _ := sys.SubmitMalleable("long", app.GadgetProfile(), 2)
+	long, _ := sys.Scheduler.Submit(malleableSpec("long", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(30) // long grows to 8 (cluster size)
 	if long.PlannedProcs() != 8 {
 		t.Fatalf("planned = %d, want 8", long.PlannedProcs())
 	}
 	// A waiting job cannot trigger shrinks under PRA.
-	blocked, _ := sys.SubmitMalleable("blocked", app.GadgetProfile(), 2)
+	blocked, _ := sys.Scheduler.Submit(malleableSpec("blocked", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(120)
 	if blocked.State() != koala.Waiting {
 		t.Fatalf("blocked state = %v (PRA must not shrink for it)", blocked.State())
@@ -61,9 +78,9 @@ func TestPRANeverShrinks(t *testing.T) {
 func TestPRAPlacesWaitingJobsWithLeftovers(t *testing.T) {
 	// Jobs at their max leave room: waiting jobs then get placed.
 	sys := managedSystem(64, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	a, _ := sys.SubmitMalleable("a", app.GadgetProfile(), 2) // max 46
+	a, _ := sys.Scheduler.Submit(malleableSpec("a", app.GadgetProfile(), 2)) // max 46
 	sys.Engine.RunUntil(30)
-	b, _ := sys.SubmitMalleable("b", app.GadgetProfile(), 2)
+	b, _ := sys.Scheduler.Submit(malleableSpec("b", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(60)
 	if a.PlannedProcs() != 46 {
 		t.Fatalf("a planned = %d", a.PlannedProcs())
@@ -76,16 +93,16 @@ func TestPRAPlacesWaitingJobsWithLeftovers(t *testing.T) {
 
 func TestPWAShrinksForWaitingJob(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PWA{}})
-	long, _ := sys.SubmitMalleable("long", app.GadgetProfile(), 2)
+	long, _ := sys.Scheduler.Submit(malleableSpec("long", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(30) // long grows to 46 under PWA (queue empty)
 	if long.PlannedProcs() != 46 {
 		t.Fatalf("long planned = %d, want 46", long.PlannedProcs())
 	}
 	// New job arrives; cluster has 2 idle; needs 2 → fits. Fill the idle
 	// first with a rigid job so the queue actually blocks.
-	sys.SubmitRigid("filler", app.GadgetModel(), 2)
+	sys.Scheduler.Submit(rigidSpec("filler", app.GadgetModel(), 2))
 	sys.Engine.RunUntil(40)
-	waiting, _ := sys.SubmitMalleable("waiting", app.GadgetProfile(), 2)
+	waiting, _ := sys.Scheduler.Submit(malleableSpec("waiting", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(120)
 	if waiting.State() != koala.Running {
 		t.Fatalf("waiting state = %v (PWA should shrink to place it)", waiting.State())
@@ -103,9 +120,9 @@ func TestPWAGrowsWhenShrinkImpossible(t *testing.T) {
 	// Big rigid job that cannot fit even with all malleables at minimum:
 	// PWA must grow the running jobs instead.
 	sys := managedSystem(16, ManagerConfig{Policy: FPSMA{}, Approach: PWA{}})
-	m, _ := sys.SubmitMalleable("m", app.GadgetProfile(), 2)
+	m, _ := sys.Scheduler.Submit(malleableSpec("m", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(10)
-	big, _ := sys.SubmitRigid("big", app.GadgetModel(), 16) // needs whole cluster
+	big, _ := sys.Scheduler.Submit(rigidSpec("big", app.GadgetModel(), 16)) // needs whole cluster
 	sys.Engine.RunUntil(60)
 	if big.State() != koala.Waiting {
 		t.Fatalf("big state = %v", big.State())
@@ -118,7 +135,7 @@ func TestPWAGrowsWhenShrinkImpossible(t *testing.T) {
 
 func TestGrowthReserveKeepsNodesForLocalUsers(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}, GrowthReserve: 10})
-	j, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+	j, _ := sys.Scheduler.Submit(malleableSpec("g", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(60)
 	// 48 nodes, reserve 10 → at most 38 for the job.
 	if j.PlannedProcs() > 38 {
@@ -132,10 +149,10 @@ func TestGrowthReserveKeepsNodesForLocalUsers(t *testing.T) {
 
 func TestManagerSeesBackgroundLoadViaPolling(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	clus := sys.Grid.Get("A")
+	clus := sys.Grid.Clusters()[0]
 	// Local users grab 30 nodes before the job arrives.
 	clus.SeizeBackground(30)
-	j, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+	j, _ := sys.Scheduler.Submit(malleableSpec("g", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(30)
 	if j.PlannedProcs() != 18 {
 		t.Fatalf("planned = %d, want 18 (48-30)", j.PlannedProcs())
@@ -153,33 +170,37 @@ func TestManagerDoesNotOvercommitDuringAcquisition(t *testing.T) {
 	// Two polls in quick succession must not hand out the same idle
 	// processors twice while the first grant's stubs are still in flight.
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	j, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+	j, _ := sys.Scheduler.Submit(malleableSpec("g", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(300)
 	if j.PlannedProcs() != 46 {
 		t.Fatalf("planned = %d", j.PlannedProcs())
 	}
 	// Planned never exceeded max and cluster never over-allocated:
-	if used := sys.Grid.Get("A").Used(); used > 48 || used < 0 {
+	if used := sys.Grid.Clusters()[0].Used(); used > 48 || used < 0 {
 		t.Fatalf("used = %d", used)
 	}
 	sys.Scheduler.Stop()
 }
 
 func TestApproachByNameAndDefaults(t *testing.T) {
-	for _, name := range []string{"PRA", "PWA", "PWAV", "MANUAL", "pra", "pwa", "pwav", "manual"} {
+	for _, name := range []string{"PRA", "PWA", "PWAV", "pra", "pwa", "pwav"} {
 		if a, ok := ApproachByName(name); !ok || a == nil {
 			t.Errorf("ApproachByName(%q) failed", name)
 		}
 	}
-	if _, ok := ApproachByName("x"); ok {
-		t.Fatal("unknown approach should fail")
+	// No input selects a manager that leaves malleability to the
+	// applications: MANUAL is not an approach.
+	for _, name := range []string{"x", "MANUAL", "manual"} {
+		if _, ok := ApproachByName(name); ok {
+			t.Errorf("ApproachByName(%q) succeeded, want unknown", name)
+		}
 	}
 	if (PRA{}).Name() != "PRA" || (PWA{}).Name() != "PWA" {
 		t.Fatal("approach names")
 	}
 	// A zero ManagerConfig is FPSMA under PRA.
 	sys := managedSystem(8, ManagerConfig{})
-	if p, a := sys.Manager.Policy().Name(), sys.Manager.Approach().Name(); p != "FPSMA" || a != "PRA" {
+	if p, a := sys.Manager.cfg.Policy.Name(), sys.Manager.cfg.Approach.Name(); p != "FPSMA" || a != "PRA" {
 		t.Fatalf("zero ManagerConfig runs %s under %s, want FPSMA under PRA", p, a)
 	}
 	sys.Scheduler.Stop()
@@ -196,8 +217,8 @@ func TestNegativeReservePanics(t *testing.T) {
 
 func TestSystemRunUntilDone(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: EGS{}, Approach: PRA{}})
-	sys.SubmitMalleable("a", app.FTProfile(), 2)
-	sys.SubmitMalleable("b", app.FTProfile(), 2)
+	sys.Scheduler.Submit(malleableSpec("a", app.FTProfile(), 2))
+	sys.Scheduler.Submit(malleableSpec("b", app.FTProfile(), 2))
 	if err := sys.RunUntilDone(10000, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +233,13 @@ func TestSystemRunUntilDone(t *testing.T) {
 // the clock past its horizon: a job still running there is reported, not
 // finished by a check window that overshoots.
 func TestRunUntilDoneStopsAtHorizon(t *testing.T) {
-	sys := NewSystem(SystemConfig{Grid: cluster.NewMulticluster(cluster.New("A", 8))})
+	sys := NewSystem(SystemConfig{
+		Grid:      cluster.NewMulticluster(cluster.New("A", 8)),
+		Gram:      gram.DefaultConfig(),
+		Scheduler: koala.Config{Policy: koala.WorstFit{}, PollInterval: 15},
+	})
 	flat := app.NewTableModel("flat", []app.TablePoint{{Procs: 1, Time: 100}})
-	j, err := sys.SubmitRigid("r", flat, 1)
+	j, err := sys.Scheduler.Submit(rigidSpec("r", flat, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,32 +261,18 @@ func TestRunUntilDoneStopsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestSystemDefaultsToDAS3(t *testing.T) {
-	sys := NewSystem(SystemConfig{})
-	if sys.Grid.TotalNodes() != 272 {
-		t.Fatalf("default grid = %d nodes, want DAS-3's 272", sys.Grid.TotalNodes())
-	}
-	if sys.Manager == nil {
-		t.Fatal("manager should be installed by default")
-	}
-	if len(sys.Sites) != 5 {
-		t.Fatalf("sites = %d", len(sys.Sites))
-	}
-	sys.Scheduler.Stop()
-}
-
 // TestEquipartitionGrowRoundCountsItsShrinks pins that a grow round
 // records every message its policy sends: Equipartition shrinks the jobs
 // above the fair share before it grows the rest, and those shrinks count
 // in ShrinkOps like a shrink round's.
 func TestEquipartitionGrowRoundCountsItsShrinks(t *testing.T) {
-	sys := managedSystem(48, ManagerConfig{Policy: Equipartition{}, Approach: Manual{}})
-	a, _ := sys.SubmitMalleable("a", app.GadgetProfile(), 2)
+	sys := managedSystem(48, ManagerConfig{Policy: Equipartition{}, Approach: passive{}})
+	a, _ := sys.Scheduler.Submit(malleableSpec("a", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(3)
 	if got := a.RequestGrow(20); got != 20 {
 		t.Fatalf("a accepted %d, want 20", got)
 	}
-	b, _ := sys.SubmitMalleable("b", app.GadgetProfile(), 2)
+	b, _ := sys.Scheduler.Submit(malleableSpec("b", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(10)
 	if b.State() != koala.Running {
 		t.Fatalf("b = %v, want running", b.State())

@@ -26,15 +26,12 @@ func fixture(t *testing.T, nodes, n int) (*System, []*koala.Job) {
 	})
 	var jobs []*koala.Job
 	for i := 0; i < n; i++ {
-		at := float64(i * 10) // staggered start times
-		id := string(rune('a' + i))
-		sys.Engine.At(at, func() {
-			j, err := sys.SubmitMalleable(id, app.GadgetProfile(), 2)
-			if err != nil {
-				t.Error(err)
-			}
-			jobs = append(jobs, j)
-		})
+		sys.Engine.RunUntil(float64(i * 10)) // staggered start times
+		j, err := sys.Scheduler.Submit(malleableSpec(string(rune('a'+i)), app.GadgetProfile(), 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
 	}
 	sys.Engine.RunUntil(float64(n*10) + 5)
 	for _, j := range jobs {
@@ -184,8 +181,8 @@ func TestEGSRespectsFTPowerOfTwo(t *testing.T) {
 		Scheduler:      koala.Config{Policy: koala.WorstFit{}, PollInterval: 1e9, MRunnerConfig: runner.MRunnerConfig{Costs: app.ReconfigCosts{}}},
 		DisableManager: true,
 	})
-	j1, _ := sys.SubmitMalleable("ft1", app.FTProfile(), 2)
-	j2, _ := sys.SubmitMalleable("ft2", app.FTProfile(), 2)
+	j1, _ := sys.Scheduler.Submit(malleableSpec("ft1", app.FTProfile(), 2))
+	j2, _ := sys.Scheduler.Submit(malleableSpec("ft2", app.FTProfile(), 2))
 	sys.Engine.RunUntil(5)
 	jobs := []*koala.Job{j1, j2}
 	before := plannedTotal(jobs)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/app"
 	"repro/internal/cluster"
 	"repro/internal/gram"
 	"repro/internal/koala"
@@ -11,9 +10,10 @@ import (
 )
 
 // SystemConfig assembles a complete simulated multicluster with KOALA and
-// the malleability manager. Zero values fall back to the paper's setup:
-// the DAS-3 testbed, default GRAM latencies, Worst-Fit placement, FPSMA
-// under PRA.
+// the malleability manager. Grid and the scheduler's placement Policy are
+// required; every other field is used as given, so a zero Gram config
+// means zero GRAM latencies (experiment.Prepare resolves the paper's
+// defaults). A zero Manager config is FPSMA under PRA.
 type SystemConfig struct {
 	Grid      *cluster.Multicluster
 	Gram      gram.Config
@@ -35,15 +35,6 @@ type System struct {
 
 // NewSystem builds a system from the config.
 func NewSystem(cfg SystemConfig) *System {
-	if cfg.Grid == nil {
-		cfg.Grid = cluster.DAS3()
-	}
-	if cfg.Gram == (gram.Config{}) {
-		cfg.Gram = gram.DefaultConfig()
-	}
-	if cfg.Scheduler.Policy == nil {
-		cfg.Scheduler = koala.DefaultConfig()
-	}
 	engine := sim.New()
 	sites := koala.BuildSites(engine, cfg.Grid, cfg.Gram)
 	sched := koala.NewScheduler(engine, sites, cfg.Scheduler)
@@ -52,16 +43,6 @@ func NewSystem(cfg SystemConfig) *System {
 		sys.Manager = NewManager(engine, sched, cfg.Manager)
 	}
 	return sys
-}
-
-// SubmitMalleable submits a malleable job starting at initial processors.
-func (s *System) SubmitMalleable(id string, profile *app.Profile, initial int) (*koala.Job, error) {
-	return s.Scheduler.Submit(koala.JobSpec{ID: id, Profile: profile, Size: initial})
-}
-
-// SubmitRigid submits a rigid job of the given size running the model.
-func (s *System) SubmitRigid(id string, model app.RuntimeModel, size int) (*koala.Job, error) {
-	return s.Scheduler.Submit(koala.JobSpec{ID: id, Profile: app.RigidProfile(id+"-prof", model, size), Size: size})
 }
 
 // Teardown hands the memory of the system's replication-scoped objects
@@ -78,9 +59,6 @@ func (s *System) Teardown() {
 	}
 	s.Engine.Teardown()
 }
-
-// Run drives the simulation until the horizon (seconds of virtual time).
-func (s *System) Run(horizon float64) { s.Engine.RunUntil(horizon) }
 
 // RunUntilDone drives the simulation until no submission is left to come
 // and every submitted job reached a terminal state, checking every 60

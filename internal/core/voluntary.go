@@ -1,46 +1,10 @@
 package core
 
-import (
-	"slices"
+import "repro/internal/koala"
 
-	"repro/internal/koala"
-)
-
-// This file implements the §VIII extensions on the manager side:
-// application-initiated grow requests and an incentive-style PWA variant
-// that asks for voluntary shrinks before falling back to mandatory ones.
-
-// AppGrowRequest implements runner.AppGrowHandler: an application asks for
-// more processors (§II-C, initiative of change). The manager grants at most
-// the site's current growth headroom — accommodating application-initiated
-// grows never preempts other jobs (they are voluntary for the scheduler,
-// §VIII).
-func (m *Manager) AppGrowRequest(site string, amount int) int {
-	if amount <= 0 {
-		return 0
-	}
-	i := slices.IndexFunc(m.sched.Sites(), func(s *koala.Site) bool { return s.Name() == site })
-	if i < 0 {
-		return 0
-	}
-	avail := m.availableForGrowth(m.sched.KIS().Refresh(), i)
-	if avail <= 0 {
-		return 0
-	}
-	grant := amount
-	if grant > avail {
-		grant = avail
-	}
-	m.appGrowMsgs++
-	// Keep the edge trigger consistent: the grant consumes headroom.
-	m.prevAvail[i] = avail - grant
-	m.prevSeen[i] = true
-	return grant
-}
-
-// AppGrowRequests returns how many application-initiated grow requests the
-// manager granted (fully or partially).
-func (m *Manager) AppGrowRequests() uint64 { return m.appGrowMsgs }
+// This file implements the §VIII incentive-style PWA variant on the
+// manager side: it asks for voluntary shrinks before falling back to
+// mandatory ones.
 
 // voluntaryShrinkSiteAt asks the malleable jobs of site i *politely* for
 // need processors, latest-started first (the FPSMA shrink order), until

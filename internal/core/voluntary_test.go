@@ -7,56 +7,16 @@ import (
 	"repro/internal/koala"
 )
 
-func TestAppGrowRequestGrantedFromHeadroom(t *testing.T) {
-	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	j, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
-	sys.Engine.RunUntil(3) // before the first poll grows it
-	got := j.AppRequestGrow(10)
-	if got != 10 {
-		t.Fatalf("application obtained %d, want 10", got)
-	}
-	sys.Engine.RunUntil(60)
-	if j.CurrentProcs() < 12 {
-		t.Fatalf("procs = %d after app-initiated grow", j.CurrentProcs())
-	}
-	if sys.Manager.AppGrowRequests() != 1 {
-		t.Fatalf("app grow requests = %d", sys.Manager.AppGrowRequests())
-	}
-	sys.Scheduler.Stop()
-}
-
-func TestAppGrowRequestRespectsReserve(t *testing.T) {
-	sys := managedSystem(16, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}, GrowthReserve: 10})
-	j, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
-	sys.Engine.RunUntil(3)
-	// 16 nodes − 2 held − 10 reserve = 4 headroom.
-	if got := j.AppRequestGrow(10); got != 4 {
-		t.Fatalf("application obtained %d, want 4", got)
-	}
-	sys.Scheduler.Stop()
-}
-
-func TestAppGrowRequestUnknownSite(t *testing.T) {
-	sys := managedSystem(16, ManagerConfig{Policy: FPSMA{}, Approach: PRA{}})
-	if got := sys.Manager.AppGrowRequest("nowhere", 4); got != 0 {
-		t.Fatalf("granted %d for unknown site", got)
-	}
-	if got := sys.Manager.AppGrowRequest("A", 0); got != 0 {
-		t.Fatal("zero request should be declined")
-	}
-	sys.Scheduler.Stop()
-}
-
 func TestPWAVoluntaryPrefersPoliteShrinks(t *testing.T) {
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PWAVoluntary{}})
-	long, _ := sys.SubmitMalleable("long", app.GadgetProfile(), 2)
+	long, _ := sys.Scheduler.Submit(malleableSpec("long", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(30) // grows to 46; progress still < 50%
 	if long.PlannedProcs() != 46 {
 		t.Fatalf("long planned = %d", long.PlannedProcs())
 	}
-	sys.SubmitRigid("filler", app.GadgetModel(), 2)
+	sys.Scheduler.Submit(rigidSpec("filler", app.GadgetModel(), 2))
 	sys.Engine.RunUntil(40)
-	waiting, _ := sys.SubmitMalleable("waiting", app.GadgetProfile(), 2)
+	waiting, _ := sys.Scheduler.Submit(malleableSpec("waiting", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(160)
 	if waiting.State() != koala.Running {
 		t.Fatalf("waiting state = %v", waiting.State())
@@ -76,12 +36,12 @@ func TestPWAVoluntaryFallsBackToMandatory(t *testing.T) {
 	// The running job is past 50% progress, so it declines the polite
 	// request; the manager must reclaim mandatorily.
 	sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: PWAVoluntary{}})
-	long, _ := sys.SubmitMalleable("long", app.GadgetProfile(), 2)
+	long, _ := sys.Scheduler.Submit(malleableSpec("long", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(30)
-	sys.SubmitRigid("filler", app.GadgetModel(), 2)
+	sys.Scheduler.Submit(rigidSpec("filler", app.GadgetModel(), 2))
 	// Wait until the long job is past half of T(46)=240 s.
 	sys.Engine.RunUntil(200)
-	waiting, _ := sys.SubmitMalleable("waiting", app.GadgetProfile(), 2)
+	waiting, _ := sys.Scheduler.Submit(malleableSpec("waiting", app.GadgetProfile(), 2))
 	sys.Engine.RunUntil(400)
 	if waiting.State() != koala.Running && waiting.State() != koala.Finished {
 		t.Fatalf("waiting state = %v (mandatory fallback should place it)", waiting.State())
@@ -107,13 +67,13 @@ func TestPWAVCountsOneShrinkMessagePerJobAsked(t *testing.T) {
 	for _, apr := range []Approach{PWA{}, PWAVoluntary{}} {
 		t.Run(apr.Name(), func(t *testing.T) {
 			sys := managedSystem(48, ManagerConfig{Policy: FPSMA{}, Approach: apr})
-			ft, _ := sys.SubmitMalleable("ft", app.FTProfile(), 2)
-			g, _ := sys.SubmitMalleable("g", app.GadgetProfile(), 2)
+			ft, _ := sys.Scheduler.Submit(malleableSpec("ft", app.FTProfile(), 2))
+			g, _ := sys.Scheduler.Submit(malleableSpec("g", app.GadgetProfile(), 2))
 			sys.Engine.RunUntil(12) // the t=5 poll grows FT to 32, GADGET2 to 16
 			if ft.PlannedProcs() != 32 || g.PlannedProcs() != 16 {
 				t.Fatalf("before the rigid job: FT %d, GADGET2 %d; want 32 and 16", ft.PlannedProcs(), g.PlannedProcs())
 			}
-			sys.SubmitRigid("r", app.GadgetModel(), 2)
+			sys.Scheduler.Submit(rigidSpec("r", app.GadgetModel(), 2))
 			sys.Engine.RunUntil(20) // the t=15 poll shrinks for the blocked job
 			if ft.PlannedProcs() != 32 || g.PlannedProcs() != 14 {
 				t.Fatalf("after the shrink: FT %d, GADGET2 %d; want 32 and 14", ft.PlannedProcs(), g.PlannedProcs())

@@ -7,6 +7,11 @@ import (
 	"repro/internal/sim"
 )
 
+// handlerFunc adapts a closure to sim.Handler.
+type handlerFunc func()
+
+func (f handlerFunc) OnEvent(int) { f() }
+
 // fakeHandler records actions, completes them after fixed delays, and
 // records every finished adaptation.
 type fakeHandler struct {
@@ -24,17 +29,17 @@ func (h *fakeHandler) Acquire(n int) {
 	if h.heldOverride != nil {
 		held = h.heldOverride(n)
 	}
-	h.engine.After(h.acquireDelay, func() { h.fw.AcquireDone(held) })
+	h.engine.AfterOp(h.acquireDelay, handlerFunc(func() { h.fw.AcquireDone(held) }), 0)
 }
 
 func (h *fakeHandler) Recruit(n int) {
 	h.actions = append(h.actions, fmt.Sprintf("recruit %d", n))
-	h.engine.After(1, h.fw.StepDone)
+	h.engine.AfterOp(1, handlerFunc(h.fw.StepDone), 0)
 }
 
 func (h *fakeHandler) Release(n int) {
 	h.actions = append(h.actions, fmt.Sprintf("release %d", n))
-	h.engine.After(2, h.fw.StepDone)
+	h.engine.AfterOp(2, handlerFunc(h.fw.StepDone), 0)
 }
 
 func (h *fakeHandler) Done(ev Event, accepted int) {

@@ -11,7 +11,7 @@ import (
 // record and the mean utilisation over the makespan, the work a
 // streaming run does per replication once the simulation has ended.
 func BenchmarkSummarizeReplication(b *testing.B) {
-	r, err := RunOnce(Config{Workload: workload.Wm(1)}, 1)
+	r, err := runSeed(Config{Workload: workload.Wm(1)}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

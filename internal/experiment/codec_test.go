@@ -70,12 +70,39 @@ func TestConfigSpecInlineWorkloadAndGrid(t *testing.T) {
 		t.Fatal("no_background did not disable background load")
 	}
 	// The built config is directly runnable.
-	res, err := RunOnce(cfg, 1)
+	res, err := runSeed(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != 4 {
 		t.Fatalf("records = %d, want 4", len(res.Records))
+	}
+}
+
+// TestZeroGramOverrideRunsZeroLatencies pins that a "gram":{} override
+// runs the zero-latency GRAM model it asks for (and is fingerprinted as),
+// not the default one: on an idle grid every job starts the moment it is
+// submitted, where the default's 5 s submission latency delays each one.
+func TestZeroGramOverrideRunsZeroLatencies(t *testing.T) {
+	const tiny = `"workload":{"name":"tiny","jobs":4,"inter_arrival":30,"malleable_fraction":1,"initial_size":2,"rigid_size":2},` +
+		`"grid":{"clusters":[{"name":"A","nodes":48}]},"no_background":true`
+	for _, tc := range []struct {
+		gram string
+		wait float64
+	}{{"", 5}, {`,"gram":{}`, 0}} {
+		cfg, err := decodeSpec(t, "{"+tiny+tc.gram+"}").Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runSeed(cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Records {
+			if r.WaitTime != tc.wait {
+				t.Errorf("gram override %q: job %s waited %g s, want %g", tc.gram, r.ID, r.WaitTime, tc.wait)
+			}
+		}
 	}
 }
 
@@ -87,6 +114,7 @@ func TestConfigSpecValidation(t *testing.T) {
 		`{"workload":{"jobs":10,"inter_arrival":30,"initial_size":2,"rigid_size":2}}`,
 		`{"workload":{"preset":"Wm"},"policy":"NOPE"}`,
 		`{"workload":{"preset":"Wm"},"approach":"NOPE"}`,
+		`{"workload":{"preset":"Wm"},"approach":"MANUAL"}`,
 		`{"workload":{"preset":"Wm"},"placement":"NOPE"}`,
 		`{"workload":{"preset":"Wm"},"grid":{"clusters":[]}}`,
 		`{"workload":{"preset":"Wm"},"grid":{"clusters":[{"name":"A","nodes":0}]}}`,

@@ -185,18 +185,6 @@ type Result struct {
 	Pooled []metrics.JobRecord
 }
 
-// RunOnce executes one seeded run. It is Prepare followed by a single
-// Prepared.RunOnce — the batched path through Prepared is the same code,
-// so both modes produce byte-identical results for the same config and
-// seed.
-func RunOnce(cfg Config, seed uint64) (*RunResult, error) {
-	p, err := Prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunOnce(seed)
-}
-
 // Run executes cfg.Runs seeded runs and pools their records. The runs are
 // independent (run i is seeded Seed+i and builds its own engine), so they
 // execute on a bounded pool of cfg.Parallelism workers; the pooled

@@ -13,6 +13,16 @@ func smallGrid() *cluster.Multicluster {
 	return cluster.NewMulticluster(cluster.New("A", 48), cluster.New("B", 32))
 }
 
+// runSeed is one seeded replication of cfg: Prepare followed by a single
+// Prepared.RunOnce.
+func runSeed(cfg Config, seed uint64) (*RunResult, error) {
+	p, err := Prepare(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return p.RunOnce(seed)
+}
+
 // smallWorkload is a scaled-down Wm.
 func smallWorkload(name string, n int, inter float64, mall float64) func(uint64) workload.Spec {
 	return func(seed uint64) workload.Spec {
@@ -31,7 +41,7 @@ func TestRunOnceCompletesAllJobs(t *testing.T) {
 		Grid:     smallGrid,
 		Runs:     1,
 	}
-	res, err := RunOnce(cfg, 1)
+	res, err := runSeed(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +93,11 @@ func TestRunOnceDeterministic(t *testing.T) {
 		Approach: "PWA",
 		Grid:     smallGrid,
 	}
-	a, err := RunOnce(cfg, 9)
+	a, err := runSeed(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOnce(cfg, 9)
+	b, err := runSeed(cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestUnknownNamesFail(t *testing.T) {
 		{Workload: base.Workload, Grid: smallGrid, Placement: "NOPE"},
 	}
 	for i, cfg := range bad {
-		if _, err := RunOnce(cfg, 1); err == nil {
+		if _, err := runSeed(cfg, 1); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
@@ -199,7 +209,7 @@ func TestDisableMalleabilityBaseline(t *testing.T) {
 		Grid:                smallGrid,
 		DisableMalleability: true,
 	}
-	res, err := RunOnce(cfg, 1)
+	res, err := runSeed(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +232,7 @@ func TestBackgroundLoadIntegration(t *testing.T) {
 		Approach:   "PRA",
 		Background: &workload.BackgroundSpec{MeanInterArrival: 100, MeanDuration: 200, MaxNodes: 10},
 	}
-	res, err := RunOnce(cfg, 4)
+	res, err := runSeed(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +281,7 @@ func TestLocalUsersArriveUntilTheLastSubmission(t *testing.T) {
 	// Seeds whose second submission comes over 600 s after the nominal
 	// stop, when the local users of a stop there would be long gone.
 	for _, seed := range []uint64{6, 14, 23, 24} {
-		res, err := RunOnce(cfg, seed)
+		res, err := runSeed(cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +308,7 @@ func TestSubmissionErrorsEndTheRun(t *testing.T) {
 		Grid:         func() *cluster.Multicluster { return cluster.NewMulticluster(cluster.New("A", 4)) },
 		NoBackground: true,
 	}
-	_, err := RunOnce(cfg, 1)
+	_, err := runSeed(cfg, 1)
 	if err == nil || !strings.Contains(err.Error(), "2 submission errors") {
 		t.Fatalf("RunOnce error %v, want the 2 submission errors", err)
 	}

@@ -163,7 +163,7 @@ func RunSet(approach string, combos []Combo, base Config) (*Set, error) {
 // ComboConfigs expands an approach's combos into per-combo configs the
 // way RunSet does (PWA background preset, approach/policy/workload and
 // name filled in, defaults resolved). It is the shared front half of
-// RunSet and the streaming sweeps (RunSetStream, RunSetStreamVia).
+// RunSet and the streaming sweep RunSetStream.
 func ComboConfigs(approach string, combos []Combo, base Config) []Config {
 	if base.Background == nil && !base.NoBackground && approach == "PWA" {
 		// The PWA experiments ran under much heavier shared-testbed

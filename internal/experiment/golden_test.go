@@ -70,7 +70,7 @@ func goldenCombos() []Config {
 
 func goldenOf(t *testing.T, cfg Config) goldenRun {
 	t.Helper()
-	res, err := RunOnce(cfg, 42)
+	res, err := runSeed(cfg, 42)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.Name, err)
 	}

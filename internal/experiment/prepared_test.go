@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 
@@ -33,7 +32,7 @@ func TestPreparedBatchedMatchesSingleShot(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d (batched): %v", cfg.Name, seed, err)
 			}
-			single, err := RunOnce(cfg, seed)
+			single, err := runSeed(cfg, seed)
 			if err != nil {
 				t.Fatalf("%s seed %d (single): %v", cfg.Name, seed, err)
 			}
@@ -93,7 +92,7 @@ func TestPreparedReplicationsAllocateLess(t *testing.T) {
 	if _, err := prep.RunOnce(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOnce(cfg, 1); err != nil {
+	if _, err := runSeed(cfg, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +106,7 @@ func TestPreparedReplicationsAllocateLess(t *testing.T) {
 	seed = 0
 	single := testing.AllocsPerRun(5, func() {
 		seed++
-		if _, err := RunOnce(cfg, seed); err != nil {
+		if _, err := runSeed(cfg, seed); err != nil {
 			t.Error(err)
 		}
 	})
@@ -117,25 +116,16 @@ func TestPreparedReplicationsAllocateLess(t *testing.T) {
 	t.Logf("allocs/run: batched %.0f, single-shot %.0f", batched, single)
 }
 
-// noPoints is a PointRunner for sweeps that must fail before running.
-type noPoints struct{ t *testing.T }
-
-func (r noPoints) RunPoint(context.Context, Config, StreamHooks) (*StreamResult, error) {
-	r.t.Error("a sweep with a bad base config ran a point")
-	return nil, errors.New("unexpected point")
-}
-
 // TestPrepareRejectsNegativeFields pins the library front doors: Prepare
-// and the three sweep drivers reject every out-of-range field before
+// and the two sweep drivers reject every out-of-range field before
 // defaults could rewrite it (a negative poll interval used to run at the
 // default, negative runs ran four replications), with the message
 // koalad answers the same field with.
 func TestPrepareRejectsNegativeFields(t *testing.T) {
 	ctx := context.Background()
 	sweeps := map[string]func(Config) error{
-		"RunSet":          func(c Config) error { _, err := RunSet("PRA", PRACombos(), c); return err },
-		"RunSetStream":    func(c Config) error { _, err := RunSetStream(ctx, "PRA", PRACombos(), c); return err },
-		"RunSetStreamVia": func(c Config) error { _, err := RunSetStreamVia(ctx, noPoints{t}, "PRA", PRACombos(), c); return err },
+		"RunSet":       func(c Config) error { _, err := RunSet("PRA", PRACombos(), c); return err },
+		"RunSetStream": func(c Config) error { _, err := RunSetStream(ctx, "PRA", PRACombos(), c); return err },
 	}
 	cases := []struct {
 		wire string

@@ -57,7 +57,7 @@ func TestBatchResultHoldsOneCopyOfRecords(t *testing.T) {
 	}
 	checkOneCopy(t, "Run", res)
 	for i, run := range res.Runs {
-		single, err := RunOnce(cfg, cfg.Seed+uint64(i))
+		single, err := runSeed(cfg, cfg.Seed+uint64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,7 +102,7 @@ func TestStreamResultFromSummary(t *testing.T) {
 	}
 	sum := local.Summary()
 	remote := StreamResultFromSummary(cfg, sum)
-	if remote.Jobs() != local.Jobs() || remote.Malleable() != local.Malleable() ||
+	if remote.Jobs() != local.Jobs() || remote.Summary().Malleable != local.Summary().Malleable ||
 		remote.Rejected() != local.Rejected() ||
 		remote.MeanExecution() != local.MeanExecution() ||
 		remote.MeanResponse() != local.MeanResponse() ||

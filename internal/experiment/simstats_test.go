@@ -16,14 +16,14 @@ func TestRunOnceWithSimStats(t *testing.T) {
 	spec.Jobs = 30
 	base := Config{Name: "simstats", Workload: spec}
 
-	plain, err := RunOnce(base, 1)
+	plain, err := runSeed(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := base
 	cfg.SimStats = obs.NewSimStats()
-	observed, err := RunOnce(cfg, 1)
+	observed, err := runSeed(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,18 +99,6 @@ func RunStream(cfg Config) (*StreamResult, error) {
 	return RunStreamContext(context.Background(), cfg, StreamHooks{})
 }
 
-// PointRunner executes one experiment point — a config's full set of
-// seeded replications — and returns its streaming result. It is the
-// seam between the sweep driver (RunSetStreamVia) and the execution
-// substrate: internal/backend implements it in-process (backend.Local,
-// i.e. RunStreamContext) and over HTTP to worker daemons
-// (backend.Remote). Every implementation must be deterministic: the
-// result's Summary() encoding depends only on the config, never on
-// which substrate ran it.
-type PointRunner interface {
-	RunPoint(ctx context.Context, cfg Config, hooks StreamHooks) (*StreamResult, error)
-}
-
 // RunStreamContext is RunStream with cancellation and progress hooks,
 // on a pool of cfg.Parallelism workers. The returned result merges the
 // replication aggregates in replication order, so it is identical for
@@ -172,18 +160,6 @@ func runStream(ctx context.Context, cfg Config, lim parallel.Limiter, hooks Stre
 	return out, nil
 }
 
-// RunSetStreamVia runs every combo point of an approach through
-// runner, returning one StreamResult per combo in combo order. All
-// points are in flight at once — bounding actual concurrency is the
-// runner's job (backend.Local runs each point on a pool of its
-// cfg.Parallelism; backend.Remote shards whole points across worker
-// daemons). RunSetStream is the in-process sweep with one budget.
-func RunSetStreamVia(ctx context.Context, runner PointRunner, approach string, combos []Combo, base Config) ([]*StreamResult, error) {
-	return sweep(ctx, approach, combos, base, func(ctx context.Context, cfg Config) (*StreamResult, error) {
-		return runner.RunPoint(ctx, cfg, StreamHooks{})
-	})
-}
-
 // RunSetStream is the streaming counterpart of RunSet: the combo points
 // run at once and draw their replications from one limiter of
 // base.Parallelism, exactly like the batch sweep, returning one
@@ -197,9 +173,6 @@ func RunSetStream(ctx context.Context, approach string, combos []Combo, base Con
 
 // Jobs returns the number of finished jobs over all replications.
 func (r *StreamResult) Jobs() int { return r.sum.Jobs }
-
-// Malleable returns the number of malleable jobs over all replications.
-func (r *StreamResult) Malleable() int { return r.sum.Malleable }
 
 // Rejected returns the number of rejected jobs over all replications.
 func (r *StreamResult) Rejected() int { return r.sum.Rejected }

@@ -16,8 +16,8 @@ func TestGatekeeperSerializesSubmissions(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Submit(1, activeFunc(func(*Job) { activeTimes = append(activeTimes, e.Now()) }))
 	}
-	if s.Backlog() != 3 {
-		t.Fatalf("backlog = %d, want 3", s.Backlog())
+	if n := len(s.backlog) - s.backlogHead; n != 3 {
+		t.Fatalf("backlog = %d, want 3", n)
 	}
 	e.Run()
 	want := []float64{5, 10, 15, 20}

@@ -166,9 +166,6 @@ type Service struct {
 	// gatekeeper slot (see lrm.Manager.queue for the rationale).
 	backlog     []*Job
 	backlogHead int
-	submitted   uint64
-	activated   uint64
-	releases    uint64
 
 	// arrivals and releasesDone batch the arrive and release-done events
 	// that the runners' submit and release loops schedule back to back,
@@ -202,11 +199,6 @@ func (s *Service) Teardown() { s.jobs.Release() }
 // SiteName returns the name of the execution site (the LRM's cluster).
 func (s *Service) SiteName() string { return s.mgr.Cluster().Name() }
 
-// Stats returns cumulative (submitted, activated, released) job counts.
-func (s *Service) Stats() (submitted, activated, released uint64) {
-	return s.submitted, s.activated, s.releases
-}
-
 // Activator receives stub activation notifications. A caller that
 // submits many stubs (the Malleable Runner's acquisitions) implements it
 // once and passes itself to every Submit, so the grow hot path allocates
@@ -233,7 +225,6 @@ func (s *Service) Submit(nodes int, a Activator) (*Job, error) {
 	j.svc = s
 	j.activator = a
 	s.seq++
-	s.submitted++
 	if s.cfg.SubmitConcurrency > 0 && s.inFlight >= s.cfg.SubmitConcurrency {
 		s.backlog = append(s.backlog, j)
 		return j, nil
@@ -265,9 +256,6 @@ func (s *Service) drainBacklog() {
 	}
 }
 
-// Backlog returns the number of submissions queued at the gatekeeper.
-func (s *Service) Backlog() int { return len(s.backlog) - s.backlogHead }
-
 func (s *Service) arriveAtLRM(j *Job) {
 	if j.released { // released while still in flight: never reaches the LRM
 		j.state = Released
@@ -293,7 +281,6 @@ func (s *Service) activate(j *Job) {
 		return
 	}
 	j.state = Active
-	s.activated++
 	if j.activator != nil {
 		j.activator.JobActive(j)
 	}
@@ -310,7 +297,6 @@ func (s *Service) Release(j *Job) error {
 		return fmt.Errorf("gram %s: double release of %q", s.SiteName(), j.ID())
 	}
 	j.released = true
-	s.releases++
 	switch j.state {
 	case Active:
 		s.releasesDone.schedule(s.engine, s.cfg.ReleaseLatency, j, opReleaseDone)

@@ -110,9 +110,6 @@ func (j *Job) JobFinished() { j.sched.jobFinished(j) }
 // State returns the job lifecycle state.
 func (j *Job) State() JobState { return j.state }
 
-// Tries returns the number of placement attempts so far.
-func (j *Job) Tries() int { return j.tries }
-
 // SubmitTime returns when the job entered the system.
 func (j *Job) SubmitTime() float64 { return j.submitTime }
 
@@ -203,17 +200,5 @@ func (j *Job) RequestVoluntaryShrink(request int) int {
 	return j.mrunner.RequestVoluntaryShrink(request)
 }
 
-// AppRequestGrow lets the job's application itself ask the scheduler for
-// more processors (§II-C). It returns the processors obtained.
-func (j *Job) AppRequestGrow(amount int) int {
-	if j.mrunner == nil || j.state != Running {
-		return 0
-	}
-	return j.mrunner.AppRequestGrow(amount)
-}
-
 // MinProcs returns the job's minimum processor requirement.
 func (j *Job) MinProcs() int { return j.Spec.Profile.Min }
-
-// MaxProcs returns the job's maximum useful processor count.
-func (j *Job) MaxProcs() int { return j.Spec.Profile.Max }

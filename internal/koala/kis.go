@@ -36,15 +36,6 @@ func (s Snapshot) At(i int) ProcessorInfo { return s.procs[i] }
 // IdleAt returns the idle processor count of the site with index i.
 func (s Snapshot) IdleAt(i int) int { return s.procs[i].Idle }
 
-// TotalIdle sums idle processors over all clusters.
-func (s Snapshot) TotalIdle() int {
-	total := 0
-	for _, p := range s.procs {
-		total += p.Idle
-	}
-	return total
-}
-
 // KIS is the KOALA information service (§IV-A), which serves snapshots to
 // the scheduler. KOALA's KIS also aggregates a network information provider
 // and a replica location service; this model keeps only the processor
@@ -54,7 +45,6 @@ type KIS struct {
 	engine *sim.Engine
 	sites  []*Site
 
-	refreshes uint64
 	// bufs double-buffer the snapshot storage: Refresh writes into the
 	// buffer the *previous* snapshot does not use, so the hot path never
 	// allocates and the most recent Last() snapshot is never overwritten
@@ -84,13 +74,9 @@ func (k *KIS) Refresh() Snapshot {
 	for i, s := range k.sites {
 		buf[i] = ProcessorInfo{Total: s.Cluster().Nodes(), Idle: s.Cluster().Idle()}
 	}
-	k.refreshes++
 	k.last = Snapshot{Time: k.engine.Now(), procs: buf}
 	return k.last
 }
 
 // Last returns the most recent snapshot without refreshing.
 func (k *KIS) Last() Snapshot { return k.last }
-
-// Refreshes returns how many snapshots have been captured.
-func (k *KIS) Refreshes() uint64 { return k.refreshes }

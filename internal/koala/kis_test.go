@@ -17,7 +17,7 @@ func TestRefreshDoesNotAliasPreviousSnapshot(t *testing.T) {
 		t.Fatalf("snap2.IdleAt(0) = %d, want 12", snap2.IdleAt(0))
 	}
 	// snap1 must be untouched by snap2's buffer reuse.
-	if snap1.IdleAt(0) != 20 || snap1.TotalIdle() != 50 {
+	if snap1.IdleAt(0) != 20 || snap1.IdleAt(1) != 30 {
 		t.Fatalf("previous snapshot mutated by Refresh: %+v", snap1)
 	}
 }
@@ -39,9 +39,6 @@ func TestSnapshotIndexAccessors(t *testing.T) {
 	}
 	if snap.IdleAt(1) != 4 || snap.At(0).Total != 8 {
 		t.Fatal("index accessors wrong")
-	}
-	if snap.TotalIdle() != 7 {
-		t.Fatalf("TotalIdle = %d", snap.TotalIdle())
 	}
 }
 
@@ -77,7 +74,7 @@ func BenchmarkSnapshotRefresh(b *testing.B) {
 	total := 0
 	for i := 0; i < b.N; i++ {
 		snap := kis.Refresh()
-		total += snap.TotalIdle()
+		total += snap.IdleAt(0)
 	}
 	_ = total
 }

@@ -139,7 +139,7 @@ func TestPolicyByName(t *testing.T) {
 func TestKISSnapshotSeesBackgroundOnlyOnRefresh(t *testing.T) {
 	_, sites, kis := testbed(t, 20, 20)
 	snap := kis.Refresh()
-	if snap.IdleAt(0) != 20 || snap.TotalIdle() != 40 {
+	if snap.IdleAt(0) != 20 || snap.IdleAt(1) != 20 {
 		t.Fatalf("fresh snapshot: %+v", snap)
 	}
 	sites[0].Cluster().SeizeBackground(8)
@@ -148,9 +148,6 @@ func TestKISSnapshotSeesBackgroundOnlyOnRefresh(t *testing.T) {
 	}
 	if kis.Refresh().IdleAt(0) != 12 {
 		t.Fatal("refresh should discover background load")
-	}
-	if kis.Refreshes() < 3 {
-		t.Fatalf("refreshes = %d", kis.Refreshes())
 	}
 }
 

@@ -39,17 +39,6 @@ type Config struct {
 	MRunnerConfig runner.MRunnerConfig
 }
 
-// DefaultConfig mirrors the experimental setup: Worst-Fit placement and a
-// short polling period so background load is discovered promptly.
-func DefaultConfig() Config {
-	return Config{
-		Policy:            WorstFit{},
-		MaxPlacementTries: 0,
-		PollInterval:      15,
-		MRunnerConfig:     runner.DefaultMRunnerConfig(),
-	}
-}
-
 // Scheduler is the centralised KOALA scheduler: the co-allocator (CO) that
 // decides placements, and the processor claimer (PC) that turns placements
 // into GRAM submissions through the runners (§IV-A).
@@ -172,10 +161,6 @@ func (s *Scheduler) Messages() (grow, shrink uint64) { return s.growMsgs, s.shri
 
 // QueueLength returns the number of jobs waiting for placement.
 func (s *Scheduler) QueueLength() int { return len(s.queue) }
-
-// QueuedJobs returns the placement queue, head first. The slice must not be
-// modified.
-func (s *Scheduler) QueuedJobs() []*Job { return s.queue }
 
 // RunningMalleableJobsAt returns the malleable jobs currently running on
 // the site with index i, sorted by increasing start time with ties in
@@ -353,11 +338,6 @@ func (s *Scheduler) claim(j *Job, site *Site) {
 			panic(fmt.Sprintf("koala: claim failed for %s: %v", j.Spec.ID, err))
 		}
 		j.mrunner = mr
-		// Route application-initiated grow requests (§II-C) to the
-		// malleability manager when it supports them.
-		if h, ok := s.hooks.(runner.AppGrowHandler); ok {
-			mr.SetAppGrowHandler(h)
-		}
 		if err := mr.Start(); err != nil {
 			panic(fmt.Sprintf("koala: start failed for %s: %v", j.Spec.ID, err))
 		}

@@ -155,13 +155,13 @@ func TestPlacementTriesThresholdRejects(t *testing.T) {
 	big, _ := s.Submit(rigidSpec("big", 4))
 	e.RunUntil(100) // poll ticks at 5s intervals accumulate tries
 	if big.State() != Rejected {
-		t.Fatalf("state = %v, tries = %d", big.State(), big.Tries())
+		t.Fatalf("state = %v, tries = %d", big.State(), big.tries)
 	}
 	if rejected != big {
 		t.Fatal("rejection callback missing")
 	}
-	if big.Tries() != 4 { // threshold 3 exceeded on the 4th try
-		t.Fatalf("tries = %d", big.Tries())
+	if big.tries != 4 { // threshold 3 exceeded on the 4th try
+		t.Fatalf("tries = %d", big.tries)
 	}
 	s.Stop()
 }
@@ -217,14 +217,12 @@ func TestRunningMalleableJobsSortedByStart(t *testing.T) {
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
 		id := string(rune('a' + i))
-		at := float64(i * 50)
-		e.At(at, func() {
-			j, err := s.Submit(malleableSpec(id, app.GadgetProfile(), 2))
-			if err != nil {
-				t.Error(err)
-			}
-			jobs = append(jobs, j)
-		})
+		e.RunUntil(float64(i * 50))
+		j, err := s.Submit(malleableSpec(id, app.GadgetProfile(), 2))
+		if err != nil {
+			t.Error(err)
+		}
+		jobs = append(jobs, j)
 	}
 	e.RunUntil(200)
 	got := s.RunningMalleableJobsAt(0)
@@ -271,7 +269,7 @@ func TestRunningIndexTieBreaksBySubmissionOrder(t *testing.T) {
 // processors sit idle.
 func TestMoldableSizing(t *testing.T) {
 	e, _, s := newSched(t, fastCfg(), 64)
-	spec := JobSpec{ID: "mold", Profile: app.MoldableProfile("m", app.GadgetModel(), 2, 16), Size: 6}
+	spec := JobSpec{ID: "mold", Profile: &app.Profile{Name: "m", Class: app.Moldable, Model: app.GadgetModel(), Min: 2, Max: 16}, Size: 6}
 	j, _ := s.Submit(spec)
 	e.RunUntil(50)
 	if j.State() != Running || j.CurrentProcs() != 6 || j.HeldProcs() != 6 {
@@ -321,7 +319,7 @@ func TestPlacementBlockedHookStopsScan(t *testing.T) {
 	}
 	// Queue order preserved: the small job behind the blocked head did not
 	// jump ahead.
-	for _, j := range s.QueuedJobs() {
+	for _, j := range s.queue {
 		if j.Spec.ID == "fits" && j.State() != Waiting {
 			t.Fatal("job behind blocked head was placed")
 		}
@@ -340,15 +338,8 @@ func TestJobStateString(t *testing.T) {
 func TestMinMaxProcs(t *testing.T) {
 	spec := malleableSpec("m", app.FTProfile(), 2)
 	j := &Job{Spec: spec}
-	if j.MinProcs() != 2 || j.MaxProcs() != 32 {
-		t.Fatalf("min=%d max=%d", j.MinProcs(), j.MaxProcs())
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.Policy == nil || cfg.PollInterval <= 0 {
-		t.Fatalf("bad defaults: %+v", cfg)
+	if j.MinProcs() != 2 || j.Spec.Profile.Max != 32 {
+		t.Fatalf("min=%d max=%d", j.MinProcs(), j.Spec.Profile.Max)
 	}
 }
 

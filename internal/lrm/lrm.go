@@ -108,7 +108,6 @@ type Manager struct {
 	dispatching bool
 	retry       *sim.Event
 	seq         int
-	running     int
 
 	// starts batches the start notifications one dispatch pass defers
 	// back to back; startTail is the last member of the open batch.
@@ -148,9 +147,6 @@ func (m *Manager) Cluster() *cluster.Cluster { return m.clus }
 
 // QueueLength returns the number of jobs waiting for nodes.
 func (m *Manager) QueueLength() int { return len(m.queue) - m.head }
-
-// RunningJobs returns the number of currently running LRM jobs.
-func (m *Manager) RunningJobs() int { return m.running }
 
 // Submit enqueues a job for nodes nodes; s, when non-nil, is told (via
 // the simulation engine, at the start instant) once the job holds its
@@ -203,7 +199,6 @@ func (m *Manager) Finish(j *Job) error {
 		return err
 	}
 	j.state = Finished
-	m.running--
 	m.dispatch()
 	return nil
 }
@@ -240,7 +235,6 @@ func (m *Manager) dispatch() {
 			m.head = 0
 		}
 		head.state = Running
-		m.running++
 		if head.starter != nil {
 			m.deferStart(head)
 		}

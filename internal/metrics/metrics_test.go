@@ -31,7 +31,7 @@ func system(nodes int) (*core.System, *Collector) {
 
 func TestCollectorRecordsRigidJob(t *testing.T) {
 	sys, col := system(16)
-	sys.SubmitRigid("r", app.FTModel(), 2)
+	sys.Scheduler.Submit(koala.JobSpec{ID: "r", Profile: app.RigidProfile("r", app.FTModel(), 2), Size: 2})
 	sys.Engine.RunUntil(500)
 	recs := col.Records()
 	if len(recs) != 1 {
@@ -56,9 +56,10 @@ func TestCollectorRecordsRigidJob(t *testing.T) {
 
 func TestCollectorTracksMalleableSizes(t *testing.T) {
 	sys, col := system(64)
-	j, _ := sys.SubmitMalleable("m", app.GadgetProfile(), 2)
+	j, _ := sys.Scheduler.Submit(koala.JobSpec{ID: "m", Profile: app.GadgetProfile(), Size: 2})
 	// Grow at half time: avg should land strictly between 2 and 46.
-	sys.Engine.At(301, func() { j.RequestGrow(44) })
+	sys.Engine.RunUntil(301)
+	j.RequestGrow(44)
 	sys.Engine.RunUntil(2000)
 	recs := col.Records()
 	if len(recs) != 1 {
@@ -81,7 +82,7 @@ func TestCollectorTracksMalleableSizes(t *testing.T) {
 func TestUtilizationSeries(t *testing.T) {
 	sys, col := system(16)
 	col.KeepUtilization(150)
-	sys.SubmitRigid("r", app.GadgetModel(), 8)
+	sys.Scheduler.Submit(koala.JobSpec{ID: "r", Profile: app.RigidProfile("r", app.GadgetModel(), 8), Size: 8})
 	sys.Engine.RunUntil(700)
 	u := col.Utilization()
 	if u.MaxValue() != 8 {
@@ -113,8 +114,8 @@ func TestRejectedJobsTracked(t *testing.T) {
 		DisableManager: true,
 	})
 	col := NewCollector(sys.Engine, sys.Scheduler, sys.Grid, 5)
-	sys.SubmitMalleable("long", app.GadgetProfile(), 2)
-	sys.SubmitRigid("doomed", app.FTModel(), 4)
+	sys.Scheduler.Submit(koala.JobSpec{ID: "long", Profile: app.GadgetProfile(), Size: 2})
+	sys.Scheduler.Submit(koala.JobSpec{ID: "doomed", Profile: app.RigidProfile("doomed", app.FTModel(), 4), Size: 4})
 	sys.Engine.RunUntil(100)
 	if len(col.Rejected()) != 1 || col.Rejected()[0] != "doomed" {
 		t.Fatalf("rejected = %v", col.Rejected())
@@ -169,8 +170,9 @@ func TestAvgProcsIntegratesPauses(t *testing.T) {
 		DisableManager: true,
 	})
 	col := NewCollector(sys.Engine, sys.Scheduler, sys.Grid, 5)
-	j, _ := sys.SubmitMalleable("m", app.GadgetProfile(), 2)
-	sys.Engine.At(10, func() { j.RequestGrow(44) })
+	j, _ := sys.Scheduler.Submit(koala.JobSpec{ID: "m", Profile: app.GadgetProfile(), Size: 2})
+	sys.Engine.RunUntil(10)
+	j.RequestGrow(44)
 	sys.Engine.RunUntil(2000)
 	recs := col.Records()
 	if len(recs) != 1 {

@@ -74,8 +74,8 @@ func TestAggregateMergeMatchesSerial(t *testing.T) {
 	if a.Jobs != serial.Jobs || a.Malleable != serial.Malleable {
 		t.Fatalf("merged counts %d/%d, serial %d/%d", a.Jobs, a.Malleable, serial.Jobs, serial.Malleable)
 	}
-	if a.Exec.Online.Sum() != serial.Exec.Online.Sum() {
-		t.Errorf("merged exec sum %v, serial %v", a.Exec.Online.Sum(), serial.Exec.Online.Sum())
+	if a.Exec.Online.Mean() != serial.Exec.Online.Mean() {
+		t.Errorf("merged exec mean %v, serial %v", a.Exec.Online.Mean(), serial.Exec.Online.Mean())
 	}
 	if math.Abs(a.Response.Online.Variance()-serial.Response.Online.Variance()) > 1e-9 {
 		t.Errorf("merged response variance %v, serial %v", a.Response.Online.Variance(), serial.Response.Online.Variance())

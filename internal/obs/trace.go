@@ -88,21 +88,6 @@ func (t *Trace) EndSpan(id string) {
 	t.mu.Unlock()
 }
 
-// SetAttr annotates an open or closed span.
-func (t *Trace) SetAttr(id, key, value string) {
-	t.mu.Lock()
-	for i := range t.spans {
-		if t.spans[i].ID == id {
-			if t.spans[i].Attrs == nil {
-				t.spans[i].Attrs = make(map[string]string)
-			}
-			t.spans[i].Attrs[key] = value
-			break
-		}
-	}
-	t.mu.Unlock()
-}
-
 // Point records an instantaneous (zero-length, already-ended) span.
 func (t *Trace) Point(parent, name string, attrs map[string]string) {
 	now := time.Now()

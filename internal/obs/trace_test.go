@@ -79,13 +79,3 @@ func TestSpanContextHTTPPropagation(t *testing.T) {
 		t.Fatalf("ExtractHTTP = %+v, %v; want %+v", got, ok, sc)
 	}
 }
-
-func TestSetAttr(t *testing.T) {
-	tr := NewTrace("")
-	id := tr.StartSpan("", "dispatch", nil)
-	tr.SetAttr(id, "backend", "remote")
-	tr.EndSpan(id)
-	if got := tr.Snapshot().Spans[0].Attrs["backend"]; got != "remote" {
-		t.Fatalf("attr backend = %q", got)
-	}
-}

@@ -6,77 +6,9 @@ import (
 	"repro/internal/app"
 )
 
-// grantAll is an AppGrowHandler granting up to a fixed budget.
-type grantAll struct{ budget int }
-
-func (g *grantAll) AppGrowRequest(site string, amount int) int {
-	grant := amount
-	if grant > g.budget {
-		grant = g.budget
-	}
-	g.budget -= grant
-	return grant
-}
-
-func TestAppRequestGrowObtainsProcessors(t *testing.T) {
-	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
-	r.SetAppGrowHandler(&grantAll{budget: 100})
-	r.Start()
-	h.engine.RunUntil(20)
-	got := r.AppRequestGrow(10)
-	if got != 10 {
-		t.Fatalf("obtained %d, want 10", got)
-	}
-	h.engine.RunUntil(100)
-	if r.Execution().Procs() != 12 {
-		t.Fatalf("procs = %d, want 12", r.Execution().Procs())
-	}
-}
-
-func TestAppRequestGrowSchedulerMayGrantLess(t *testing.T) {
-	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
-	r.SetAppGrowHandler(&grantAll{budget: 3})
-	r.Start()
-	h.engine.RunUntil(20)
-	if got := r.AppRequestGrow(10); got != 3 {
-		t.Fatalf("obtained %d, want 3 (scheduler budget)", got)
-	}
-	if got := r.AppRequestGrow(10); got != 0 {
-		t.Fatalf("obtained %d, want 0 (budget exhausted)", got)
-	}
-}
-
-func TestAppRequestGrowAppliesAppConstraints(t *testing.T) {
-	// FT asks for 5 while at 2; scheduler grants 5, but the power-of-two
-	// rule means the application adopts only 2 (2→4).
-	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), ignore{})
-	r.SetAppGrowHandler(&grantAll{budget: 100})
-	r.Start()
-	h.engine.RunUntil(20)
-	if got := r.AppRequestGrow(5); got != 2 {
-		t.Fatalf("adopted %d, want 2", got)
-	}
-}
-
-func TestAppRequestGrowWithoutHandlerDeclines(t *testing.T) {
-	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
-	r.Start()
-	h.engine.RunUntil(20)
-	if got := r.AppRequestGrow(5); got != 0 {
-		t.Fatalf("obtained %d without a handler", got)
-	}
-	if got := r.AppRequestGrow(0); got != 0 {
-		t.Fatal("zero request should decline")
-	}
-}
-
 func TestVoluntaryShrinkAcceptedEarly(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(30) // progress ≈ 25/240 ≈ 10% — early
 	if got := r.RequestVoluntaryShrink(10); got != 10 {
@@ -90,7 +22,7 @@ func TestVoluntaryShrinkAcceptedEarly(t *testing.T) {
 
 func TestVoluntaryShrinkDeclinedLate(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(200) // progress ≈ 195/240 ≈ 80% — late
 	if got := r.RequestVoluntaryShrink(10); got != 0 {
@@ -110,7 +42,7 @@ func TestDefaultVoluntaryShrinkPolicy(t *testing.T) {
 		want int
 	}{{120, 4}, {130, 0}} {
 		h := newHarness(48)
-		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+		r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 		r.Start()
 		h.engine.RunUntil(tc.at) // started at 5 with T(46)=240: half done at 125
 		if got := r.RequestVoluntaryShrink(4); got != tc.want {

@@ -25,9 +25,7 @@ type RigidRunner struct {
 	exec    *app.Execution
 	execVal app.Execution
 
-	started  bool
-	running  bool
-	finished bool
+	started bool
 }
 
 // NewRigidRunner builds a runner for size processors of profile at svc;
@@ -61,12 +59,6 @@ func (r *RigidRunner) Nodes() int {
 	return 0
 }
 
-// Running reports whether the application is currently executing.
-func (r *RigidRunner) Running() bool { return r.running }
-
-// Finished reports whether the application has completed.
-func (r *RigidRunner) Finished() bool { return r.finished }
-
 // Execution exposes the application execution (nil before start).
 func (r *RigidRunner) Execution() *app.Execution { return r.exec }
 
@@ -87,15 +79,12 @@ func (r *RigidRunner) Start() error {
 // JobActive implements gram.Activator: the job holds its nodes, so the
 // application starts.
 func (r *RigidRunner) JobActive(*gram.Job) {
-	r.running = true
 	r.exec = &r.execVal
 	r.exec.Start(r.engine, r.profile, r.size, r.onAppFinished)
 	r.lc.JobStarted()
 }
 
 func (r *RigidRunner) onAppFinished() {
-	r.running = false
-	r.finished = true
 	r.svc.Release(r.job)
 	r.lc.JobFinished()
 }

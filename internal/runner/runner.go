@@ -95,8 +95,6 @@ type MRunner struct {
 	// completes, so at most one acquisition is ever in flight — growing
 	// allocates no per-acquisition state.
 	acq acquisition
-
-	appGrow AppGrowHandler
 }
 
 // Slabs is the memory a scheduler's malleable runners are built in: each
@@ -125,16 +123,10 @@ func (m *Slabs) Release() {
 	m.stubs.Release()
 }
 
-// NewMRunner builds an MRunner for one malleable application instance to be
-// executed at the given site, starting at initial processors, in fresh
-// memory; lc receives its start and finish. A scheduler builds its runners
-// in its Slabs instead.
-func NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, lc Lifecycle) (*MRunner, error) {
-	return new(Slabs).NewMRunner(engine, svc, profile, initial, cfg, lc)
-}
-
-// NewMRunner is the package-level NewMRunner with the runner built in m;
-// it stays valid until m is released.
+// NewMRunner builds an MRunner in m for one malleable application
+// instance to be executed at svc's site, starting at initial processors;
+// lc receives its start and finish. The runner stays valid until m is
+// released.
 func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.Profile, initial int, cfg MRunnerConfig, lc Lifecycle) (*MRunner, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
@@ -169,18 +161,9 @@ func (m *Slabs) NewMRunner(engine *sim.Engine, svc *gram.Service, profile *app.P
 	return r, nil
 }
 
-// Site returns the execution site name.
-func (r *MRunner) Site() string { return r.svc.SiteName() }
-
 // Nodes returns the processors currently held on behalf of the
 // application, stubs not yet recruited included.
 func (r *MRunner) Nodes() int { return len(r.stubs) }
-
-// Running reports whether the application is currently executing.
-func (r *MRunner) Running() bool { return r.running }
-
-// Finished reports whether the application has completed.
-func (r *MRunner) Finished() bool { return r.finished }
 
 // Execution exposes the application execution (nil before start).
 func (r *MRunner) Execution() *app.Execution { return r.exec }

@@ -46,7 +46,7 @@ func zeroCosts() MRunnerConfig {
 func TestMRunnerLifecycle(t *testing.T) {
 	h := newHarness(48)
 	lc := &lifecycle{engine: h.engine}
-	r, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
+	r, err := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,19 +65,19 @@ func TestMRunnerLifecycle(t *testing.T) {
 	if h.clus.Used() != 0 {
 		t.Fatalf("used=%d at the end", h.clus.Used())
 	}
-	if !r.Finished() || r.Running() || r.Nodes() != 0 {
-		t.Fatalf("final state: finished=%v running=%v nodes=%d", r.Finished(), r.Running(), r.Nodes())
+	if !r.finished || r.running || r.Nodes() != 0 {
+		t.Fatalf("final state: finished=%v running=%v nodes=%d", r.finished, r.running, r.Nodes())
 	}
 }
 
 func TestMRunnerGrow(t *testing.T) {
 	h := newHarness(48)
 	lc := &lifecycle{engine: h.engine}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), lc)
 	r.Start()
 	// At t=305 (300 s of execution → half done) offer 44 more processors.
-	accepted := -1
-	h.engine.At(305, func() { accepted = r.RequestGrow(44) })
+	h.engine.RunUntil(305)
+	accepted := r.RequestGrow(44)
 	h.engine.Run()
 	if accepted != 44 {
 		t.Fatalf("accepted %d, want 44", accepted)
@@ -93,7 +93,7 @@ func TestMRunnerGrow(t *testing.T) {
 
 func TestMRunnerGrowRespectsFTPow2(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.FTProfile(), 2, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(20)
 	if got := r.RequestGrow(5); got != 2 { // 2+5=7 → FT accepts 2 (→4)
@@ -108,11 +108,11 @@ func TestMRunnerGrowRespectsFTPow2(t *testing.T) {
 func TestMRunnerShrink(t *testing.T) {
 	h := newHarness(48)
 	lc := &lifecycle{engine: h.engine}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), lc)
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), lc)
 	r.Start()
 	// Execution starts at t=5 with T(46)=240. At t=125 progress is 0.5.
-	released := -1
-	h.engine.At(125, func() { released = r.RequestShrink(44) })
+	h.engine.RunUntil(125)
+	released := r.RequestShrink(44)
 	h.engine.Run()
 	if released != 44 {
 		t.Fatalf("released %d, want 44", released)
@@ -130,9 +130,10 @@ func TestMRunnerShrink(t *testing.T) {
 
 func TestMRunnerShrinkFreesNodesDuringRun(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
-	h.engine.At(100, func() { r.RequestShrink(20) })
+	h.engine.RunUntil(100)
+	r.RequestShrink(20)
 	h.engine.RunUntil(110)
 	if used := h.clus.Used(); used != 26 {
 		t.Fatalf("used = %d mid-run, want 26", used)
@@ -144,10 +145,12 @@ func TestMRunnerShrinkFreesNodesDuringRun(t *testing.T) {
 
 func TestMRunnerGrowShrinkSequence(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	r.Start()
-	h.engine.At(50, func() { r.RequestGrow(10) })
-	h.engine.At(100, func() { r.RequestShrink(5) })
+	h.engine.RunUntil(50)
+	r.RequestGrow(10)
+	h.engine.RunUntil(100)
+	r.RequestShrink(5)
 	h.engine.RunUntil(150)
 	if r.Execution().Procs() != 7 || r.PlannedProcs() != 7 {
 		t.Fatalf("procs = %d, planned = %d; want 7 and 7", r.Execution().Procs(), r.PlannedProcs())
@@ -159,9 +162,10 @@ func TestMRunnerReconfigCostsDelayCompletion(t *testing.T) {
 	base := func(cfg MRunnerConfig) float64 {
 		h := newHarness(48)
 		lc := &lifecycle{engine: h.engine}
-		r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, lc)
+		r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, lc)
 		r.Start()
-		h.engine.At(50, func() { r.RequestGrow(44) })
+		h.engine.RunUntil(50)
+		r.RequestGrow(44)
 		h.engine.Run()
 		return lc.finishAt
 	}
@@ -177,27 +181,28 @@ func TestMRunnerReconfigCostsDelayCompletion(t *testing.T) {
 
 func TestMRunnerGrowAfterFinishAcksZero(t *testing.T) {
 	h := newHarness(48)
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 46, zeroCosts(), ignore{})
 	r.Start()
 	h.engine.RunUntil(1000) // long finished
+	scheduled := h.engine.Scheduled()
 	if got := r.RequestGrow(10); got != 0 {
 		t.Fatalf("accepted %d after finish, want 0", got)
 	}
 	h.engine.Run()
-	if sub, _, _ := h.svc.Stats(); sub != 46 || h.clus.Used() != 0 {
-		t.Fatalf("submitted %d stubs, used %d; want 46 and 0", sub, h.clus.Used())
+	if n := h.engine.Scheduled() - scheduled; n != 0 || h.clus.Used() != 0 {
+		t.Fatalf("the grow after finish scheduled %d events, used %d; want 0 and 0", n, h.clus.Used())
 	}
 }
 
 func TestMRunnerValidation(t *testing.T) {
 	h := newHarness(8)
-	if _, err := NewMRunner(h.engine, h.svc, app.RigidProfile("r", app.FTModel(), 2), 2, zeroCosts(), ignore{}); err == nil {
+	if _, err := new(Slabs).NewMRunner(h.engine, h.svc, app.RigidProfile("r", app.FTModel(), 2), 2, zeroCosts(), ignore{}); err == nil {
 		t.Fatal("rigid profile should be rejected")
 	}
-	if _, err := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 1, zeroCosts(), ignore{}); err == nil {
+	if _, err := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 1, zeroCosts(), ignore{}); err == nil {
 		t.Fatal("size below min should be rejected")
 	}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, zeroCosts(), ignore{})
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,19 +218,24 @@ func TestMRunnerAcquireTimeoutAbandonsPendingStubs(t *testing.T) {
 	// abandoned (voluntary shrink) and the plan falls back to 2.
 	h := newHarness(4)
 	cfg := MRunnerConfig{Costs: app.ReconfigCosts{}, AcquireTimeout: 30}
-	r, _ := NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, ignore{})
+	r, _ := new(Slabs).NewMRunner(h.engine, h.svc, app.GadgetProfile(), 2, cfg, ignore{})
 	r.Start()
-	h.engine.At(10, func() { h.clus.SeizeBackground(2) })
+	h.engine.RunUntil(10)
+	h.clus.SeizeBackground(2)
 	h.engine.RunUntil(20)
 	if got := r.RequestGrow(2); got != 2 {
 		t.Fatalf("accepted %d, want 2", got)
 	}
 	h.engine.RunUntil(120)
-	if sub, act, rel := h.svc.Stats(); sub != 4 || act != 2 || rel != 2 {
-		t.Fatalf("stubs submitted/activated/released = %d/%d/%d, want 4/2/2", sub, act, rel)
-	}
 	if r.Execution().Procs() != 2 || r.PlannedProcs() != 2 || r.Nodes() != 2 {
 		t.Fatalf("procs = %d, planned = %d, nodes = %d; want 2, 2, 2", r.Execution().Procs(), r.PlannedProcs(), r.Nodes())
+	}
+	// The two abandoned stubs were released while pending: once the
+	// local users leave, they never take the nodes.
+	h.clus.ReleaseBackground(2)
+	h.engine.RunUntil(300)
+	if used := h.clus.Used(); used != 2 {
+		t.Fatalf("used = %d after the local users left, want 2 (abandoned stubs released)", used)
 	}
 }
 
@@ -247,8 +257,8 @@ func TestRigidRunnerLifecycle(t *testing.T) {
 	if math.Abs(lc.finishAt-125) > 1e-6 { // 5 + T(2)=120
 		t.Fatalf("finishAt = %g, want 125", lc.finishAt)
 	}
-	if h.clus.Used() != 0 || !r.Finished() {
-		t.Fatalf("used=%d finished=%v", h.clus.Used(), r.Finished())
+	if h.clus.Used() != 0 || !lc.finished || !r.Execution().Done() {
+		t.Fatalf("used=%d finished=%v done=%v", h.clus.Used(), lc.finished, r.Execution().Done())
 	}
 }
 
@@ -257,7 +267,7 @@ func TestRigidRunnerValidation(t *testing.T) {
 	if _, err := NewRigidRunner(h.engine, h.svc, app.GadgetProfile(), 4, ignore{}); err == nil {
 		t.Fatal("malleable profile should be rejected")
 	}
-	prof := app.MoldableProfile("m", app.FTModel(), 2, 8)
+	prof := &app.Profile{Name: "m", Class: app.Moldable, Model: app.FTModel(), Min: 2, Max: 8}
 	if _, err := NewRigidRunner(h.engine, nil, prof, 4, ignore{}); err == nil {
 		t.Fatal("nil service should be rejected")
 	}
@@ -279,8 +289,8 @@ func TestRigidRunnerValidation(t *testing.T) {
 		t.Fatal("double start should fail")
 	}
 	h.engine.RunUntil(10)
-	if r.Nodes() != 4 || !r.Running() {
-		t.Fatalf("nodes=%d running=%v", r.Nodes(), r.Running())
+	if r.Nodes() != 4 || r.Execution() == nil {
+		t.Fatalf("nodes=%d execution=%v", r.Nodes(), r.Execution())
 	}
 }
 

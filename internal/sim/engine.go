@@ -27,9 +27,8 @@
 // The kernel's hot path is allocation-free: fired and canceled Event structs
 // are recycled through a free list backed by a slab owned by the Engine
 // (whose memory Teardown hands to the next engine). Every event targets a
-// Handler with an op code (AtOp, AfterOp, ImmediatelyOp); the closure forms
-// (At, After, Immediately) are a thin adapter over them for tests and
-// callers outside the simulated world.
+// pre-bound Handler with an op code (AtOp, AfterOp, ImmediatelyOp), so no
+// event carries a closure.
 package sim
 
 import (
@@ -65,12 +64,6 @@ type Event struct {
 	canceled bool
 }
 
-// Time returns the virtual time at which the event fires.
-func (e *Event) Time() float64 { return e.time }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 // Cancel prevents the event from firing and removes it from the queue
 // immediately (so Pending stays exact). Canceling an already-fired or
 // already-canceled event is a no-op.
@@ -96,11 +89,10 @@ var eventPool slab.Pool[Event]
 // Engine is not safe for concurrent use; the simulated world is entirely
 // sequential, which is what makes runs reproducible.
 type Engine struct {
-	now     float64
-	seq     uint64
-	q       eventQueue
-	stopped bool
-	fired   uint64
+	now   float64
+	seq   uint64
+	q     eventQueue
+	fired uint64
 
 	// nowSeq is the seq of the fire that set the clock to now: the event
 	// or ticker fire now running, inside a handler. It is 0 before the
@@ -238,29 +230,9 @@ func (e *Engine) queue(t float64, seq uint64, h Handler, op int) *Event {
 	return ev
 }
 
-// funcHandler adapts a closure to Handler. A func value is pointer-shaped,
-// so boxing one in the interface allocates nothing.
-type funcHandler func()
-
-// OnEvent implements Handler.
-func (f funcHandler) OnEvent(int) { f() }
-
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it would silently reorder causality, which is always a bug in the
-// calling model.
-func (e *Engine) At(t float64, fn func()) *Event { return e.AtOp(t, funcHandler(fn), 0) }
-
-// After schedules fn to run delay seconds from now. Negative delays panic.
-func (e *Engine) After(delay float64, fn func()) *Event {
-	return e.AfterOp(delay, funcHandler(fn), 0)
-}
-
-// Immediately schedules fn at the current time, after all events already
-// scheduled for this instant.
-func (e *Engine) Immediately(fn func()) *Event { return e.AtOp(e.now, funcHandler(fn), 0) }
-
-// AtOp schedules h.OnEvent(op) at absolute virtual time t without
-// allocating a closure.
+// AtOp schedules h.OnEvent(op) at absolute virtual time t. Scheduling in
+// the past panics: it would silently reorder causality, which is always a
+// bug in the calling model.
 func (e *Engine) AtOp(t float64, h Handler, op int) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event in the past: t=%g now=%g", t, e.now))
@@ -271,8 +243,8 @@ func (e *Engine) AtOp(t float64, h Handler, op int) *Event {
 	return ev
 }
 
-// AfterOp schedules h.OnEvent(op) delay seconds from now without allocating
-// a closure. Negative delays panic.
+// AfterOp schedules h.OnEvent(op) delay seconds from now. Negative delays
+// panic.
 func (e *Engine) AfterOp(delay float64, h Handler, op int) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %g", delay))
@@ -283,9 +255,6 @@ func (e *Engine) AfterOp(delay float64, h Handler, op int) *Event {
 // ImmediatelyOp schedules h.OnEvent(op) at the current time, after all
 // events already scheduled for this instant.
 func (e *Engine) ImmediatelyOp(h Handler, op int) *Event { return e.AtOp(e.now, h, op) }
-
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }
 
 // lastAt reports whether the queued event ev is the last-sorting entry at
 // its time: no queued event at that time sorts after it, no ticker armed
@@ -334,13 +303,12 @@ func (e *Engine) step(horizon float64) bool {
 	return true
 }
 
-// Run executes events until nothing is due or Stop is called. It returns
-// the final virtual time.
+// Run executes events until nothing is due and returns the final virtual
+// time. Unlike RunUntil it leaves the clock at the last fire.
 //
 //koalalint:hotpath
 func (e *Engine) Run() float64 {
-	e.stopped = false
-	for !e.stopped && e.step(math.Inf(1)) {
+	for e.step(math.Inf(1)) {
 	}
 	return e.now
 }
@@ -351,8 +319,7 @@ func (e *Engine) Run() float64 {
 //
 //koalalint:hotpath
 func (e *Engine) RunUntil(horizon float64) float64 {
-	e.stopped = false
-	for !e.stopped && e.step(horizon) {
+	for e.step(horizon) {
 	}
 	if e.now < horizon {
 		e.now, e.nowSeq = horizon, 0

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// handlerFunc adapts a closure to Handler.
+type handlerFunc func()
+
+func (f handlerFunc) OnEvent(int) { f() }
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := New()
 	if e.Now() != 0 {
@@ -22,7 +27,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 	var order []float64
 	for _, tm := range []float64{5, 1, 3, 2, 4} {
 		tm := tm
-		e.At(tm, func() { order = append(order, tm) })
+		e.AtOp(tm, handlerFunc(func() { order = append(order, tm) }), 0)
 	}
 	e.Run()
 	if !sort.Float64sAreSorted(order) {
@@ -41,7 +46,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(7, func() { order = append(order, i) })
+		e.AtOp(7, handlerFunc(func() { order = append(order, i) }), 0)
 	}
 	e.Run()
 	for i, v := range order {
@@ -54,9 +59,9 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := New()
 	var at float64 = -1
-	e.At(10, func() {
-		e.After(5, func() { at = e.Now() })
-	})
+	e.AtOp(10, handlerFunc(func() {
+		e.AfterOp(5, handlerFunc(func() { at = e.Now() }), 0)
+	}), 0)
 	e.Run()
 	if at != 15 {
 		t.Fatalf("After fired at %g, want 15", at)
@@ -66,10 +71,10 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestImmediatelyRunsAtCurrentTimeAfterPending(t *testing.T) {
 	e := New()
 	var order []string
-	e.At(3, func() {
-		e.Immediately(func() { order = append(order, "imm") })
-	})
-	e.At(3, func() { order = append(order, "second-at-3") })
+	e.AtOp(3, handlerFunc(func() {
+		e.ImmediatelyOp(handlerFunc(func() { order = append(order, "imm") }), 0)
+	}), 0)
+	e.AtOp(3, handlerFunc(func() { order = append(order, "second-at-3") }), 0)
 	e.Run()
 	want := []string{"second-at-3", "imm"}
 	if len(order) != 2 || order[0] != want[0] || order[1] != want[1] {
@@ -80,20 +85,20 @@ func TestImmediatelyRunsAtCurrentTimeAfterPending(t *testing.T) {
 func TestCancelPreventsFiring(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.At(1, func() { fired = true })
+	ev := e.AtOp(1, handlerFunc(func() { fired = true }), 0)
 	ev.Cancel()
 	e.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 }
 
 func TestCancelIsIdempotent(t *testing.T) {
 	e := New()
-	ev := e.At(1, func() {})
+	ev := e.AtOp(1, nop, 0)
 	ev.Cancel()
 	ev.Cancel()
 	e.Run()
@@ -101,14 +106,14 @@ func TestCancelIsIdempotent(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
-	e.At(10, func() {
+	e.AtOp(10, handlerFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.AtOp(5, handlerFunc(func() {}), 0)
+	}), 0)
 	e.Run()
 }
 
@@ -119,7 +124,7 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterOp(-1, nop, 0)
 }
 
 func TestNaNTimePanics(t *testing.T) {
@@ -129,29 +134,7 @@ func TestNaNTimePanics(t *testing.T) {
 			t.Error("NaN time did not panic")
 		}
 	}()
-	e.At(math.NaN(), func() {})
-}
-
-func TestStopHaltsRun(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("fired %d events after Stop, want 3", count)
-	}
-	// Run can be resumed.
-	e.Run()
-	if count != 10 {
-		t.Fatalf("fired %d events total, want 10", count)
-	}
+	e.AtOp(math.NaN(), nop, 0)
 }
 
 func TestRunUntilRespectsHorizon(t *testing.T) {
@@ -159,7 +142,7 @@ func TestRunUntilRespectsHorizon(t *testing.T) {
 	var fired []float64
 	for _, tm := range []float64{1, 2, 3, 4, 5} {
 		tm := tm
-		e.At(tm, func() { fired = append(fired, tm) })
+		e.AtOp(tm, handlerFunc(func() { fired = append(fired, tm) }), 0)
 	}
 	e.RunUntil(3)
 	if len(fired) != 3 {
@@ -179,7 +162,7 @@ func TestRunUntilRespectsHorizon(t *testing.T) {
 
 func TestRunUntilWithOnlyCanceledEvents(t *testing.T) {
 	e := New()
-	ev := e.At(2, func() {})
+	ev := e.AtOp(2, nop, 0)
 	ev.Cancel()
 	e.RunUntil(5)
 	if e.Now() != 5 {
@@ -194,10 +177,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	schedule = func() {
 		depth++
 		if depth < 100 {
-			e.After(1, schedule)
+			e.AfterOp(1, handlerFunc(schedule), 0)
 		}
 	}
-	e.After(1, schedule)
+	e.AfterOp(1, handlerFunc(schedule), 0)
 	e.Run()
 	if depth != 100 {
 		t.Fatalf("chained depth = %d, want 100", depth)
@@ -210,7 +193,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	e := New()
 	for i := 0; i < 7; i++ {
-		e.At(float64(i), func() {})
+		e.AtOp(float64(i), nop, 0)
 	}
 	e.Run()
 	if e.Fired() != 7 {
@@ -226,7 +209,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 		var fired []float64
 		for _, r := range raw {
 			tm := float64(r)
-			e.At(tm, func() { fired = append(fired, tm) })
+			e.AtOp(tm, handlerFunc(func() { fired = append(fired, tm) }), 0)
 		}
 		e.Run()
 		if len(fired) != len(raw) {
@@ -243,7 +226,7 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	e := New()
 	var times []float64
 	tk := NewTicker(e, 10, func() { times = append(times, e.Now()) })
-	e.At(35, func() { tk.Stop() })
+	e.AtOp(35, handlerFunc(func() { tk.Stop() }), 0)
 	e.Run()
 	want := []float64{10, 20, 30}
 	if len(times) != len(want) {
@@ -291,7 +274,7 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 func TestBatchJoinBlockedByTickerAtItsTime(t *testing.T) {
 	e := New()
 	var b Batch
-	b.Open(e, 5, funcHandler(func() {}), 0)
+	b.Open(e, 5, nop, 0)
 	other := NewTicker(e, 3, func() {})
 	if !b.Join(e, 5) {
 		t.Fatal("a ticker due at another time blocked the join")
@@ -324,9 +307,9 @@ func TestKernelCountersObserveLifecycle(t *testing.T) {
 				e.Scheduled(), e.Fired(), e.Canceled(), e.Pending())
 		}
 	}
-	e.At(5, nop)
-	e.At(7, nop).Cancel()
-	e.At(30, nop)
+	e.AtOp(5, nop, 0)
+	e.AtOp(7, nop, 0).Cancel()
+	e.AtOp(30, nop, 0)
 	tk := NewTicker(e, 10, func() {})
 	e.RunUntil(25) // the event at 5 and the ticks at 10 and 20; each tick re-arms
 	want(6, 3, 1)

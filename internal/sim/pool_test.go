@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // nop is package-level so scheduling it never allocates a closure.
-var nop = func() {}
+var nop = handlerFunc(func() {})
 
 // warmEvents is how many events the allocation tests push through an
 // engine before measuring, so the free list and queue are warm.
@@ -11,9 +11,9 @@ const warmEvents = 256
 
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := New()
-	a := e.At(1, nop)
-	e.At(2, nop)
-	e.At(3, nop)
+	a := e.AtOp(1, nop, 0)
+	e.AtOp(2, nop, 0)
+	e.AtOp(3, nop, 0)
 	if e.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3", e.Pending())
 	}
@@ -36,7 +36,7 @@ func TestCancelMidHeapKeepsOrder(t *testing.T) {
 	evs := make([]*Event, 0, 10)
 	for _, tm := range []float64{5, 1, 9, 3, 7, 2, 8, 4, 6, 10} {
 		tm := tm
-		evs = append(evs, e.At(tm, func() { order = append(order, tm) }))
+		evs = append(evs, e.AtOp(tm, handlerFunc(func() { order = append(order, tm) }), 0))
 	}
 	evs[0].Cancel() // t=5, interior heap node
 	evs[2].Cancel() // t=9
@@ -63,9 +63,9 @@ func TestHandlerEventsInterleaveWithClosures(t *testing.T) {
 	rec := &opRecorder{}
 	var order []string
 	e.AtOp(1, rec, 7)
-	e.At(2, func() { order = append(order, "fn") })
+	e.AtOp(2, handlerFunc(func() { order = append(order, "fn") }), 0)
 	e.AfterOp(3, rec, 8)
-	e.At(3, func() { e.ImmediatelyOp(rec, 9) })
+	e.AtOp(3, handlerFunc(func() { e.ImmediatelyOp(rec, 9) }), 0)
 	e.Run()
 	if len(rec.ops) != 3 || rec.ops[0] != 7 || rec.ops[1] != 8 || rec.ops[2] != 9 {
 		t.Fatalf("handler ops = %v, want [7 8 9]", rec.ops)
@@ -91,12 +91,12 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 	rec := &opRecorder{}
 	// Warm the pool and the heap's backing array.
 	for i := 0; i < 2*warmEvents; i++ {
-		e.At(e.Now(), nop)
+		e.AtOp(e.Now(), nop, 0)
 	}
 	e.Run()
 	rec.ops = rec.ops[:0]
 	allocs := testing.AllocsPerRun(100, func() {
-		e.At(e.Now()+1, nop)
+		e.AtOp(e.Now()+1, nop, 0)
 		e.AtOp(e.Now()+1, rec, 1)
 		e.Run()
 	})
@@ -109,11 +109,11 @@ func TestScheduleFireIsAllocationFree(t *testing.T) {
 func TestCancelIsAllocationFree(t *testing.T) {
 	e := New()
 	for i := 0; i < warmEvents; i++ {
-		e.At(e.Now(), nop)
+		e.AtOp(e.Now(), nop, 0)
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
-		ev := e.At(e.Now()+1, nop)
+		ev := e.AtOp(e.Now()+1, nop, 0)
 		ev.Cancel()
 	})
 	if allocs > 0 {
@@ -121,20 +121,8 @@ func TestCancelIsAllocationFree(t *testing.T) {
 	}
 }
 
-// BenchmarkEngine measures raw schedule+fire throughput of the kernel, the
-// unit of work every simulated component pays per event.
-func BenchmarkEngine(b *testing.B) {
-	e := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+1, nop)
-		e.At(e.Now()+2, nop)
-		e.At(e.Now()+0.5, nop)
-		e.Run()
-	}
-}
-
-// BenchmarkEngineHandler is BenchmarkEngine over the closure-free AtOp path.
+// BenchmarkEngineHandler measures raw schedule+fire throughput of the
+// kernel, the unit of work every simulated component pays per event.
 func BenchmarkEngineHandler(b *testing.B) {
 	e := New()
 	rec := &opRecorder{}
@@ -156,7 +144,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var evs [64]*Event
 		for j := range evs {
-			evs[j] = e.At(e.Now()+float64(j%13)+1, nop)
+			evs[j] = e.AtOp(e.Now()+float64(j%13)+1, nop, 0)
 		}
 		for j := 0; j < len(evs); j += 2 {
 			evs[j].Cancel()
@@ -172,7 +160,7 @@ func TestTeardownLeavesEngineEmpty(t *testing.T) {
 	a := New()
 	fired := false
 	for i := 0; i < 2*warmEvents; i++ {
-		a.At(float64(i), func() { fired = true })
+		a.AtOp(float64(i), handlerFunc(func() { fired = true }), 0)
 	}
 	a.Reserve(5)
 	a.Teardown()

@@ -69,7 +69,7 @@ func (m *member) OnEvent(int) {
 func (k *engineKernel) now() float64 { return k.e.Now() }
 
 func (k *engineKernel) at(t float64, fn func()) func() {
-	ev := k.e.At(t, fn)
+	ev := k.e.AtOp(t, handlerFunc(fn), 0)
 	return ev.Cancel
 }
 
@@ -127,7 +127,7 @@ type refKernel struct {
 func (r *refKernel) now() float64 { return r.t }
 
 func (r *refKernel) push(t float64, fn func()) *Event {
-	ev := &Event{time: t, seq: r.seq, h: funcHandler(fn)}
+	ev := &Event{time: t, seq: r.seq, h: handlerFunc(fn)}
 	r.seq++
 	r.q.push(ev)
 	return ev

@@ -34,7 +34,7 @@ func TestReservationAtOpPanics(t *testing.T) {
 	e = New()
 	r = e.Reserve(1)
 	fired := false
-	e.AtOp(5, funcHandler(func() {
+	e.AtOp(5, handlerFunc(func() {
 		fired = true
 		mustPanic(t, "AtOp behind the firing event", func() { r.AtOp(5, rec, 0) })
 		mustPanic(t, "AtOp before the clock", func() { r.AtOp(4, rec, 0) })

@@ -27,7 +27,7 @@ func TestTickerStopInsideCallbackLeavesOtherEventsAlone(t *testing.T) {
 	otherFired := false
 	var tk *Ticker
 	tk = NewTicker(e, 1, func() {
-		e.After(0.5, func() { otherFired = true })
+		e.AfterOp(0.5, handlerFunc(func() { otherFired = true }), 0)
 		tk.Stop()
 	})
 	e.RunUntil(10)
@@ -43,7 +43,7 @@ func TestTickerStopTwiceAfterReuse(t *testing.T) {
 	tk := NewTicker(e, 1, func() {})
 	tk.Stop()
 	fired := false
-	e.After(1, func() { fired = true })
+	e.AfterOp(1, handlerFunc(func() { fired = true }), 0)
 	tk.Stop()
 	e.RunUntil(5)
 	if !fired {
@@ -72,9 +72,9 @@ func TestTickerSteadyStateIsAllocationFree(t *testing.T) {
 func TestTickerFiresInSeqOrderAmongEvents(t *testing.T) {
 	e := New()
 	var order []string
-	e.At(10, func() { order = append(order, "before") })
+	e.AtOp(10, handlerFunc(func() { order = append(order, "before") }), 0)
 	tk := NewTicker(e, 10, func() { order = append(order, "tick") })
-	e.At(10, func() { order = append(order, "after") })
+	e.AtOp(10, handlerFunc(func() { order = append(order, "after") }), 0)
 	if e.Pending() != 3 {
 		t.Fatalf("Pending() = %d, want 3 (two events and the armed ticker)", e.Pending())
 	}

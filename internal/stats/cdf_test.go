@@ -6,7 +6,7 @@ import (
 )
 
 func TestCDFAt(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
+	c := NewCDFInPlace([]float64{1, 2, 2, 3})
 	cases := []struct{ x, want float64 }{
 		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
 	}
@@ -15,74 +15,33 @@ func TestCDFAt(t *testing.T) {
 			t.Errorf("At(%g) = %g, want %g", cse.x, got, cse.want)
 		}
 	}
-	if c.N() != 4 {
-		t.Fatalf("N = %d", c.N())
+	if len(c.sorted) != 4 {
+		t.Fatalf("N = %d", len(c.sorted))
 	}
 }
 
 func TestCDFEmpty(t *testing.T) {
-	c := NewCDF(nil)
-	if c.At(5) != 0 || c.Quantile(0.5) != 0 || len(c.Points()) != 0 {
+	c := NewCDFInPlace(nil)
+	if c.At(5) != 0 || c.Percent(5) != 0 {
 		t.Fatal("empty CDF should be all-zero")
 	}
 }
 
 func TestCDFPercent(t *testing.T) {
-	c := NewCDF([]float64{10, 20})
+	c := NewCDFInPlace([]float64{10, 20})
 	if got := c.Percent(10); got != 50 {
 		t.Fatalf("Percent(10) = %g, want 50", got)
 	}
 }
 
-func TestCDFQuantile(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4})
-	if got := c.Quantile(0.5); got != 2 {
-		t.Fatalf("Quantile(0.5) = %g, want 2", got)
-	}
-	if got := c.Quantile(1); got != 4 {
-		t.Fatalf("Quantile(1) = %g, want 4", got)
-	}
-	if got := c.Quantile(0); got != 1 {
-		t.Fatalf("Quantile(0) = %g, want 1", got)
-	}
-	if got := c.Quantile(2); got != 4 {
-		t.Fatalf("Quantile(2) clamps to max, got %g", got)
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{5, 5, 7})
-	pts := c.Points()
-	if len(pts) != 2 {
-		t.Fatalf("Points len = %d, want 2 (distinct values)", len(pts))
-	}
-	if pts[0].X != 5 || !almostEqual(pts[0].Percent, 200.0/3, 1e-9) {
-		t.Fatalf("pts[0] = %+v", pts[0])
-	}
-	if pts[1].X != 7 || pts[1].Percent != 100 {
-		t.Fatalf("pts[1] = %+v", pts[1])
-	}
-}
-
 func TestCDFSampleAtAndRender(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
+	c := NewCDFInPlace([]float64{1, 2, 3})
 	pts := c.SampleAt([]float64{0, 2, 4})
 	want := []float64{0, 200.0 / 3, 100}
 	for i, p := range pts {
 		if !almostEqual(p.Percent, want[i], 1e-9) {
 			t.Fatalf("SampleAt[%d] = %g, want %g", i, p.Percent, want[i])
 		}
-	}
-	if c.Render("x", []float64{1}) == "" {
-		t.Fatal("Render should produce output")
-	}
-}
-
-func TestCDFInputNotMutated(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	NewCDF(xs)
-	if xs[0] != 3 {
-		t.Fatalf("input mutated: %v", xs)
 	}
 }
 
@@ -93,7 +52,7 @@ func TestPropertyCDFMonotone(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		c := NewCDF(xs)
+		c := NewCDFInPlace(xs)
 		prevX, prevV := -1e18, -1.0
 		for _, p := range probes {
 			x := float64(p)
@@ -126,7 +85,7 @@ func TestPropertyCDFReachesOne(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		c := NewCDF(xs)
+		c := NewCDFInPlace(xs)
 		return c.At(Max(xs)) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

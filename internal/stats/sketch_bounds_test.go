@@ -157,8 +157,8 @@ func TestSketchMergePreservesErrorBounds(t *testing.T) {
 		for _, p := range parts {
 			merged.Merge(p)
 		}
-		if merged.N() != int64(len(values)) {
-			t.Fatalf("%s: merged N = %d, want %d", name, merged.N(), len(values))
+		if merged.n != int64(len(values)) {
+			t.Fatalf("%s: merged N = %d, want %d", name, merged.n, len(values))
 		}
 		checkBounds(t, "merged/"+name, merged, values, DefaultSketchAccuracy)
 		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {

@@ -45,15 +45,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Variance returns the population variance of xs, or 0 for fewer than two
 // samples.
 func Variance(xs []float64) float64 {

@@ -74,10 +74,7 @@ func (o *Online) Merge(b *Online) {
 // N returns the number of observations.
 func (o *Online) N() int { return o.n }
 
-// Sum returns the running sum.
-func (o *Online) Sum() float64 { return o.sum }
-
-// Mean returns Sum/N, or 0 for an empty accumulator.
+// Mean returns the running sum over N, or 0 for an empty accumulator.
 func (o *Online) Mean() float64 {
 	if o.n == 0 {
 		return 0
@@ -182,9 +179,6 @@ func (s *Sketch) Merge(b *Sketch) {
 	}
 }
 
-// N returns the number of observations.
-func (s *Sketch) N() int64 { return s.n }
-
 // Quantile returns an estimate of the q-th quantile (q in [0,1]) with
 // relative error at most the sketch accuracy. It returns 0 for an
 // empty sketch and panics for q outside [0,1].
@@ -222,9 +216,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 	// Unreachable: cum equals n after the loop and rank <= n.
 	return 0
 }
-
-// Percentile is Quantile with p in [0,100], mirroring the batch API.
-func (s *Sketch) Percentile(p float64) float64 { return s.Quantile(p / 100) }
 
 // Stream couples an Online accumulator with a quantile Sketch: the
 // one-pass replacement for Summarize.

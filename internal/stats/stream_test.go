@@ -24,10 +24,7 @@ func TestOnlineMatchesBatch(t *testing.T) {
 		t.Fatalf("N = %d, want %d", o.N(), len(xs))
 	}
 	// A serial feed accumulates the sum in the same order as the batch
-	// helpers, so mean and sum are bit-identical.
-	if o.Sum() != Sum(xs) {
-		t.Errorf("Sum = %v, want %v", o.Sum(), Sum(xs))
-	}
+	// helpers, so the means are bit-identical.
 	if o.Mean() != Mean(xs) {
 		t.Errorf("Mean = %v, want %v", o.Mean(), Mean(xs))
 	}
@@ -63,8 +60,8 @@ func TestOnlineMergeMatchesSerial(t *testing.T) {
 		b.Add(x)
 	}
 	a.Merge(&b)
-	if a.N() != serial.N() || a.Sum() != serial.Sum() {
-		t.Fatalf("merged N/Sum = %d/%v, want %d/%v", a.N(), a.Sum(), serial.N(), serial.Sum())
+	if a.N() != serial.N() || a.sum != serial.sum {
+		t.Fatalf("merged N/sum = %d/%v, want %d/%v", a.N(), a.sum, serial.N(), serial.sum)
 	}
 	if !relClose(a.Variance(), serial.Variance(), 1e-9) {
 		t.Errorf("merged Variance = %v, serial %v", a.Variance(), serial.Variance())
@@ -128,8 +125,8 @@ func TestSketchZeroAndEmpty(t *testing.T) {
 	if got := s.Quantile(1); !relClose(got, 10, 3*DefaultSketchAccuracy) {
 		t.Errorf("max quantile = %g, want ~10", got)
 	}
-	if s.N() != 3 {
-		t.Errorf("N = %d, want 3", s.N())
+	if s.n != 3 {
+		t.Errorf("N = %d, want 3", s.n)
 	}
 }
 
@@ -147,8 +144,8 @@ func TestSketchMergeMatchesSerial(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if a.N() != serial.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), serial.N())
+	if a.n != serial.n {
+		t.Fatalf("merged N = %d, want %d", a.n, serial.n)
 	}
 	for _, q := range []float64{0.1, 0.5, 0.9} {
 		if a.Quantile(q) != serial.Quantile(q) {

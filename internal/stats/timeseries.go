@@ -125,15 +125,6 @@ func (ts *TimeSeries) MaxValue() float64 {
 	return m
 }
 
-// Last returns the final (time, value) sample; ok is false when empty.
-func (ts *TimeSeries) Last() (t, v float64, ok bool) {
-	if len(ts.times) == 0 {
-		return 0, 0, false
-	}
-	n := len(ts.times) - 1
-	return ts.times[n], ts.values[n], true
-}
-
 // Counter is a monotone event counter rendered as a cumulative time series
 // (e.g. "number of grown messages" in Fig. 7f).
 type Counter struct {

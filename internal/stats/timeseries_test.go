@@ -89,8 +89,8 @@ func TestTimeSeriesSampleBadStepPanics(t *testing.T) {
 
 func TestTimeSeriesMaxAndLast(t *testing.T) {
 	ts := NewTimeSeries()
-	if _, _, ok := ts.Last(); ok {
-		t.Fatal("empty Last should report !ok")
+	if ts.MaxValue() != 0 {
+		t.Fatalf("empty MaxValue = %g, want 0", ts.MaxValue())
 	}
 	ts.Add(1, 3)
 	ts.Add(2, 8)
@@ -98,9 +98,8 @@ func TestTimeSeriesMaxAndLast(t *testing.T) {
 	if ts.MaxValue() != 8 {
 		t.Fatalf("MaxValue = %g", ts.MaxValue())
 	}
-	tm, v, ok := ts.Last()
-	if !ok || tm != 3 || v != 5 {
-		t.Fatalf("Last = (%g,%g,%v)", tm, v, ok)
+	if n := ts.Len(); n != 3 || ts.times[n-1] != 3 || ts.values[n-1] != 5 {
+		t.Fatalf("last sample = (%g,%g) of %d", ts.times[n-1], ts.values[n-1], n)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"repro/internal/obs"
 )
 
-func journalPath(s *Store) string { return filepath.Join(s.Dir(), "journal.ndjson") }
+func journalPath(s *Store) string { return filepath.Join(s.dir, "journal.ndjson") }
 
 func TestJournalAppendReplay(t *testing.T) {
 	s := mkStore(t, Options{Fsync: true})
@@ -164,7 +164,7 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatalf("replay after compact = %+v", got)
 	}
 	// No temp debris next to the journal.
-	des, err := os.ReadDir(s.Dir())
+	des, err := os.ReadDir(s.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,9 +173,6 @@ func sweepTemp(dir, prefix string) {
 	}
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Journal returns the store's run journal.
 func (s *Store) Journal() *Journal { return s.journal }
 
@@ -316,17 +313,6 @@ func (s *Store) skip(msg string, attrs ...any) {
 	s.opts.Log.Warn("store: "+msg, attrs...)
 }
 
-// Entries scans every stored result, skipping unreadable, corrupt and
-// incompatible files. Order is by file mtime, oldest first (the order
-// GC would evict in), with the hash as tie-break for determinism.
-func (s *Store) Entries() ([]*Entry, error) {
-	infos, err := s.scan()
-	if err != nil {
-		return nil, err
-	}
-	return s.readEntries(infos), nil
-}
-
 // Newest reads only the n most recently written results (oldest first
 // among them) plus how many older entries were left unread — what a
 // recovery bounded by a retention limit wants, without O(store size)
@@ -364,6 +350,8 @@ type fileInfo struct {
 	mtime time.Time
 }
 
+// scan lists the entry files by mtime, oldest first (the order GC evicts
+// in), with the hash as tie-break for determinism.
 func (s *Store) scan() ([]fileInfo, error) {
 	des, err := os.ReadDir(s.results)
 	if err != nil {

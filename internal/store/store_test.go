@@ -10,6 +10,17 @@ import (
 	"time"
 )
 
+// allEntries reads every stored result, oldest first, skipping
+// unreadable, corrupt and incompatible files.
+func allEntries(t *testing.T, s *Store) []*Entry {
+	t.Helper()
+	infos, err := s.scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.readEntries(infos)
+}
+
 func mkStore(t *testing.T, opts Options) *Store {
 	t.Helper()
 	s, err := Open(t.TempDir(), opts)
@@ -129,10 +140,7 @@ func TestIncompatibleEntriesSkippedNotFatal(t *testing.T) {
 			t.Fatalf("Get(%s) = %+v, want skipped", h[:8], e)
 		}
 	}
-	entries, err := s.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := allEntries(t, s)
 	if len(entries) != 1 || entries[0].Hash != good {
 		t.Fatalf("Entries = %d, want only the good one", len(entries))
 	}
@@ -153,10 +161,7 @@ func TestEntriesOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := s.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := allEntries(t, s)
 	var got []string
 	for _, e := range entries {
 		got = append(got, e.ID)
@@ -325,17 +330,14 @@ func TestConcurrentReadWhileGC(t *testing.T) {
 func TestForeignFilesInvisible(t *testing.T) {
 	s := mkStore(t, Options{})
 	putN(t, s, 1)
-	foreign := filepath.Join(s.Dir(), "results", "notes.json")
+	foreign := filepath.Join(s.dir, "results", "notes.json")
 	if err := os.WriteFile(foreign, []byte(`{"schema":1,"hash":"ab"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if n := metric(t, s, "koalad_store_entries"); n != 1 {
 		t.Fatalf("entries = %g, want foreign file uncounted", n)
 	}
-	entries, err := s.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := allEntries(t, s)
 	if len(entries) != 1 || entries[0].Hash != hashN(1) {
 		t.Fatalf("Entries = %+v", entries)
 	}
@@ -410,7 +412,7 @@ func TestReopenRecountsAccounting(t *testing.T) {
 func TestPutLeavesNoTempDebris(t *testing.T) {
 	s := mkStore(t, Options{})
 	putN(t, s, 1)
-	des, err := os.ReadDir(filepath.Join(s.Dir(), "results"))
+	des, err := os.ReadDir(filepath.Join(s.dir, "results"))
 	if err != nil {
 		t.Fatal(err)
 	}

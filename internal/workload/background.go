@@ -35,8 +35,7 @@ type BackgroundLoad struct {
 	rng    *sim.RNG
 	spec   BackgroundSpec
 
-	sessions uint64
-	stopped  bool
+	stopped bool
 }
 
 // bgSite drives the sessions of one cluster. Arrivals and session ends
@@ -88,9 +87,6 @@ func (b *BackgroundLoad) Stop() { b.stopped = true }
 // background load at a virtual time without a closure.
 func (b *BackgroundLoad) OnEvent(int) { b.Stop() }
 
-// Sessions returns how many sessions started.
-func (b *BackgroundLoad) Sessions() uint64 { return b.sessions }
-
 func (s *bgSite) scheduleNext() {
 	delay := s.rng.ExpFloat64() * s.b.spec.MeanInterArrival
 	s.b.engine.AfterOp(delay, s, opArrive)
@@ -105,7 +101,6 @@ func (b *BackgroundLoad) runSession(s *bgSite) {
 	if want <= 0 || c.SeizeBackground(want) != nil {
 		return
 	}
-	b.sessions++
 	duration := rng.ExpFloat64() * b.spec.MeanDuration
 	b.engine.AfterOp(duration, s, want)
 }

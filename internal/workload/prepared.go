@@ -42,9 +42,6 @@ func PrepareSpec(spec Spec) (*PreparedSpec, error) {
 	return p, nil
 }
 
-// Spec returns the validated spec (Seed as passed to PrepareSpec).
-func (p *PreparedSpec) Spec() Spec { return p.spec }
-
 // Generate produces the workload for the given seed — byte-identical to
 // Generate(spec with that Seed) — reusing the prepared ID strings and
 // profiles. The returned Workload is freshly allocated and owned by the

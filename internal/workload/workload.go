@@ -92,13 +92,6 @@ func rigidProfile(kind AppKind, size int) *app.Profile {
 	return p
 }
 
-// Equal reports whether two items describe the same submission (the
-// shared profile pointer is derived state and excluded).
-func (it Item) Equal(o Item) bool {
-	return it.ID == o.ID && it.SubmitAt == o.SubmitAt && it.App == o.App &&
-		it.Malleable == o.Malleable && it.Size == o.Size && it.profile() == o.profile()
-}
-
 // profile is the item's application profile: the prepared one when set,
 // else the canonical instance of its class.
 func (it Item) profile() *app.Profile {

@@ -69,14 +69,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	a, _ := Generate(Wmr(42))
 	b, _ := Generate(Wmr(42))
 	for i := range a.Items {
-		if !a.Items[i].Equal(b.Items[i]) {
+		if a.Items[i] != b.Items[i] {
 			t.Fatalf("item %d differs across same-seed generations", i)
 		}
 	}
 	c, _ := Generate(Wmr(43))
 	same := true
 	for i := range a.Items {
-		if !a.Items[i].Equal(c.Items[i]) {
+		if a.Items[i] != c.Items[i] {
 			same = false
 			break
 		}
@@ -183,7 +183,7 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: name=%q items=%d", got.Name, len(got.Items))
 	}
 	for i := range w.Items {
-		if !got.Items[i].Equal(w.Items[i]) {
+		if got.Items[i] != w.Items[i] {
 			t.Fatalf("item %d: %+v != %+v", i, got.Items[i], w.Items[i])
 		}
 	}
@@ -243,14 +243,25 @@ func TestBackgroundLoadSeizesAndReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.RunUntil(2000)
-	if bg.Sessions() == 0 {
+	held := func() int {
+		n := 0
+		for _, c := range grid.Clusters() {
+			n += c.Background()
+		}
+		return n
+	}
+	started := false
+	for at := 50.0; at <= 2000; at += 50 {
+		e.RunUntil(at)
+		started = started || held() > 0
+	}
+	if !started {
 		t.Fatal("no background sessions started")
 	}
 	bg.Stop()
 	e.RunUntil(1e6) // all sessions end
-	if grid.TotalBackground() != 0 {
-		t.Fatalf("background nodes leaked: %d", grid.TotalBackground())
+	if n := held(); n != 0 {
+		t.Fatalf("background nodes leaked: %d", n)
 	}
 }
 

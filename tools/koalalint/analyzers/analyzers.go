@@ -5,7 +5,7 @@
 //   - detwalltime:  no wall-clock time in deterministic packages
 //   - detorder:     no unordered map iteration without a justification
 //   - detrand:      no unseeded randomness
-//   - hotpathalloc: no closures or allocation on the event hot path
+//   - hotpathalloc: no allocation on the event hot path
 //
 // See docs/determinism.md for the invariants and the escape hatches.
 package analyzers
@@ -40,8 +40,8 @@ var deterministicDirs = map[string]bool{
 
 // hotPathDirs is the scheduling stack swept by hotpathalloc: the sim
 // kernel plus every package that schedules events in steady state. The
-// setup-time packages (workload submission, experiment wiring) may use the
-// closure API — they run once per replication, not once per event.
+// setup-time packages (workload submission, experiment wiring) run once
+// per replication, not once per event, and may allocate freely.
 var hotPathDirs = map[string]bool{
 	"sim":    true,
 	"koala":  true,

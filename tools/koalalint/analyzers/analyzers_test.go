@@ -19,7 +19,7 @@ func TestDetRand(t *testing.T) {
 }
 
 func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, HotPathAlloc, "hotpathalloc/sim", "hotpathalloc/workload")
+	linttest.Run(t, HotPathAlloc, "hotpathalloc/sim")
 }
 
 // TestDeterministicScope pins the package sets: the wall-clock edge of the

@@ -28,7 +28,7 @@ var DetWallTime = &lint.Analyzer{
 
 Simulation results must be a pure function of (config, seed). time.Now and
 friends leak the machine clock into that function; simulated time comes
-from the sim engine (Engine.Now, Engine.At/AtOp). Packages outside the
+from the sim engine (Engine.Now, Engine.AtOp). Packages outside the
 deterministic set (internal/server, internal/store) may use the clock.`,
 	Run: runDetWallTime,
 }

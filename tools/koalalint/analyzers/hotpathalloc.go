@@ -3,41 +3,27 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
-	"path"
 
 	"repro/tools/koalalint/lint"
 )
-
-// closureEntryPoints are the sim.Engine scheduling methods that take a
-// func() and therefore allocate a closure per event when handed a literal.
-// The allocation-free counterparts are AtOp/AfterOp/ImmediatelyOp.
-var closureEntryPoints = map[string]string{
-	"At":          "AtOp",
-	"After":       "AfterOp",
-	"Immediately": "ImmediatelyOp",
-}
 
 // allocBuiltins are the allocating builtins flagged inside
 // //koalalint:hotpath functions.
 var allocBuiltins = map[string]bool{"make": true, "new": true, "append": true}
 
-// HotPathAlloc keeps the event hot path closure- and allocation-free.
+// HotPathAlloc keeps the event hot path allocation-free.
 var HotPathAlloc = &lint.Analyzer{
 	Name: "hotpathalloc",
-	Doc: `forbid closures and allocation on the event hot path
+	Doc: `forbid allocation on the event hot path
 
-Two checks over the scheduling stack (internal/sim and the scheduler
-packages):
+Over the scheduling stack (internal/sim and the scheduler packages),
+inside functions marked //koalalint:hotpath (the engine's dispatch loop
+and heap operations), any allocating form is flagged: function
+literals, composite literals, make, new and append. Events need no
+check of their own: the engine schedules only pre-bound sim.Handlers
+(AtOp/AfterOp/ImmediatelyOp), so no event carries a closure.
 
- 1. A function literal passed to Engine.At/After/Immediately allocates a
-    closure per scheduled event. Steady-state callers must use the
-    handler ops (AtOp/AfterOp/ImmediatelyOp) with a pre-bound sim.Handler.
-
- 2. Inside functions marked //koalalint:hotpath (the engine's dispatch
-    loop and heap operations), any allocating form is flagged: function
-    literals, composite literals, make, new and append.
-
-Either site can carry //koalalint:alloc <why> when the allocation is
+A site can carry //koalalint:alloc <why> when the allocation is
 amortized or setup-only; the justification text is required and the
 allocs/op regression gate (make bench-compare) keeps it honest.`,
 	Run: runHotPathAlloc,
@@ -57,28 +43,6 @@ func runHotPathAlloc(pass *lint.Pass) error {
 		}
 		pass.Reportf(n.Pos(), format, args...)
 	}
-
-	inspectFiles(pkg, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		opName, isEntry := closureEntryPoints[sel.Sel.Name]
-		if !isEntry || !recvIsSimEngine(pkg.TypesInfo, sel) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if _, isLit := arg.(*ast.FuncLit); isLit {
-				report(call, "function literal passed to Engine.%s allocates a closure per event; pre-bind a sim.Handler and use Engine.%s",
-					sel.Sel.Name, opName)
-			}
-		}
-		return true
-	})
 
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -107,25 +71,6 @@ func runHotPathAlloc(pass *lint.Pass) error {
 		}
 	}
 	return nil
-}
-
-// recvIsSimEngine reports whether the selector is a method call on a type
-// named Engine from a package whose final path element is "sim".
-func recvIsSimEngine(info *types.Info, sel *ast.SelectorExpr) bool {
-	s, ok := info.Selections[sel]
-	if !ok {
-		return false
-	}
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Engine" && obj.Pkg() != nil && path.Base(obj.Pkg().Path()) == "sim"
 }
 
 // isBuiltin reports whether the identifier resolves to a language builtin

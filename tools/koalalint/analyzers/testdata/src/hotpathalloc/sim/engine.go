@@ -1,40 +1,15 @@
 // Package sim is a hotpathalloc fixture: a miniature of the real engine's
-// scheduling API, with the closure entry points and a marked hot loop.
+// marked hot loop.
 package sim
-
-// Handler mirrors the real sim.Handler.
-type Handler interface{ OnEvent(op int) }
 
 // Event mirrors the real event handle.
 type Event struct{}
 
-// Engine mirrors the real engine's scheduling surface; hotpathalloc keys
-// on the type name and the package's final path element.
+// Engine mirrors the real engine; hotpathalloc keys on the package's final
+// path element.
 type Engine struct {
 	queue []*Event
 	now   float64
-}
-
-func (e *Engine) At(t float64, fn func()) *Event           { return &Event{} }
-func (e *Engine) After(d float64, fn func()) *Event        { return &Event{} }
-func (e *Engine) Immediately(fn func()) *Event             { return &Event{} }
-func (e *Engine) AtOp(t float64, h Handler, op int) *Event { return &Event{} }
-
-type prebound struct{ e *Engine }
-
-func (p *prebound) OnEvent(op int) {}
-
-func closureViolations(e *Engine) {
-	e.At(1, func() {})       // want `function literal passed to Engine\.At .* use Engine\.AtOp`
-	e.After(1, func() {})    // want `function literal passed to Engine\.After .* use Engine\.AfterOp`
-	e.Immediately(func() {}) // want `function literal passed to Engine\.Immediately .* use Engine\.ImmediatelyOp`
-}
-
-func closureAllowed(e *Engine, p *prebound, cb func()) {
-	e.AtOp(1, p, 0) // the closure-free handler op
-	e.At(1, cb)     // a passed-through func value is the caller's allocation
-	//koalalint:alloc one-shot horizon stop scheduled at setup, not per event
-	e.Immediately(func() {})
 }
 
 //koalalint:hotpath

@@ -2,8 +2,7 @@
 // hot-path invariants: the claim that summaries are byte-identical across
 // serial, parallel, streaming and multi-node execution holds only while no
 // deterministic package reads the wall clock, iterates maps where order
-// matters, draws unseeded randomness, or allocates closures on the event
-// hot path. Reviewers used to hold those rules; this tool holds them at
+// matters, draws unseeded randomness, or allocates on the event hot path. Reviewers used to hold those rules; this tool holds them at
 // lint time, on every path, covered config or not.
 //
 // Usage:
